@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Micro-batch-size and attention-mode sweep on a synthetic dataset,
-emitting the long-format CSV (mode, m, fold, c_index) for boxplots.
+"""Micro-batch-size and attention-mode sweep on a synthetic dataset through
+the ``otsurv`` command, emitting the long-format CSV (mode, m, fold,
+c_index, status) for boxplots.
 
 Usage:
     python3 scripts/run_ablation.py --out runs/ablation \
@@ -13,43 +14,35 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
-from otsurv.bags import generate_synthetic_dataset
-from otsurv.config import ExperimentConfig
-from otsurv.train import ablation_sweep, load_cases
+from otsurv.cli import main as otsurv  # noqa: E402
 
 
-def main():
-    ap = argparse.ArgumentParser()
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="runs/ablation")
-    ap.add_argument("--seed", type=int, default=11, help="dataset seed")
-    ap.add_argument("--train-seed", type=int, default=0)
-    ap.add_argument("--n-cases", type=int, default=200)
+    ap.add_argument("--seed", default="11", help="dataset seed")
+    ap.add_argument("--train-seed", default="0")
+    ap.add_argument("--n-cases", default="200")
     ap.add_argument("--m-values", default="16,32,48")
     ap.add_argument("--modes", default="umbot,dense")
-    ap.add_argument("--epochs", type=int, default=10)
+    ap.add_argument("--epochs", default="10")
     args = ap.parse_args()
 
-    out = Path(args.out)
-    manifest = generate_synthetic_dataset(
-        n_cases=args.n_cases, M_p=48, M_g=6, d=64, signal_fraction=0.6,
-        noise_scale=0.25, censor_rate=0.25, seed=args.seed,
-        output_dir=out / "data")
-    cases = load_cases(manifest)
-
-    m_values = [int(x) for x in args.m_values.split(",")]
-    modes = args.modes.split(",")
-    config = ExperimentConfig(seed=args.train_seed, epochs=args.epochs)
-    rows = ablation_sweep(cases, config, m_values, modes, out)
-    print(f"wrote {out / 'ablation.csv'} ({len(rows)} rows)")
-    for mode in modes:
-        per_mode = [r["c_index"] for r in rows
-                    if r["mode"] == mode and r["status"] == "ok"]
-        if per_mode:
-            print(f"  {mode}: mean c-index {np.mean(per_mode):.4f} "
-                  f"+/- {np.std(per_mode):.4f} over {len(per_mode)} cells")
+    out = Path(args.out).resolve()
+    steps = [
+        ["gen-synth", "--out", str(out / "data"), "--n-cases", args.n_cases,
+         "--m-p", "48", "--m-g", "6", "--dim", "64", "--signal-fraction", "0.6",
+         "--noise-scale", "0.25", "--censor-rate", "0.25", "--seed", args.seed],
+        ["ablate", "--manifest", str(out / "data" / "manifest.json"),
+         "--out", str(out), "--m-values", args.m_values, "--modes", args.modes,
+         "--seed", args.train_seed, "--epochs", args.epochs],
+    ]
+    for step in steps:
+        code = otsurv(step)
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

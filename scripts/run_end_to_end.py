@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""End-to-end synthetic experiment: generate a planted-signal dataset,
-train with the default protocol under 5-fold cross-validation, then emit
-the Kaplan-Meier stratification and log-rank test on pooled validation
-predictions.
+"""End-to-end synthetic experiment through the ``otsurv`` command: generate
+a planted-signal dataset, train with the default protocol under 5-fold
+cross-validation, then emit the Kaplan-Meier stratification and log-rank
+test on pooled validation predictions.
 
 Usage:
     python3 scripts/run_end_to_end.py --out runs/e2e [--seed 11] [--epochs 20]
@@ -14,55 +14,38 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
-from otsurv.bags import generate_synthetic_dataset
-from otsurv.config import ExperimentConfig
-from otsurv.survival import km_estimate, logrank, median_split, write_km_outputs
-from otsurv.train import cross_validate, load_cases
+from otsurv.cli import main as otsurv  # noqa: E402
 
 
-def main():
-    ap = argparse.ArgumentParser()
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="runs/e2e")
-    ap.add_argument("--seed", type=int, default=11, help="dataset seed")
-    ap.add_argument("--train-seed", type=int, default=0)
-    ap.add_argument("--n-cases", type=int, default=200)
-    ap.add_argument("--m-p", type=int, default=48)
-    ap.add_argument("--dim", type=int, default=64)
-    ap.add_argument("--epochs", type=int, default=20)
+    ap.add_argument("--seed", default="11", help="dataset seed")
+    ap.add_argument("--train-seed", default="0")
+    ap.add_argument("--n-cases", default="200")
+    ap.add_argument("--m-p", default="48")
+    ap.add_argument("--dim", default="64")
+    ap.add_argument("--epochs", default="20")
     args = ap.parse_args()
 
-    out = Path(args.out)
-    data_dir = out / "data"
-    print(f"generating {args.n_cases}-case dataset under {data_dir} ...")
-    manifest = generate_synthetic_dataset(
-        n_cases=args.n_cases, M_p=args.m_p, M_g=6, d=args.dim,
-        signal_fraction=0.6, noise_scale=0.25, censor_rate=0.25,
-        seed=args.seed, output_dir=data_dir)
-    cases = load_cases(manifest)
-
-    config = ExperimentConfig(seed=args.train_seed, epochs=args.epochs)
-    print(f"training: {config}")
-    report = cross_validate(cases, config, out / "train")
-    print(f"c-index: {report['c_index_mean']:.4f} +/- {report['c_index_std']:.4f}")
-    for fold in report["per_fold"]:
-        print(f"  fold {fold['fold']}: c-index {fold['c_index']:.4f} "
-              f"(best epoch {fold['best_epoch']})")
-
-    pooled = report["pooled_risks"]
-    risks = np.array([p[1] for p in pooled])
-    records = {c.case_id: c.record for c in cases}
-    recs = [records[p[0]] for p in pooled]
-    low, high = median_split(risks)
-    result = logrank([recs[i] for i in low], [recs[i] for i in high])
-    curves = {"low": km_estimate([recs[i] for i in low]),
-              "high": km_estimate([recs[i] for i in high])}
-    paths = write_km_outputs(curves, result, out / "km")
-    print(f"log-rank: statistic {result.statistic:.3f}, p {result.p_value:.3e}")
-    for p in paths:
-        print(f"  wrote {p}")
+    out = Path(args.out).resolve()
+    manifest = str(out / "data" / "manifest.json")
+    steps = [
+        ["gen-synth", "--out", str(out / "data"), "--n-cases", args.n_cases,
+         "--m-p", args.m_p, "--m-g", "6", "--dim", args.dim,
+         "--signal-fraction", "0.6", "--noise-scale", "0.25",
+         "--censor-rate", "0.25", "--seed", args.seed],
+        ["train", "--manifest", manifest, "--out", str(out / "train"),
+         "--seed", args.train_seed, "--epochs", args.epochs],
+        ["km", "--risks", str(out / "train" / "risks.csv"), "--manifest", manifest,
+         "--out-prefix", str(out / "km")],
+    ]
+    for step in steps:
+        code = otsurv(step)
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

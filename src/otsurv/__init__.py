@@ -5,13 +5,10 @@ manually-differentiated model stack, and survival statistics."""
 from .bags import (CaseManifest, GenomicProfile, InstanceBag, SurvivalRecord,
                    discretize_times, generate_synthetic_dataset, load_bag,
                    load_manifest, save_bag)
-from .config import ExperimentConfig, load_config, save_config
-from .microbatch import (MicroBatchPlan, OTSettings, SelectedBag, coattend,
-                         dense_coattention, run_case_microbatched,
-                         sample_micro_batches)
-from .survival import (KMCurve, LogrankResult, SurvivalCurve, c_index,
-                       km_estimate, logrank, median_split, nll_loss,
-                       risk_score, survival_from_hazard)
+from .config import ExperimentConfig, load_config
+from .microbatch import MicroBatchPlan, OTSettings, sample_micro_batches
+from .survival import (KMCurve, LogrankResult, c_index, km_estimate, logrank,
+                       median_split, survival_from_hazard)
 from .transport import (CostMatrix, Marginals, SolverSettings, TransportPlan,
                         build_cost, normalize_cost, sinkhorn, solve_exact_emd,
                         unbalanced_sinkhorn, uniform_marginals)
@@ -22,11 +19,10 @@ __all__ = [
     "CaseManifest", "GenomicProfile", "InstanceBag", "SurvivalRecord",
     "discretize_times", "generate_synthetic_dataset", "load_bag",
     "load_manifest", "save_bag",
-    "ExperimentConfig", "load_config", "save_config",
-    "MicroBatchPlan", "OTSettings", "SelectedBag", "coattend",
-    "dense_coattention", "run_case_microbatched", "sample_micro_batches",
-    "KMCurve", "LogrankResult", "SurvivalCurve", "c_index", "km_estimate",
-    "logrank", "median_split", "nll_loss", "risk_score", "survival_from_hazard",
+    "ExperimentConfig", "load_config",
+    "MicroBatchPlan", "OTSettings", "sample_micro_batches",
+    "KMCurve", "LogrankResult", "c_index", "km_estimate", "logrank",
+    "median_split", "survival_from_hazard",
     "CostMatrix", "Marginals", "SolverSettings", "TransportPlan", "build_cost",
     "normalize_cost", "sinkhorn", "solve_exact_emd", "unbalanced_sinkhorn",
     "uniform_marginals",

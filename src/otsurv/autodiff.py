@@ -98,9 +98,6 @@ class Tape:
     def scale(self, a: Var, c: float) -> Var:
         return self._emit(a.value * c, ((a, lambda g, c=c: g * c),))
 
-    def neg(self, a: Var) -> Var:
-        return self.scale(a, -1.0)
-
     def sub_from(self, c: float, a: Var) -> Var:
         """c - a for a plain float c."""
         return self._emit(c - a.value, ((a, lambda g: -g),))
@@ -186,12 +183,6 @@ class Tape:
             return out
 
         return self._emit(a.value[i, j], ((a, vjp),))
-
-    def sum_all(self, a: Var) -> Var:
-        return self._emit(
-            a.value.sum(),
-            ((a, lambda g, shape=a.value.shape: np.broadcast_to(g, shape).copy()),),
-        )
 
 
 def backward(tape: Tape, root: Var) -> None:

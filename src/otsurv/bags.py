@@ -63,10 +63,6 @@ class InstanceBag:
         object.__setattr__(self, "features", feats)
 
     @property
-    def n_instances(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.features.shape[1]
 
@@ -91,10 +87,6 @@ class GenomicProfile:
                 raise DataError(f"category {name!r} contains non-finite attributes")
             cats.append((name, attrs))
         object.__setattr__(self, "categories", cats)
-
-    @property
-    def n_categories(self) -> int:
-        return len(self.categories)
 
     def attr_dims(self) -> list[int]:
         return [attrs.size for _, attrs in self.categories]

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 parse/config, 3 data, 4 solver, 5 numeric.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,10 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import bags, survival, train as training
-from .config import ExperimentConfig, load_config, merge_overrides
+from .config import ATTENTION_MODES, ExperimentConfig, load_config, merge_overrides
 from .errors import (ConfigError, ConstraintError, DataError, FormatError,
                      NumericError, OtsurvError, ParameterError, SolverError)
 from .microbatch import OTSettings, solve_batch
+from .transport import COST_METRICS, write_plan
 
 EXIT_PARSE = 2
 EXIT_DATA = 3
@@ -37,8 +39,6 @@ def _exit_code(exc: OtsurvError) -> int:
         return EXIT_SOLVER
     if isinstance(exc, NumericError):
         return EXIT_NUMERIC
-    if isinstance(exc, DataError):
-        return EXIT_DATA
     return EXIT_DATA
 
 
@@ -52,12 +52,8 @@ def _out_path(raw: str) -> Path:
 
 def _load_effective_config(args) -> ExperimentConfig:
     config = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
-    overrides = {
-        name: getattr(args, name, None)
-        for name in ("seed", "folds", "micro_batch", "epsilon", "tau", "epochs",
-                     "lr", "weight_decay", "grad_accum_steps", "bins",
-                     "attention_mode", "cost_metric", "normalize_cost")
-    }
+    overrides = {f.name: getattr(args, f.name, None)
+                 for f in dataclasses.fields(ExperimentConfig)}
     return merge_overrides(config, overrides)
 
 
@@ -73,10 +69,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--weight-decay", dest="weight_decay", type=float)
     p.add_argument("--grad-accum-steps", dest="grad_accum_steps", type=int)
     p.add_argument("--bins", type=int)
-    p.add_argument("--attention-mode", dest="attention_mode",
-                   choices=("umbot", "emd", "dense"))
-    p.add_argument("--cost-metric", dest="cost_metric",
-                   choices=("l2", "squared_l2", "cosine_distance"))
+    p.add_argument("--attention-mode", dest="attention_mode", choices=ATTENTION_MODES)
+    p.add_argument("--cost-metric", dest="cost_metric", choices=COST_METRICS)
     p.add_argument("--normalize-cost", dest="normalize_cost",
                    action=argparse.BooleanOptionalAction)
 
@@ -105,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=("emd", "sinkhorn", "uot"), default="uot")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--metric", choices=("l2", "squared_l2", "cosine_distance"),
-                   default="l2")
+    p.add_argument("--metric", choices=COST_METRICS, default="l2")
     p.add_argument("--normalize-cost", dest="normalize_cost", default=True,
                    action=argparse.BooleanOptionalAction)
     p.add_argument("--out-prefix", required=True)
@@ -168,8 +161,6 @@ def cmd_solve(args) -> int:
     settings = OTSettings(epsilon=args.epsilon, tau=args.tau, metric=args.metric,
                           normalize=args.normalize_cost, solver=args.solver)
     plan = solve_batch(source.features, target.features, settings)
-    from .transport import write_plan
-
     coupling_path, json_path = write_plan(plan, _out_path(args.out_prefix),
                                           solver=args.solver)
     print(coupling_path)
@@ -185,6 +176,9 @@ def cmd_train(args) -> int:
     report = training.cross_validate(cases, config, out)
     print(f"c-index: {report['c_index_mean']:.4f} +/- {report['c_index_std']:.4f} "
           f"({config.folds} folds)")
+    result = training.pooled_logrank(report, {c.case_id: c.record for c in cases})
+    print(f"log-rank (median split of pooled validation risks): "
+          f"statistic {result.statistic:.3f}, p {result.p_value:.3e}")
     print(out / "metrics.json")
     return 0
 
@@ -195,9 +189,6 @@ def cmd_ablate(args) -> int:
     cases = training.load_cases(manifest)
     m_values = [int(x) for x in args.m_values.split(",") if x]
     modes = [x.strip() for x in args.modes.split(",") if x.strip()]
-    for mode in modes:
-        if mode not in ("umbot", "emd", "dense"):
-            raise ParameterError(f"unknown attention mode {mode!r}")
     out = _out_path(args.out)
     training.ablation_sweep(cases, config, m_values, modes, out)
     print(out / "ablation.csv")
@@ -213,16 +204,22 @@ def cmd_km(args) -> int:
             id_col, risk_col = header.index("case_id"), header.index("risk")
         except ValueError as exc:
             raise FormatError(f"{args.risks}: need case_id and risk columns") from exc
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             parts = line.strip().split(",")
             if len(parts) < len(header):
-                continue
+                raise FormatError(f"{args.risks}:{lineno}: {len(parts)} fields, "
+                                  f"header has {len(header)}")
+            if parts[id_col] in risks_by_id:
+                raise DataError(f"{args.risks}:{lineno}: duplicate case id "
+                                f"{parts[id_col]!r}")
             risks_by_id[parts[id_col]] = float(parts[risk_col])
     missing = [c.case_id for c in manifest.cases if c.case_id not in risks_by_id]
     if missing:
         raise DataError(f"risk file misses manifest case ids: {', '.join(missing[:5])}"
                         + (" ..." if len(missing) > 5 else ""))
-    records = [bags.SurvivalRecord(c.time_months, c.censor) for c in manifest.cases]
+    records = manifest.records()
     risks = np.array([risks_by_id[c.case_id] for c in manifest.cases])
     low, high = survival.median_split(risks)
     rec_low = [records[i] for i in low]

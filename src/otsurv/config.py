@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .transport import COST_METRICS
 
 ATTENTION_MODES = ("umbot", "emd", "dense")
-COST_METRICS = ("l2", "squared_l2", "cosine_distance")
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,6 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     return ExperimentConfig(**doc)
-
-
-def save_config(config: ExperimentConfig, path) -> Path:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def merge_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:

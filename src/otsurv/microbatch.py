@@ -1,26 +1,21 @@
 """Micro-batch orchestration of the transport-based co-attention.
 
 A pathology bag is split into seeded micro-batches; each batch is matched
-against the (encoded) genomic bag by an unbalanced entropic solve, and the
-coupling transpose selects a genomic-indexed summary of the batch.  A dense
-softmax co-attention is provided as the comparison arm.
+against the (encoded) genomic bag by an unbalanced entropic solve.  The
+co-attention through the coupling and the dense comparison arm live on the
+tape, in ``train.case_forward``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .bags import InstanceBag
-from .errors import ParameterError, ShapeError
-from .transport import (SolverSettings, TransportPlan, build_cost,
-                        normalize_cost, solve_exact_emd, sinkhorn,
-                        unbalanced_sinkhorn, uniform_marginals)
-
-log = logging.getLogger(__name__)
+from .errors import ParameterError
+from .transport import (TransportPlan, build_cost, normalize_cost,
+                        solve_exact_emd, sinkhorn, unbalanced_sinkhorn,
+                        uniform_marginals)
 
 
 @dataclass(frozen=True)
@@ -30,22 +25,6 @@ class MicroBatchPlan:
     batch_indices: list[np.ndarray]
     batch_size: int
     seed: int
-
-    @property
-    def n_batches(self) -> int:
-        return len(self.batch_indices)
-
-    def sizes(self) -> list[int]:
-        return [len(ix) for ix in self.batch_indices]
-
-
-@dataclass(frozen=True)
-class SelectedBag:
-    """Coupling-selected features: row j is (P' B)[j]; mass_per_row = P column sums."""
-
-    features: np.ndarray
-    source_plan: TransportPlan
-    mass_per_row: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,34 +59,6 @@ def sample_micro_batches(M_p: int, m: int, seed: int) -> MicroBatchPlan:
     return MicroBatchPlan(chunks, m, seed)
 
 
-def coattend(plan: TransportPlan, batch_features: np.ndarray) -> SelectedBag:
-    """Select instances through the coupling: features = P' B."""
-    P = plan.coupling
-    B = np.asarray(batch_features, dtype=np.float64)
-    if B.ndim != 2 or P.shape[0] != B.shape[0]:
-        raise ShapeError(f"coupling {P.shape} does not match batch {B.shape}")
-    return SelectedBag(P.T @ B, plan, P.sum(axis=0))
-
-
-def dense_coattention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                      scale: float) -> np.ndarray:
-    """Row-softmax of (Q K' / scale) applied to the value rows."""
-    if scale <= 0:
-        raise ParameterError(f"scale must be > 0, got {scale}")
-    Q = np.asarray(queries, float)
-    K = np.asarray(keys, float)
-    V = np.asarray(values, float)
-    if Q.ndim != 2 or K.ndim != 2 or V.ndim != 2:
-        raise ShapeError("queries/keys/values must be 2-D")
-    if Q.shape[1] != K.shape[1] or K.shape[0] != V.shape[0]:
-        raise ShapeError(f"inconsistent shapes: Q{Q.shape} K{K.shape} V{V.shape}")
-    logits = (Q @ K.T) / scale
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights @ V
-
-
 def solve_batch(batch_features: np.ndarray, genomic_features: np.ndarray,
                 settings: OTSettings) -> TransportPlan:
     """One transport solve between a pathology micro-batch and the genomic bag."""
@@ -125,34 +76,3 @@ def solve_batch(batch_features: np.ndarray, genomic_features: np.ndarray,
     if settings.solver == "emd":
         return solve_exact_emd(C, marg)
     raise ParameterError(f"unknown solver {settings.solver!r}")
-
-
-def run_case_microbatched(pathology: InstanceBag, genomic_encoded: InstanceBag,
-                          m: int, settings: OTSettings, seed: int
-                          ) -> list[SelectedBag]:
-    """Cost -> unbalanced solve -> co-attention for every micro-batch, in order."""
-    if pathology.dim != genomic_encoded.dim:
-        raise ShapeError(f"pathology dim {pathology.dim} != genomic dim "
-                         f"{genomic_encoded.dim}")
-    plan = sample_micro_batches(pathology.n_instances, m, seed)
-    selected = []
-    for k, idx in enumerate(plan.batch_indices):
-        batch = pathology.features[idx]
-        tplan = solve_batch(batch, genomic_encoded.features, settings)
-        if not tplan.converged:
-            log.warning("case %s batch %d: solver stopped at %d iterations without "
-                        "converging", pathology.case_id, k, tplan.iterations)
-        selected.append(coattend(tplan, batch))
-    return selected
-
-
-def export_coattention(selected: list[SelectedBag], out_dir, case_id: str) -> list[Path]:
-    """Dump per-batch coupling matrices as CSV for inspection."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for k, sel in enumerate(selected):
-        path = out / f"{case_id}_batch{k:03d}_coattention.csv"
-        np.savetxt(path, sel.source_plan.coupling, delimiter=",", fmt="%.12g")
-        paths.append(path)
-    return paths

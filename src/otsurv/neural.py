@@ -2,9 +2,8 @@
 single-layer self-attention aggregators, and the hazard head.
 
 All forward passes are built from tape ops so one backward sweep yields
-exact gradients; the plain functions below wrap a throwaway tape for
-callers that only need values.  Raw pathology features are constants
-(frozen backbone); only the projection on top of them is trainable.
+exact gradients.  Raw pathology features are constants (frozen backbone);
+only the projection on top of them is trainable.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Var
-from .bags import (GenomicProfile, InstanceBag, load_tensor64, save_tensor64)
-from .errors import DataError, FormatError, ParameterError, ShapeError
+from .bags import GenomicProfile, load_tensor64, save_tensor64
+from .errors import FormatError, ParameterError
 
 # Standard self-normalizing-network constants.
 SELU_ALPHA = 1.6732632423543772
@@ -73,9 +72,6 @@ class ModelParams:
                 yield f"{side}.{key}", getattr(attn, key)
         yield "hazard.w", self.hazard_w
         yield "hazard.b", self.hazard_b
-
-    def param_count(self) -> int:
-        return sum(int(t.size) for _, t in self.tensors())
 
     @property
     def dim(self) -> int:
@@ -172,39 +168,6 @@ def hazard_t(tape: Tape, pv: dict[str, Var], pooled_p: Var, pooled_g: Var) -> Va
     """sigmoid(linear(concat)) over the discrete time bins; shape (1, T)."""
     joint = tape.concat_cols([pooled_p, pooled_g])
     return tape.sigmoid(tape.add(tape.matmul(joint, pv["hazard.w"]), pv["hazard.b"]))
-
-
-# ---------------------------------------------------------------------------
-# Plain-value wrappers
-
-
-def encode_genomic(profile: GenomicProfile, params: ModelParams) -> InstanceBag:
-    dims = profile.attr_dims()
-    expected = [enc.w1.shape[0] for enc in params.encoders]
-    if dims != expected:
-        raise ShapeError(f"profile attr dims {dims} do not match encoders {expected}")
-    tape = Tape()
-    out = encode_genomic_t(tape, wrap_params(tape, params), profile)
-    return InstanceBag(out.value, "genomic", profile.case_id)
-
-
-def aggregate(bag: InstanceBag, params: ModelParams, side: str = "attn_p") -> np.ndarray:
-    if bag.n_instances < 1:
-        raise DataError("cannot aggregate an empty bag")
-    if bag.dim != params.dim:
-        raise ShapeError(f"bag dim {bag.dim} != model dim {params.dim}")
-    tape = Tape()
-    pooled = attention_pool_t(tape, wrap_params(tape, params), side,
-                              tape.const(bag.features), params.n_heads)
-    return pooled.value[0]
-
-
-def hazard_forward(H_p: np.ndarray, H_g: np.ndarray, params: ModelParams) -> np.ndarray:
-    tape = Tape()
-    pv = wrap_params(tape, params)
-    out = hazard_t(tape, pv, tape.const(np.atleast_2d(H_p)),
-                   tape.const(np.atleast_2d(H_g)))
-    return out.value[0]
 
 
 # ---------------------------------------------------------------------------

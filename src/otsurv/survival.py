@@ -24,16 +24,6 @@ PROB_EPS = 1e-7
 
 
 @dataclass(frozen=True)
-class SurvivalCurve:
-    hazards: np.ndarray
-    survival: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return self.hazards.size
-
-
-@dataclass(frozen=True)
 class KMCurve:
     event_times: np.ndarray
     at_risk: np.ndarray
@@ -48,42 +38,17 @@ class LogrankResult:
     group_sizes: tuple[int, int]
 
 
-def survival_from_hazard(hazards: np.ndarray) -> SurvivalCurve:
-    """S[t] = prod_{z<=t} (1 - h[z]).
+def survival_from_hazard(hazards) -> np.ndarray:
+    """S[..., t] = prod_{z<=t} (1 - h[..., z]), along the last (bin) axis.
 
     Hazards must lie in [0, 1]; boundary values are nudged inside by the
-    probability floor so the curve stays in (0, 1].
+    probability floor so the curve stays in (0, 1].  A (B, T) stack of
+    per-batch hazards gives one curve per row.
     """
-    h = np.asarray(hazards, dtype=np.float64).ravel()
+    h = np.asarray(hazards, dtype=np.float64)
     if h.size == 0 or not np.all(np.isfinite(h)) or np.any(h < 0) or np.any(h > 1):
         raise DataError(f"hazards must be finite and within [0, 1], got {hazards!r}")
-    h = np.clip(h, PROB_EPS, 1.0 - PROB_EPS)
-    return SurvivalCurve(h, np.cumprod(1.0 - h))
-
-
-def nll_loss(curve: SurvivalCurve, record: SurvivalRecord, weight: float = 1.0) -> float:
-    """Negative log likelihood of one record under a survival curve.
-
-    Censored records contribute -w log S[t]; observed events contribute
-    -w (log S[t-1] + log h[t]), with S[-1] = 1.  Probabilities are floored
-    before the log.
-    """
-    if weight <= 0:
-        raise ParameterError(f"weight must be > 0, got {weight}")
-    t = record.bin
-    if t is None or not (0 <= t < curve.n_bins):
-        raise DataError(f"record bin {t} outside [0, {curve.n_bins})")
-    S = curve.survival
-    if record.censor == 1:
-        return -weight * math.log(max(S[t], PROB_EPS))
-    s_prev = S[t - 1] if t >= 1 else 1.0
-    return -weight * (math.log(max(s_prev, PROB_EPS))
-                      + math.log(max(curve.hazards[t], PROB_EPS)))
-
-
-def risk_score(curve: SurvivalCurve) -> float:
-    """Negative area under the discrete survival curve; higher = riskier."""
-    return -float(curve.survival.sum())
+    return np.cumprod(1.0 - np.clip(h, PROB_EPS, 1.0 - PROB_EPS), axis=-1)
 
 
 def c_index(risks, records: list[SurvivalRecord]) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import time
 from copy import deepcopy
@@ -26,16 +27,19 @@ from .autodiff import Tape, Var, backward
 from .bags import (CaseManifest, GenomicProfile, SurvivalRecord, assign_bin,
                    discretize_times, load_bag, load_genomic_profile)
 from .config import ExperimentConfig
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, OtsurvError
 from .microbatch import OTSettings, sample_micro_batches, solve_batch
 from .neural import (AdamState, ModelParams, adam_step, accumulate,
                      attention_pool_t, dense_coattention_t, encode_genomic_t,
                      extract_grads, hazard_t, init_params, project_t,
                      save_checkpoint, wrap_params)
-from .survival import PROB_EPS, c_index, logrank
+from .survival import (PROB_EPS, c_index, logrank, median_split,
+                       survival_from_hazard)
 from .transport import TransportPlan
 
 EVAL_TAG = 0xEA7
+
+log = logging.getLogger(__name__)
 
 
 def derive_seed(*parts: int) -> int:
@@ -107,10 +111,14 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
 
     ``fixed_couplings`` bypasses the transport solves (used by the
     finite-difference gradient check, which must differentiate the loss at
-    frozen couplings).
+    frozen couplings).  A solve that stops without converging is logged as
+    a warning and its plan is used as is.
     """
-    if case.record.bin is None:
+    t = case.record.bin
+    if t is None:
         raise DataError(f"{case.case_id}: record has no bin; discretize first")
+    if not 0 <= t < params.n_bins:
+        raise DataError(f"{case.case_id}: record bin {t} outside [0, {params.n_bins})")
     M_p = case.pathology_raw.shape[0]
     tape = Tape()
     pv = wrap_params(tape, params)
@@ -134,6 +142,10 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
                 solver = "emd" if mode == "emd" else "uot"
                 tplan = solve_batch(projected.value, b_g.value,
                                     replace(ot_settings, solver=solver))
+                if not tplan.converged:
+                    log.warning("case %s batch %d: solver stopped at %d iterations "
+                                "without converging", case.case_id, k,
+                                tplan.iterations)
             couplings.append(tplan)
             selected = tape.matmul(tape.const(tplan.coupling.T), projected)
         pooled_p = attention_pool_t(tape, pv, "attn_p", selected, params.n_heads)
@@ -153,15 +165,10 @@ def case_loss_and_grads(params, case, m, ot_settings, mode, seed):
     return float(loss.value), extract_grads(pv)
 
 
-def survival_curves_from_hazards(hazards: list[np.ndarray]) -> np.ndarray:
-    """Average the per-batch survival curves S(t)."""
-    stacked = np.clip(np.stack(hazards), PROB_EPS, 1.0 - PROB_EPS)
-    return np.cumprod(1.0 - stacked, axis=1).mean(axis=0)
-
-
 def case_risk(params, case, m, ot_settings, mode, seed) -> float:
+    """Negative area under the mean of the per-batch survival curves."""
     _, _, _, hazards, _ = case_forward(params, case, m, ot_settings, mode, seed)
-    return -float(survival_curves_from_hazards(hazards).sum())
+    return -float(survival_from_hazard(np.stack(hazards)).mean(axis=0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +228,7 @@ def train_fold(cases: list[CaseData], train_idx, val_idx,
     settings = _ot_settings(config)
 
     best_ci = -np.inf
-    best_params = _clone_params(params)
+    best_params = deepcopy(params)
     best_epoch = -1
     epoch_losses: list[float] = []
     if config.epochs == 0:
@@ -250,7 +257,7 @@ def train_fold(cases: list[CaseData], train_idx, val_idx,
         epoch_losses.append(total_loss / len(train_cases))
         ci, _ = evaluate(params, val_cases, config, fold)
         if ci > best_ci:
-            best_ci, best_params, best_epoch = ci, _clone_params(params), epoch
+            best_ci, best_params, best_epoch = ci, deepcopy(params), epoch
 
     final_ci, risks = evaluate(best_params, val_cases, config, fold)
     return (FoldResult(fold, final_ci, risks, epoch_losses, best_epoch), best_params)
@@ -260,10 +267,6 @@ def _apply_step(params, grads, adam, config, count):
     mean_grads = {n: g / count for n, g in grads.items()}
     adam_step(params, mean_grads, adam, lr=config.lr,
               weight_decay=config.weight_decay)
-
-
-def _clone_params(params: ModelParams) -> ModelParams:
-    return deepcopy(params)
 
 
 def cross_validate(cases: list[CaseData], config: ExperimentConfig,
@@ -314,8 +317,6 @@ def cross_validate(cases: list[CaseData], config: ExperimentConfig,
 
 def pooled_logrank(report: dict, records_by_id: dict[str, SurvivalRecord]):
     """Median-split log-rank over the pooled validation predictions."""
-    from .survival import median_split
-
     pooled = report["pooled_risks"]
     risks = np.array([p[1] for p in pooled])
     recs = [records_by_id[p[0]] for p in pooled]
@@ -331,22 +332,24 @@ def ablation_sweep(cases: list[CaseData], config: ExperimentConfig,
                    m_values: list[int], modes: list[str], out_dir=None) -> list[dict]:
     """Cross product of micro-batch sizes and attention modes.
 
-    Emits one row per (mode, m, fold); per-cell failures are recorded and
-    the sweep continues.
+    Emits one row per (mode, m, fold).  An ``OtsurvError`` in a cell is
+    recorded as an ``error:`` row and the sweep continues; any other
+    exception is a bug and propagates.
     """
+    # Building every cell first rejects a bad mode or size before any training.
+    cells = [(mode, m, config.replace(micro_batch=m, attention_mode=mode))
+             for mode in modes for m in m_values]
     rows = []
-    for mode in modes:
-        for m in m_values:
-            cell = config.replace(micro_batch=m, attention_mode=mode)
-            try:
-                splits = fold_splits(len(cases), cell.folds, cell.seed)
-                for fold, (train_idx, val_idx) in enumerate(splits):
-                    result, _ = train_fold(cases, train_idx, val_idx, cell, fold)
-                    rows.append({"mode": mode, "m": m, "fold": fold,
-                                 "c_index": result.c_index, "status": "ok"})
-            except Exception as exc:  # noqa: BLE001 - sweep must survive cells
-                rows.append({"mode": mode, "m": m, "fold": -1,
-                             "c_index": float("nan"), "status": f"error: {exc}"})
+    for mode, m, cell in cells:
+        try:
+            splits = fold_splits(len(cases), cell.folds, cell.seed)
+            for fold, (train_idx, val_idx) in enumerate(splits):
+                result, _ = train_fold(cases, train_idx, val_idx, cell, fold)
+                rows.append({"mode": mode, "m": m, "fold": fold,
+                             "c_index": result.c_index, "status": "ok"})
+        except OtsurvError as exc:
+            rows.append({"mode": mode, "m": m, "fold": -1,
+                         "c_index": float("nan"), "status": f"error: {exc}"})
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,14 +1,14 @@
-"""Solver benchmark direction and co-attention export surfaces."""
+"""Solver benchmark direction and the ablation CSV."""
 
 import time
 
 import numpy as np
 
-from otsurv.bags import InstanceBag, generate_synthetic_dataset
+from otsurv.bags import generate_synthetic_dataset
 from otsurv.config import ExperimentConfig
-from otsurv.microbatch import OTSettings, export_coattention, run_case_microbatched
+from otsurv.microbatch import OTSettings
 from otsurv.train import ablation_sweep, bench_solves, load_cases
-from otsurv.transport import CostMatrix, build_cost, solve_exact_emd, uniform_marginals
+from otsurv.transport import build_cost, solve_exact_emd, uniform_marginals
 
 
 def test_bench_rows_and_linear_growth():
@@ -42,20 +42,6 @@ def test_whole_bag_exact_solve_slower_per_instance_than_microbatched():
     rows = bench_solves([4096], m=128, d=8, repeats=3, settings=settings)
     microbatched_rate = rows[0][1] / rows[0][0]
     assert microbatched_rate < emd_rate
-
-
-def test_export_coattention_files(tmp_path):
-    rng = np.random.default_rng(1)
-    pathology = InstanceBag(rng.standard_normal((10, 6)), "pathology", "case_a")
-    genomic = InstanceBag(rng.standard_normal((3, 6)), "genomic", "case_a")
-    selected = run_case_microbatched(pathology, genomic, m=4,
-                                     settings=OTSettings(epsilon=0.1, tau=0.5),
-                                     seed=2)
-    paths = export_coattention(selected, tmp_path, "case_a")
-    assert len(paths) == 3
-    for path, sel in zip(paths, selected):
-        loaded = np.loadtxt(path, delimiter=",")
-        assert np.allclose(loaded, sel.source_plan.coupling, rtol=1e-10)
 
 
 def test_ablation_csv_deterministic(tmp_path):

@@ -8,8 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from otsurv.config import (ExperimentConfig, load_config, merge_overrides,
-                           save_config)
+from otsurv.config import ExperimentConfig, load_config, merge_overrides
 from otsurv.errors import ConfigError
 
 CLI = [sys.executable, "-m", "otsurv.cli"]
@@ -21,6 +20,12 @@ def run_cli(*args, env_extra=None, cwd=None):
         env.update(env_extra)
     return subprocess.run([*CLI, *map(str, args)], capture_output=True,
                           text=True, env=env, cwd=cwd)
+
+
+def write_config(config, path):
+    """A config file as a user writes it: the fields as one JSON object."""
+    path.write_text(json.dumps(config.to_dict()))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +49,7 @@ def test_config_defaults_match_protocol():
 def test_config_roundtrip_lossless(tmp_path):
     cfg = ExperimentConfig(seed=9, epsilon=0.1, attention_mode="dense",
                            normalize_cost=False)
-    path = save_config(cfg, tmp_path / "c.json")
+    path = write_config(cfg, tmp_path / "c.json")
     assert load_config(path) == cfg
 
 
@@ -244,7 +249,7 @@ def test_cli_out_root_env_var(tmp_path):
 
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    save_config(ExperimentConfig(folds=2, epochs=1, micro_batch=4, bins=3,
+    write_config(ExperimentConfig(folds=2, epochs=1, micro_batch=4, bins=3,
                                  grad_accum_steps=8), cfg_path)
     gen = run_cli("gen-synth", "--out", tmp_path / "data", "--n-cases", 14,
                   "--m-p", 6, "--m-g", 3, "--dim", 8, "--seed", 10)
@@ -265,3 +270,51 @@ def test_cli_bad_config_key_exit_code(tmp_path):
     assert res.returncode == 2
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert "bogus_key" in err["message"]
+
+
+def km_inputs(tmp_path):
+    """A 12-case dataset and a complete risks file for it."""
+    gen = run_cli("gen-synth", "--out", tmp_path / "data", "--n-cases", 12,
+                  "--m-p", 6, "--m-g", 3, "--dim", 6, "--seed", 7)
+    assert gen.returncode == 0, gen.stderr
+    manifest = tmp_path / "data" / "manifest.json"
+    ids = [c["case_id"] for c in json.loads(manifest.read_text())["cases"]]
+    rows = "".join(f"{cid},{k / 10}\n" for k, cid in enumerate(ids))
+    return manifest, ids, "case_id,risk\n" + rows
+
+
+def test_cli_km_short_row_is_format_error(tmp_path):
+    manifest, ids, text = km_inputs(tmp_path)
+    risks = tmp_path / "risks.csv"
+    risks.write_text(text + f"{ids[0]}\n")
+    res = run_cli("km", "--risks", risks, "--manifest", manifest,
+                  "--out-prefix", tmp_path / "km")
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_class"] == "FormatError"
+    assert f"risks.csv:{len(ids) + 2}" in err["message"]
+
+
+def test_cli_km_duplicate_case_id_is_data_error(tmp_path):
+    manifest, ids, text = km_inputs(tmp_path)
+    risks = tmp_path / "risks.csv"
+    risks.write_text(text + f"{ids[3]},9.0\n")
+    res = run_cli("km", "--risks", risks, "--manifest", manifest,
+                  "--out-prefix", tmp_path / "km")
+    assert res.returncode == 3
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_class"] == "DataError"
+    assert ids[3] in err["message"]
+
+
+def test_cli_ablate_unknown_mode_exit_code(tmp_path):
+    gen = run_cli("gen-synth", "--out", tmp_path / "data", "--n-cases", 12,
+                  "--m-p", 6, "--m-g", 3, "--dim", 6, "--seed", 8)
+    assert gen.returncode == 0, gen.stderr
+    res = run_cli("ablate", "--manifest", tmp_path / "data" / "manifest.json",
+                  "--out", tmp_path / "abl", "--modes", "fancy")
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_class"] == "ConfigError"
+    assert "fancy" in err["message"]
+    assert not (tmp_path / "abl" / "ablation.csv").exists()

@@ -1,4 +1,11 @@
-"""Micro-batch sampling, co-attention selection, and pipeline equivalences."""
+"""Micro-batch sampling, co-attention selection, and pipeline equivalences.
+
+Co-attention is checked where training runs it: inside ``case_forward``.
+The pathology tokens handed to the ``attn_p`` aggregator are the selected
+features, so a spy on ``train.attention_pool_t`` reads them off the tape.
+With an identity projection the projected batch equals the raw batch
+bit for bit, which lets the tests state the selection in closed form.
+"""
 
 import math
 
@@ -7,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otsurv.bags import InstanceBag
+from otsurv import train
+from otsurv.autodiff import Tape
+from otsurv.bags import GenomicProfile, SurvivalRecord
 from otsurv.errors import ParameterError, ShapeError
-from otsurv.microbatch import (OTSettings, coattend, dense_coattention,
-                               run_case_microbatched, sample_micro_batches,
-                               solve_batch)
+from otsurv.microbatch import OTSettings, sample_micro_batches, solve_batch
+from otsurv.neural import (dense_coattention_t, encode_genomic_t, init_params,
+                           wrap_params)
+from otsurv.train import CaseData, case_forward
 from otsurv.transport import SolverSettings, TransportPlan
 
 
@@ -24,15 +34,19 @@ def make_plan(coupling):
 # Sampling
 
 
+def sizes(plan):
+    return [len(ix) for ix in plan.batch_indices]
+
+
 def test_single_batch_covers_whole_bag_in_order():
     plan = sample_micro_batches(6, 6, seed=0)
-    assert plan.n_batches == 1
+    assert len(plan.batch_indices) == 1
     assert np.array_equal(plan.batch_indices[0], np.arange(6))
 
 
 def test_batch_sizes_partition():
     plan = sample_micro_batches(5, 2, seed=1)
-    assert plan.sizes() == [2, 2, 1]
+    assert sizes(plan) == [2, 2, 1]
     joined = np.sort(np.concatenate(plan.batch_indices))
     assert np.array_equal(joined, np.arange(5))
 
@@ -40,7 +54,7 @@ def test_batch_sizes_partition():
 def test_large_bag_two_seeds_same_size_multiset():
     p1 = sample_micro_batches(1000, 256, seed=1)
     p2 = sample_micro_batches(1000, 256, seed=2)
-    assert p1.sizes() == p2.sizes() == [256, 256, 256, 232]
+    assert sizes(p1) == sizes(p2) == [256, 256, 256, 232]
     assert not np.array_equal(p1.batch_indices[0], p2.batch_indices[0])
     for p in (p1, p2):
         joined = np.sort(np.concatenate(p.batch_indices))
@@ -73,44 +87,92 @@ def test_sampler_coverage_property(M_p, m, seed):
 
 
 # ---------------------------------------------------------------------------
-# Co-attention selection
+# Co-attention selection through case_forward
 
 
-def test_coattend_scaled_identity():
+def make_case(rng, M_p, M_g, d=5, raw=None):
+    profile = GenomicProfile([(f"c{j}", rng.standard_normal(2)) for j in range(M_g)],
+                             "case")
+    if raw is None:
+        raw = rng.standard_normal((M_p, d))
+    return CaseData("case", raw, profile, SurvivalRecord(5.0, 0, bin=1))
+
+
+def identity_params(case, seed=0):
+    """Model whose projection is the identity, so projected == raw bitwise."""
+    d = case.pathology_raw.shape[1]
+    params = init_params(d, d, case.profile.attr_dims(), 3, n_heads=1, seed=seed)
+    params.proj_w[:] = np.eye(d)
+    params.proj_b[:] = 0.0
+    return params
+
+
+def selected_features(monkeypatch, params, case, m, settings=None, mode="umbot",
+                      seed=0, fixed_couplings=None):
+    """Run case_forward and return (selected features per batch, its outputs)."""
+    seen = []
+    pool = train.attention_pool_t
+
+    def spy(tape, pv, side, tokens, n_heads):
+        if side == "attn_p":
+            seen.append(tokens.value.copy())
+        return pool(tape, pv, side, tokens, n_heads)
+
+    monkeypatch.setattr(train, "attention_pool_t", spy)
+    out = case_forward(params, case, m, settings or OTSettings(), mode, seed,
+                       fixed_couplings=fixed_couplings)
+    return seen, out
+
+
+def test_coattend_scaled_identity(monkeypatch):
     m = 4
-    coupling = np.eye(m) / m
-    batch = np.random.default_rng(0).standard_normal((m, 3))
-    sel = coattend(make_plan(coupling), batch)
-    assert np.allclose(sel.features, batch / m, atol=1e-15)
+    case = make_case(np.random.default_rng(0), M_p=m, M_g=m, d=3)
+    params = identity_params(case)
+    seen, _ = selected_features(monkeypatch, params, case, m,
+                                fixed_couplings=[make_plan(np.eye(m) / m)])
+    assert np.allclose(seen[0], case.pathology_raw / m, atol=1e-15)
 
 
-def test_coattend_rank_one_coupling():
+def test_coattend_rank_one_coupling(monkeypatch):
     rng = np.random.default_rng(1)
     m, M_g, d = 6, 3, 4
+    case = make_case(rng, M_p=m, M_g=M_g, d=d)
     b = rng.uniform(0.1, 1.0, size=M_g)
     coupling = np.outer(np.full(m, 1.0 / m), b)
-    batch = rng.standard_normal((m, d))
-    sel = coattend(make_plan(coupling), batch)
-    want = np.outer(b, batch.mean(axis=0))
-    assert np.allclose(sel.features, want, atol=1e-12)
+    seen, _ = selected_features(monkeypatch, identity_params(case), case, m,
+                                fixed_couplings=[make_plan(coupling)])
+    want = np.outer(b, case.pathology_raw.mean(axis=0))
+    assert np.allclose(seen[0], want, atol=1e-12)
 
 
-def test_coattend_matches_matmul_oracle():
+def test_coattend_matches_matmul_oracle(monkeypatch):
     rng = np.random.default_rng(2)
+    case = make_case(rng, M_p=8, M_g=3, d=4)
     coupling = rng.uniform(size=(8, 3))
-    batch = rng.standard_normal((8, 4))
-    sel = coattend(make_plan(coupling), batch)
-    assert np.allclose(sel.features, coupling.T @ batch, atol=1e-12)
-    assert np.allclose(sel.mass_per_row, coupling.sum(axis=0), atol=1e-15)
+    plan = make_plan(coupling)
+    seen, (_, _, _, hazards, couplings) = selected_features(
+        monkeypatch, identity_params(case), case, 8, fixed_couplings=[plan])
+    assert np.allclose(seen[0], coupling.T @ case.pathology_raw, atol=1e-12)
+    assert couplings == [plan]
+    assert len(hazards) == 1
 
 
 def test_coattend_shape_mismatch():
+    # a (3, 2) plan cannot select from a 4-instance batch
+    case = make_case(np.random.default_rng(3), M_p=4, M_g=2, d=5)
     with pytest.raises(ShapeError):
-        coattend(make_plan(np.ones((3, 2))), np.ones((4, 5)))
+        case_forward(identity_params(case), case, 4, OTSettings(), "umbot", 0,
+                     fixed_couplings=[make_plan(np.ones((3, 2)))])
 
 
 # ---------------------------------------------------------------------------
-# Dense co-attention
+# Dense co-attention (the tape block training uses)
+
+
+def dense(q, k, v, scale):
+    tape = Tape()
+    return dense_coattention_t(tape, tape.const(q), tape.const(k), tape.const(v),
+                               scale).value
 
 
 def test_dense_softmax_saturation_picks_matching_key():
@@ -118,7 +180,7 @@ def test_dense_softmax_saturation_picks_matching_key():
     q = np.array([[10.0, 0, 0, 0]])
     keys = np.vstack([q[0], -q[0], np.zeros(d)])
     values = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0]])
-    out = dense_coattention(q, keys, values, scale=0.01)
+    out = dense(q, keys, values, scale=0.01)
     assert np.allclose(out[0], values[0], atol=1e-8)
 
 
@@ -127,7 +189,7 @@ def test_dense_uniform_logits_average_values():
     values = rng.standard_normal((5, 4))
     q = np.zeros((2, 4))
     keys = rng.standard_normal((5, 4))
-    out = dense_coattention(q, keys, values, scale=2.0)
+    out = dense(q, keys, values, scale=2.0)
     assert np.allclose(out, np.tile(values.mean(axis=0), (2, 1)), atol=1e-12)
 
 
@@ -137,7 +199,7 @@ def test_dense_matches_softmax_matmul_oracle():
     k = rng.standard_normal((5, 4))
     v = rng.standard_normal((5, 4))
     scale = math.sqrt(4)
-    out = dense_coattention(q, k, v, scale)
+    out = dense(q, k, v, scale)
     logits = q @ k.T / scale
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
@@ -147,72 +209,70 @@ def test_dense_matches_softmax_matmul_oracle():
 
 def test_dense_rejects_bad_scale():
     with pytest.raises(ParameterError):
-        dense_coattention(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)), 0.0)
+        dense(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Per-case orchestration
 
 
-def bags_for_case(rng, M_p=12, M_g=3, d=5):
-    pathology = InstanceBag(rng.standard_normal((M_p, d)), "pathology", "case")
-    genomic = InstanceBag(rng.standard_normal((M_g, d)), "genomic", "case")
-    return pathology, genomic
-
-
-def test_run_case_single_batch_equals_whole_bag_solve():
+def test_run_case_single_batch_equals_whole_bag_solve(monkeypatch):
     rng = np.random.default_rng(5)
-    pathology, genomic = bags_for_case(rng)
+    case = make_case(rng, M_p=12, M_g=3)
+    params = identity_params(case, seed=1)
     settings = OTSettings(epsilon=0.1, tau=0.5)
-    out = run_case_microbatched(pathology, genomic, m=pathology.n_instances,
+    seen, _ = selected_features(monkeypatch, params, case, m=12,
                                 settings=settings, seed=3)
-    assert len(out) == 1
-    direct_plan = solve_batch(pathology.features, genomic.features, settings)
-    direct = direct_plan.coupling.T @ pathology.features
-    assert np.array_equal(out[0].features, direct)
+    assert len(seen) == 1
+    tape = Tape()
+    genomic = encode_genomic_t(tape, wrap_params(tape, params), case.profile).value
+    direct_plan = solve_batch(case.pathology_raw, genomic, settings)
+    assert np.array_equal(seen[0], direct_plan.coupling.T @ case.pathology_raw)
 
 
-def test_run_case_mass_bookkeeping():
+def test_run_case_mass_bookkeeping(monkeypatch):
     rng = np.random.default_rng(6)
-    pathology, genomic = bags_for_case(rng, M_p=20)
+    case = make_case(rng, M_p=20, M_g=3)
     settings = OTSettings(epsilon=0.05, tau=0.5)
-    out = run_case_microbatched(pathology, genomic, m=8, settings=settings, seed=4)
-    assert len(out) == 3
-    for sel in out:
-        assert sel.mass_per_row.sum() == pytest.approx(sel.source_plan.total_mass,
-                                                       abs=1e-12)
-        assert np.allclose(sel.mass_per_row, sel.source_plan.coupling.sum(axis=0))
+    seen, (_, _, _, hazards, couplings) = selected_features(
+        monkeypatch, identity_params(case), case, m=8, settings=settings, seed=4)
+    assert len(couplings) == len(hazards) == len(seen) == 3
+    assert [p.coupling.shape[0] for p in couplings] == [8, 8, 4]
+    for plan in couplings:
+        mass_per_row = plan.coupling.sum(axis=0)
+        assert mass_per_row.sum() == pytest.approx(plan.total_mass, abs=1e-12)
 
 
-def test_run_case_degenerate_identical_instances():
+def test_run_case_degenerate_identical_instances(monkeypatch):
     rng = np.random.default_rng(7)
     row = rng.standard_normal(5)
-    pathology = InstanceBag(np.tile(row, (10, 1)), "pathology", "c")
-    genomic = InstanceBag(rng.standard_normal((3, 5)), "genomic", "c")
-    out = run_case_microbatched(pathology, genomic, m=4,
-                                settings=OTSettings(epsilon=0.1, tau=0.5), seed=5)
-    for sel in out:
+    case = make_case(rng, M_p=10, M_g=3, raw=np.tile(row, (10, 1)))
+    seen, (_, _, _, _, couplings) = selected_features(
+        monkeypatch, identity_params(case), case, m=4,
+        settings=OTSettings(epsilon=0.1, tau=0.5), seed=5)
+    for features, plan in zip(seen, couplings):
         # every selected row is a nonnegative multiple of the common vector
-        for j in range(sel.features.shape[0]):
-            mass = sel.mass_per_row[j]
-            assert np.allclose(sel.features[j], mass * row, atol=1e-12)
+        for j, mass in enumerate(plan.coupling.sum(axis=0)):
+            assert np.allclose(features[j], mass * row, atol=1e-12)
 
 
 def test_run_case_dim_mismatch():
     rng = np.random.default_rng(8)
-    pathology = InstanceBag(rng.standard_normal((6, 4)), "pathology", "c")
-    genomic = InstanceBag(rng.standard_normal((3, 5)), "genomic", "c")
+    case = make_case(rng, M_p=6, M_g=3, d=4)
+    params = init_params(5, 5, case.profile.attr_dims(), 3, n_heads=1, seed=0)
     with pytest.raises(ShapeError):
-        run_case_microbatched(pathology, genomic, 3, OTSettings(), seed=0)
+        case_forward(params, case, 3, OTSettings(), "umbot", 0)
 
 
 def test_run_case_nonconverged_solve_warns_but_completes(caplog):
     rng = np.random.default_rng(9)
-    pathology, genomic = bags_for_case(rng)
-    settings = OTSettings(epsilon=0.01, tau=5.0, max_iters=2)
+    case = make_case(rng, M_p=12, M_g=3)
+    params = identity_params(case)
+    settings = OTSettings(max_iters=2)
     with caplog.at_level("WARNING"):
-        out = run_case_microbatched(pathology, genomic, m=6, settings=settings,
-                                    seed=6)
-    assert len(out) == 2
+        _, _, loss, hazards, couplings = case_forward(params, case, 6, settings,
+                                                      "umbot", 6)
+    assert len(hazards) == 2
+    assert np.isfinite(loss.value)
     assert any("converg" in r.message for r in caplog.records)
-    assert any(not sel.source_plan.converged for sel in out)
+    assert any(not plan.converged for plan in couplings)

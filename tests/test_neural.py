@@ -1,19 +1,21 @@
 """Differentiable components: forwards against closed forms, gradients
 against central finite differences, Adam against its scalar recurrence."""
 
-import copy
 import math
 
 import numpy as np
 import pytest
 
 from otsurv.autodiff import Tape, backward
-from otsurv.bags import GenomicProfile, InstanceBag
-from otsurv.errors import DataError, ParameterError, ShapeError, StateError
-from otsurv.neural import (SELU_ALPHA, SELU_LAMBDA, AdamState, ModelParams,
-                           adam_step, aggregate, attention_pool_t,
-                           encode_genomic, hazard_forward, init_params,
-                           load_checkpoint, save_checkpoint, wrap_params)
+from otsurv.bags import GenomicProfile, SurvivalRecord
+from otsurv.errors import ParameterError, ShapeError, StateError
+from otsurv.microbatch import OTSettings
+from otsurv.neural import (SELU_ALPHA, SELU_LAMBDA, AdamState, adam_step,
+                           attention_pool_t, dense_coattention_t,
+                           encode_genomic_t, hazard_t, init_params,
+                           load_checkpoint, project_t, save_checkpoint,
+                           wrap_params)
+from otsurv.train import CaseData, case_forward
 
 
 def tiny_params(d=8, attr_dims=(3, 5), n_bins=4, seed=0):
@@ -23,6 +25,26 @@ def tiny_params(d=8, attr_dims=(3, 5), n_bins=4, seed=0):
 def rand_profile(rng, attr_dims=(3, 5)):
     return GenomicProfile([(f"cat{j}", rng.standard_normal(dj))
                            for j, dj in enumerate(attr_dims)], "p")
+
+
+# Each forward below runs the tape block training uses on a fresh tape.
+
+
+def encode(profile, params):
+    tape = Tape()
+    return encode_genomic_t(tape, wrap_params(tape, params), profile).value
+
+
+def pool(tokens, params, side="attn_p"):
+    tape = Tape()
+    return attention_pool_t(tape, wrap_params(tape, params), side,
+                            tape.const(tokens), params.n_heads).value[0]
+
+
+def hazards(H_p, H_g, params):
+    tape = Tape()
+    return hazard_t(tape, wrap_params(tape, params), tape.const(np.atleast_2d(H_p)),
+                    tape.const(np.atleast_2d(H_g))).value[0]
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +57,9 @@ def test_encoder_zero_params_gives_zero_bag():
         enc.w1[:] = 0
         enc.w2[:] = 0
     rng = np.random.default_rng(0)
-    bag = encode_genomic(rand_profile(rng), params)
-    assert np.all(bag.features == 0.0)
-    assert bag.n_instances == 2
+    out = encode(rand_profile(rng), params)
+    assert np.all(out == 0.0)
+    assert out.shape == (2, 8)
 
 
 def test_encoder_identity_selu_scaling():
@@ -50,21 +72,21 @@ def test_encoder_identity_selu_scaling():
     enc.w2[:] = np.eye(3)
     enc.b2[:] = 0
     x = np.array([0.5, 1.0, 2.0])
-    bag = encode_genomic(GenomicProfile([("c", x)], "p"), params)
-    assert np.allclose(bag.features[0], SELU_LAMBDA * x, atol=1e-12)
+    out = encode(GenomicProfile([("c", x)], "p"), params)
+    assert np.allclose(out[0], SELU_LAMBDA * x, atol=1e-12)
 
 
 def test_encoder_matches_manual_forward():
     rng = np.random.default_rng(1)
     params = tiny_params(seed=3)
     profile = rand_profile(rng)
-    bag = encode_genomic(profile, params)
+    out = encode(profile, params)
     for j, (_, attrs) in enumerate(profile.categories):
         enc = params.encoders[j]
         pre = attrs @ enc.w1 + enc.b1
         hidden = SELU_LAMBDA * np.where(pre > 0, pre, SELU_ALPHA * (np.exp(pre) - 1))
         want = hidden @ enc.w2 + enc.b2
-        assert np.allclose(bag.features[j], want, atol=1e-10)
+        assert np.allclose(out[j], want, atol=1e-10)
 
 
 def test_encoder_dim_mismatch():
@@ -73,7 +95,7 @@ def test_encoder_dim_mismatch():
     bad = GenomicProfile([("a", rng.standard_normal(4)),
                           ("b", rng.standard_normal(5))], "p")
     with pytest.raises(ShapeError):
-        encode_genomic(bad, params)
+        encode(bad, params)
 
 
 def test_aggregate_single_token_closed_form():
@@ -82,7 +104,7 @@ def test_aggregate_single_token_closed_form():
     params = tiny_params(seed=4)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((1, 8))
-    pooled = aggregate(InstanceBag(x, "pathology", "t"), params, "attn_p")
+    pooled = pool(x, params, "attn_p")
     attn = params.attn_p
     v = x @ attn.wv + attn.bv
     want = (x + (v @ attn.wo + attn.bo))[0]
@@ -93,9 +115,8 @@ def test_aggregate_duplicated_rows_match_single():
     params = tiny_params(seed=5)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((1, 8))
-    single = aggregate(InstanceBag(x, "pathology", "t"), params, "attn_p")
-    triple = aggregate(InstanceBag(np.repeat(x, 3, axis=0), "pathology", "t"),
-                       params, "attn_p")
+    single = pool(x, params, "attn_p")
+    triple = pool(np.repeat(x, 3, axis=0), params, "attn_p")
     assert np.allclose(single, triple, atol=1e-12)
 
 
@@ -103,25 +124,25 @@ def test_aggregate_permutation_invariant():
     params = tiny_params(seed=6)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((7, 8))
-    base = aggregate(InstanceBag(x, "pathology", "t"), params, "attn_p")
-    perm = aggregate(InstanceBag(x[rng.permutation(7)], "pathology", "t"),
-                     params, "attn_p")
+    base = pool(x, params, "attn_p")
+    perm = pool(x[rng.permutation(7)], params, "attn_p")
     assert np.allclose(base, perm, atol=1e-12)
 
 
 def test_aggregate_empty_bag_rejected():
+    # an empty pathology bag is rejected before it reaches the aggregator
     params = tiny_params()
-    bag = InstanceBag(np.ones((1, 8)), "pathology", "t")
-    object.__setattr__(bag, "features", np.zeros((0, 8)))
-    with pytest.raises(DataError):
-        aggregate(bag, params)
+    case = CaseData("t", np.zeros((0, 8)), rand_profile(np.random.default_rng(7)),
+                    SurvivalRecord(5.0, 0, bin=1))
+    with pytest.raises(ParameterError):
+        case_forward(params, case, 4, OTSettings(), "umbot", 0)
 
 
 def test_hazard_zero_params_is_half():
     params = tiny_params()
     params.hazard_w[:] = 0
     params.hazard_b[:] = 0
-    h = hazard_forward(np.ones(8), np.ones(8), params)
+    h = hazards(np.ones(8), np.ones(8), params)
     assert np.allclose(h, 0.5)
 
 
@@ -129,7 +150,7 @@ def test_hazard_saturates_with_large_bias():
     params = tiny_params()
     params.hazard_w[:] = 0
     params.hazard_b[:] = 50.0
-    h = hazard_forward(np.zeros(8), np.zeros(8), params)
+    h = hazards(np.zeros(8), np.zeros(8), params)
     assert np.all(h > 1 - 1e-9)
 
 
@@ -137,7 +158,7 @@ def test_hazard_matches_manual():
     params = tiny_params(seed=7)
     rng = np.random.default_rng(6)
     hp, hg = rng.standard_normal(8), rng.standard_normal(8)
-    h = hazard_forward(hp, hg, params)
+    h = hazards(hp, hg, params)
     logits = np.concatenate([hp, hg]) @ params.hazard_w + params.hazard_b
     assert np.allclose(h, 1 / (1 + np.exp(-logits)), atol=1e-12)
 
@@ -148,8 +169,12 @@ def test_init_params_deterministic_and_counted():
     for (n1, t1), (n2, t2) in zip(p1.tensors(), p2.tensors()):
         assert n1 == n2
         assert np.array_equal(t1, t2)
-    n_expected = sum(t.size for _, t in p1.tensors())
-    assert p1.param_count() == n_expected
+    # projection, two encoders (3 and 5 attributes), two attention blocks
+    # of four d x d maps with biases, hazard head over 2d -> 4 bins
+    d = 8
+    n_expected = (d * d + d + sum(dj * d + d + d * d + d for dj in (3, 5))
+                  + 2 * 4 * (d * d + d) + 2 * d * 4 + 4)
+    assert sum(t.size for _, t in p1.tensors()) == n_expected
 
 
 def test_init_rejects_indivisible_heads():
@@ -159,6 +184,12 @@ def test_init_rejects_indivisible_heads():
 
 # ---------------------------------------------------------------------------
 # Gradients: every layer type against central finite differences
+
+
+def total(tape, x):
+    """Scalar sum of every entry of x, built from ops the model uses."""
+    rows = tape.matmul(tape.const(np.ones((1, x.shape[0]))), x)
+    return tape.pick(tape.matmul(rows, tape.const(np.ones((x.shape[1], 1)))), 0, 0)
 
 
 def _grad_check_layer(build_loss, params, names, n_coords=20, seed=0, h_rel=1e-4):
@@ -198,11 +229,9 @@ def test_gradcheck_encoder():
     target = rng.standard_normal((2, 8))
 
     def loss(tape, pv):
-        from otsurv.neural import encode_genomic_t
-
         out = encode_genomic_t(tape, pv, profile)
         diff = tape.add(out, tape.const(-target))
-        return tape.sum_all(tape.mul(diff, diff))
+        return total(tape, tape.mul(diff, diff))
 
     names = [f"enc.{j}.{k}" for j in range(2) for k in ("w1", "b1", "w2", "b2")]
     assert _grad_check_layer(loss, params, names) <= 1e-5
@@ -215,7 +244,7 @@ def test_gradcheck_attention_pool():
 
     def loss(tape, pv):
         pooled = attention_pool_t(tape, pv, "attn_p", tape.const(tokens), 4)
-        return tape.sum_all(tape.mul(pooled, pooled))
+        return total(tape, tape.mul(pooled, pooled))
 
     names = [f"attn_p.{k}" for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
     assert _grad_check_layer(loss, params, names) <= 1e-5
@@ -228,12 +257,10 @@ def test_gradcheck_projection_and_hazard():
     hg = rng.standard_normal((1, 8))
 
     def loss(tape, pv):
-        from otsurv.neural import hazard_t, project_t
-
         proj = project_t(tape, pv, tape.const(raw))
         pooled = tape.mean_rows(proj)
         h = hazard_t(tape, pv, pooled, tape.const(hg))
-        return tape.sum_all(tape.log(h))
+        return total(tape, tape.log(h))
 
     names = ["proj.w", "proj.b", "hazard.w", "hazard.b"]
     assert _grad_check_layer(loss, params, names) <= 1e-5
@@ -245,12 +272,10 @@ def test_gradcheck_dense_coattention():
     keys = rng.standard_normal((6, 8))
 
     def loss(tape, pv):
-        from otsurv.neural import dense_coattention_t, encode_genomic_t
-
         q = encode_genomic_t(tape, pv, rand_profile(np.random.default_rng(9)))
         kv = tape.const(keys)
         out = dense_coattention_t(tape, q, kv, kv, math.sqrt(8))
-        return tape.sum_all(tape.mul(out, out))
+        return total(tape, tape.mul(out, out))
 
     names = ["enc.0.w1", "enc.1.w2"]
     assert _grad_check_layer(loss, params, names) <= 1e-5
@@ -265,7 +290,7 @@ def test_single_linear_sigmoid_nll_matches_hand_gradient():
     tape = Tape()
     wv = tape.leaf(w)
     s = tape.sigmoid(tape.matmul(tape.const(x), wv))
-    loss = tape.neg(tape.log(tape.pick(s, 0, 0)))
+    loss = tape.scale(tape.log(tape.pick(s, 0, 0)), -1.0)
     backward(tape, loss)
     s_val = 1 / (1 + np.exp(-(x @ w)))[0, 0]
     want = -(1 - s_val) * x[0]

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otsurv.bags import SurvivalRecord
+from otsurv.autodiff import Tape, backward
+from otsurv.bags import GenomicProfile, SurvivalRecord
 from otsurv.errors import DataError, MetricUndefinedError
+from otsurv.microbatch import OTSettings
+from otsurv.neural import init_params
 from otsurv.survival import (PROB_EPS, c_index, chi2_sf_1df, km_estimate,
-                             logrank, median_split, nll_loss, risk_score,
-                             survival_from_hazard)
+                             logrank, median_split, survival_from_hazard)
+from otsurv.train import CaseData, _nll_terms, case_forward, case_risk
 
 from oracles import chi2_sf_1df_oracle, km_survival_oracle, pairwise_c_index
 
@@ -25,21 +28,20 @@ def rec(t, c, b=None):
 
 
 def test_survival_no_risk_limit():
-    curve = survival_from_hazard(np.zeros(4))
-    assert np.allclose(curve.survival, 1.0, atol=1e-5)
+    assert np.allclose(survival_from_hazard(np.zeros(4)), 1.0, atol=1e-5)
 
 
 def test_survival_direct_product():
-    curve = survival_from_hazard(np.array([0.5, 0.5]))
-    assert np.allclose(curve.survival, [0.5, 0.25])
+    assert np.allclose(survival_from_hazard(np.array([0.5, 0.5])), [0.5, 0.25])
 
 
 def test_survival_matches_cumprod_oracle():
     rng = np.random.default_rng(0)
-    h = rng.uniform(0.05, 0.95, size=6)
-    curve = survival_from_hazard(h)
-    want = np.cumprod(1 - h)
-    assert np.allclose(curve.survival, want, atol=1e-12)
+    h = rng.uniform(0.05, 0.95, size=(3, 6))
+    # one curve per row of a (batches, bins) stack, as case_risk uses it
+    want = np.cumprod(1 - h, axis=1)
+    assert np.allclose(survival_from_hazard(h), want, atol=1e-12)
+    assert np.allclose(survival_from_hazard(h[1]), want[1], atol=1e-12)
 
 
 def test_survival_rejects_out_of_range():
@@ -47,6 +49,8 @@ def test_survival_rejects_out_of_range():
         survival_from_hazard(np.array([0.5, 1.5]))
     with pytest.raises(DataError):
         survival_from_hazard(np.array([-0.1]))
+    with pytest.raises(DataError):
+        survival_from_hazard(np.array([[0.5, np.nan]]))
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=1 - 1e-6),
@@ -54,34 +58,37 @@ def test_survival_rejects_out_of_range():
 @settings(max_examples=80, deadline=None)
 def test_survival_nonincreasing_in_unit_interval(hazards):
     curve = survival_from_hazard(np.array(hazards))
-    assert np.all(np.diff(curve.survival) <= 1e-15)
-    assert np.all(curve.survival > 0)
-    assert np.all(curve.survival <= 1.0)
+    assert np.all(np.diff(curve) <= 1e-15)
+    assert np.all(curve > 0)
+    assert np.all(curve <= 1.0)
 
 
 # ---------------------------------------------------------------------------
-# NLL loss
+# NLL loss: the tape terms training differentiates
+
+
+def nll(hazards, record, weight=1.0):
+    tape = Tape()
+    row = tape.const(np.atleast_2d(np.asarray(hazards, float)))
+    return float(_nll_terms(tape, row, record, weight).value)
 
 
 def test_nll_perfect_prediction_near_zero():
-    curve = survival_from_hazard(np.array([1.0 - 1e-9, 0.5]))
-    loss = nll_loss(curve, rec(1.0, 0, b=0))
+    loss = nll([1.0 - 1e-9, 0.5], rec(1.0, 0, b=0))
     assert loss == pytest.approx(0.0, abs=1e-5)
 
 
 def test_nll_censored_direct_value():
-    curve = survival_from_hazard(np.array([0.5, 0.5]))
-    loss = nll_loss(curve, rec(1.0, 1, b=0), weight=1.0)
+    loss = nll([0.5, 0.5], rec(1.0, 1, b=0), weight=1.0)
     assert loss == pytest.approx(math.log(2.0))
 
 
 def test_nll_batch_matches_termwise_oracle():
     rng = np.random.default_rng(1)
     h = rng.uniform(0.1, 0.9, size=4)
-    curve = survival_from_hazard(h)
     records = [rec(5, 0, 2), rec(3, 1, 1), rec(9, 0, 3), rec(1, 0, 0), rec(2, 1, 0)]
     weights = rng.uniform(0.2, 1.0, size=5)
-    total = sum(nll_loss(curve, r, w) for r, w in zip(records, weights))
+    total = sum(nll(h, r, w) for r, w in zip(records, weights))
     S = np.cumprod(1 - np.clip(h, PROB_EPS, 1 - PROB_EPS))
     want = 0.0
     for r, w in zip(records, weights):
@@ -95,23 +102,58 @@ def test_nll_batch_matches_termwise_oracle():
     assert total == pytest.approx(want, rel=1e-12)
 
 
+def test_nll_terms_match_hand_computation():
+    """Each record type with a non-unit weight, then the probability floor."""
+    h = [0.2, 0.35, 0.6, 0.1]
+    # censored in bin 2: -w log S[2]
+    assert nll(h, rec(9, 1, 2), 0.3) == pytest.approx(
+        -0.3 * math.log(0.8 * 0.65 * 0.4), rel=1e-14)
+    # event in bin 0: -w log h[0], no survival prefix
+    assert nll(h, rec(1, 0, 0), 0.7) == pytest.approx(-0.7 * math.log(0.2),
+                                                      rel=1e-14)
+    # event in bin 2: -w (log S[1] + log h[2])
+    assert nll(h, rec(6, 0, 2), 1.9) == pytest.approx(
+        -1.9 * (math.log(0.8 * 0.65) + math.log(0.6)), rel=1e-14)
+    # floor on the hazard: an event in a bin of hazard 0 costs -log(1e-7)
+    assert nll([0.25, 0.0], rec(4, 0, 1), 0.5) == pytest.approx(
+        -0.5 * (math.log(0.75) + math.log(1e-7)), rel=1e-14)
+    # floor on the survival: 1 - h = 0 is floored to 1e-7, and the product
+    # 1e-7 * 0.5 is floored again before the log
+    assert nll([1.0, 0.5], rec(4, 1, 1), 0.25) == pytest.approx(
+        -0.25 * math.log(1e-7), rel=1e-14)
+
+
 def test_nll_gradient_sign_wrt_correct_bin_hazard():
     # raising the hazard of the observed event bin lowers the loss
-    h = np.array([0.2, 0.3, 0.4, 0.5])
-    record = rec(4.0, 0, b=2)
-    base = nll_loss(survival_from_hazard(h), record)
-    h2 = h.copy()
-    h2[2] += 1e-6
-    bumped = nll_loss(survival_from_hazard(h2), record)
-    assert (bumped - base) / 1e-6 < 0
+    tape = Tape()
+    row = tape.leaf(np.array([[0.2, 0.3, 0.4, 0.5]]))
+    backward(tape, _nll_terms(tape, row, rec(4.0, 0, b=2), 1.0))
+    assert row.grad[0, 2] < 0
+    assert np.all(row.grad[0, :2] > 0)  # and surviving earlier bins raises it
+    assert row.grad[0, 3] == 0
+
+
+def one_case(bin_=1):
+    rng = np.random.default_rng(0)
+    profile = GenomicProfile([("c0", rng.standard_normal(2))], "x")
+    return CaseData("x", rng.standard_normal((6, 4)), profile,
+                    SurvivalRecord(5.0, 0, bin=bin_))
+
+
+def constant_hazard_params(n_bins, bias):
+    """Every hazard equals sigmoid(bias), whatever the inputs."""
+    params = init_params(4, 4, [2], n_bins, n_heads=1, seed=0)
+    params.hazard_w[:] = 0.0
+    params.hazard_b[:] = bias
+    return params
 
 
 def test_nll_invalid_bin():
-    curve = survival_from_hazard(np.array([0.5, 0.5]))
+    params = constant_hazard_params(4, 0.0)
     with pytest.raises(DataError):
-        nll_loss(curve, rec(1.0, 0, b=5))
+        case_forward(params, one_case(bin_=5), 3, OTSettings(), "umbot", 0)
     with pytest.raises(DataError):
-        nll_loss(curve, rec(1.0, 0, b=None))
+        case_forward(params, one_case(bin_=None), 3, OTSettings(), "umbot", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +161,13 @@ def test_nll_invalid_bin():
 
 
 def test_risk_score_limits_and_monotonicity():
-    low = survival_from_hazard(np.full(4, 1e-9))
-    high = survival_from_hazard(np.full(4, 1 - 1e-9))
-    assert risk_score(low) == pytest.approx(-4.0, abs=1e-5)
-    assert risk_score(high) == pytest.approx(0.0, abs=1e-5)
-    a = survival_from_hazard(np.array([0.2, 0.2, 0.2]))
-    b = survival_from_hazard(np.array([0.3, 0.3, 0.3]))
-    assert risk_score(a) < risk_score(b)
+    def risk(n_bins, bias):
+        return case_risk(constant_hazard_params(n_bins, bias), one_case(), 3,
+                         OTSettings(), "umbot", 0)
+
+    assert risk(4, -50.0) == pytest.approx(-4.0, abs=1e-5)
+    assert risk(4, 50.0) == pytest.approx(0.0, abs=1e-5)
+    assert risk(3, math.log(0.2 / 0.8)) < risk(3, math.log(0.3 / 0.7))
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,17 @@ import pytest
 from otsurv.autodiff import Tape, backward
 from otsurv.bags import (GenomicProfile, SurvivalRecord,
                          generate_synthetic_dataset)
+from otsurv import train
 from otsurv.config import ExperimentConfig
 from otsurv.errors import DataError
 from otsurv.microbatch import OTSettings, solve_batch
 from otsurv.neural import (attention_pool_t, encode_genomic_t, hazard_t,
                            init_params, project_t, wrap_params)
 from otsurv.survival import PROB_EPS
-from otsurv.train import (CaseData, case_forward, case_loss_and_grads,
-                          case_risk, cross_validate, derive_seed, fold_splits,
-                          load_cases, pooled_logrank, train_fold)
+from otsurv.train import (CaseData, ablation_sweep, case_forward,
+                          case_loss_and_grads, case_risk, cross_validate,
+                          derive_seed, fold_splits, load_cases, pooled_logrank,
+                          train_fold)
 
 ATTR_DIMS = [3, 4, 5]
 
@@ -279,3 +281,23 @@ def test_dense_mode_report_same_schema(small_dataset, tmp_path):
                               grad_accum_steps=8, attention_mode="dense")
     rep = cross_validate(cases, config, tmp_path)
     assert {"config", "per_fold", "c_index_mean", "c_index_std"} <= set(rep)
+
+
+def test_ablation_sweep_records_otsurv_errors_and_propagates_bugs(small_dataset,
+                                                                  monkeypatch):
+    config = ExperimentConfig(seed=0, folds=3, epochs=1, micro_batch=6, bins=3)
+
+    def data_error(*args, **kwargs):
+        raise DataError("cell has no usable cases")
+
+    monkeypatch.setattr(train, "train_fold", data_error)
+    rows = ablation_sweep(small_dataset, config, [6], ["umbot"])
+    assert [(r["fold"], r["status"]) for r in rows] == \
+        [(-1, "error: cell has no usable cases")]
+
+    def type_error(*args, **kwargs):
+        raise TypeError("bug in the training code")
+
+    monkeypatch.setattr(train, "train_fold", type_error)
+    with pytest.raises(TypeError, match="bug in the training code"):
+        ablation_sweep(small_dataset, config, [6], ["umbot"])
