@@ -6,7 +6,7 @@ from .bags import (CaseManifest, GenomicProfile, InstanceBag, SurvivalRecord,
                    discretize_times, generate_synthetic_dataset, load_bag,
                    load_manifest, save_bag)
 from .config import ExperimentConfig, load_config
-from .microbatch import MicroBatchPlan, OTSettings, sample_micro_batches
+from .microbatch import OTSettings, sample_micro_batches
 from .survival import (KMCurve, LogrankResult, c_index, km_estimate, logrank,
                        median_split, survival_from_hazard)
 from .transport import (CostMatrix, Marginals, SolverSettings, TransportPlan,
@@ -20,7 +20,7 @@ __all__ = [
     "discretize_times", "generate_synthetic_dataset", "load_bag",
     "load_manifest", "save_bag",
     "ExperimentConfig", "load_config",
-    "MicroBatchPlan", "OTSettings", "sample_micro_batches",
+    "OTSettings", "sample_micro_batches",
     "KMCurve", "LogrankResult", "c_index", "km_estimate", "logrank",
     "median_split", "survival_from_hazard",
     "CostMatrix", "Marginals", "SolverSettings", "TransportPlan", "build_cost",

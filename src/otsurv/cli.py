@@ -214,7 +214,15 @@ def cmd_km(args) -> int:
             if parts[id_col] in risks_by_id:
                 raise DataError(f"{args.risks}:{lineno}: duplicate case id "
                                 f"{parts[id_col]!r}")
-            risks_by_id[parts[id_col]] = float(parts[risk_col])
+            try:
+                risk = float(parts[risk_col])
+            except ValueError as exc:
+                raise FormatError(f"{args.risks}:{lineno}: risk {parts[risk_col]!r} "
+                                  f"is not a number") from exc
+            if not np.isfinite(risk):
+                raise DataError(f"{args.risks}:{lineno}: risk {parts[risk_col]!r} "
+                                f"is not finite")
+            risks_by_id[parts[id_col]] = risk
     missing = [c.case_id for c in manifest.cases if c.case_id not in risks_by_id]
     if missing:
         raise DataError(f"risk file misses manifest case ids: {', '.join(missing[:5])}"

@@ -19,15 +19,6 @@ from .transport import (TransportPlan, build_cost, normalize_cost,
 
 
 @dataclass(frozen=True)
-class MicroBatchPlan:
-    """Disjoint index chunks covering [0, M_p)."""
-
-    batch_indices: list[np.ndarray]
-    batch_size: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class OTSettings:
     """Transport settings for the micro-batched pipeline."""
 
@@ -35,13 +26,12 @@ class OTSettings:
     tau: float = 0.5
     max_iters: int = 1000
     tolerance: float = 1e-6
-    log_domain: bool | None = None
     metric: str = "l2"
     normalize: bool = True
     solver: str = "uot"  # "uot" | "sinkhorn" | "emd"
 
 
-def sample_micro_batches(M_p: int, m: int, seed: int) -> MicroBatchPlan:
+def sample_micro_batches(M_p: int, m: int, seed: int) -> list[np.ndarray]:
     """Seeded uniform permutation of [0, M_p) split into chunks of size m.
 
     The last chunk may be smaller.  When a single chunk covers the whole bag
@@ -53,10 +43,9 @@ def sample_micro_batches(M_p: int, m: int, seed: int) -> MicroBatchPlan:
     if M_p < 1:
         raise ParameterError(f"bag size must be >= 1, got {M_p}")
     if m >= M_p:
-        return MicroBatchPlan([np.arange(M_p)], m, seed)
+        return [np.arange(M_p)]
     perm = np.random.default_rng(seed).permutation(M_p)
-    chunks = [perm[k:k + m] for k in range(0, M_p, m)]
-    return MicroBatchPlan(chunks, m, seed)
+    return [perm[k:k + m] for k in range(0, M_p, m)]
 
 
 def solve_batch(batch_features: np.ndarray, genomic_features: np.ndarray,
@@ -68,11 +57,10 @@ def solve_batch(batch_features: np.ndarray, genomic_features: np.ndarray,
     marg = uniform_marginals(batch_features.shape[0], genomic_features.shape[0])
     if settings.solver == "uot":
         return unbalanced_sinkhorn(C, marg, settings.epsilon, settings.tau,
-                                   settings.max_iters, settings.tolerance,
-                                   settings.log_domain)
+                                   settings.max_iters, settings.tolerance)
     if settings.solver == "sinkhorn":
         return sinkhorn(C, marg, settings.epsilon, settings.max_iters,
-                        settings.tolerance, settings.log_domain)
+                        settings.tolerance)
     if settings.solver == "emd":
         return solve_exact_emd(C, marg)
     raise ParameterError(f"unknown solver {settings.solver!r}")

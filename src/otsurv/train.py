@@ -124,12 +124,12 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
     pv = wrap_params(tape, params)
     b_g = encode_genomic_t(tape, pv, case.profile)
     pooled_g = attention_pool_t(tape, pv, "attn_g", b_g, params.n_heads)
-    plan = sample_micro_batches(M_p, m, seed)
+    batches = sample_micro_batches(M_p, m, seed)
 
     loss_terms = []
     hazards = []
     couplings: list[TransportPlan] = []
-    for k, idx in enumerate(plan.batch_indices):
+    for k, idx in enumerate(batches):
         batch = tape.const(case.pathology_raw[idx])
         projected = project_t(tape, pv, batch)
         if mode == "dense":
@@ -379,9 +379,9 @@ def bench_solves(M_values: list[int], m: int, d: int, M_g: int = 6,
         genomic = rng.standard_normal((M_g, d))
         best = np.inf
         for _ in range(repeats):
-            plan = sample_micro_batches(M, m, seed)
+            batches = sample_micro_batches(M, m, seed)
             t0 = time.perf_counter()
-            for idx in plan.batch_indices:
+            for idx in batches:
                 solve_batch(bag[idx], genomic, settings)
             best = min(best, time.perf_counter() - t0)
         rows.append((M, best, M / best))

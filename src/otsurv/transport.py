@@ -11,9 +11,11 @@ Three solvers over a nonnegative cost matrix and a pair of marginals:
   penalties with coefficient tau; alternating scaling updates damped by the
   exponent ``tau / (tau + eps)``.
 
-Both scaling solvers switch to log-domain updates automatically when eps is
-small relative to the cost scale, or when the plain-domain iteration
-overflows.
+Both scaling solvers run one kernel, the balanced one with exponent 1.  It
+iterates in the plain domain; a scaling that leaves a fixed range is
+absorbed into log potentials that the kernel matrix carries (stabilised
+absorption), so small eps and unnormalized costs need no separate
+log-domain solver.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class SolverSettings:
     tau: float | None = None
     max_iters: int = 1000
     tolerance: float = 1e-6
-    log_domain: bool | None = None  # None = auto
+    log_domain: bool = False  # recorded: the scaling solve absorbed at least once
 
 
 @dataclass(frozen=True)
@@ -312,22 +314,9 @@ def _pivot_cycle(basis, entering, n):
 # Scaling solvers
 
 
-def _validate_scaling_inputs(C: CostMatrix, marg: Marginals, epsilon: float,
-                             max_iters: int):
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
-    if max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
-    n, m = C.shape
-    if marg.source.size != n or marg.target.size != m:
-        raise ShapeError(f"marginals ({marg.source.size},{marg.target.size}) "
-                         f"do not match cost {C.shape}")
-
-
-def _auto_log_domain(C: np.ndarray, epsilon: float, log_domain: bool | None) -> bool:
-    if log_domain is not None:
-        return log_domain
-    return epsilon < 0.01 * float(np.median(C))
+# A new scaling outside this range is absorbed into the log potentials
+# before it overflows, underflows, or leaves kernel entries it needs at zero.
+_ABSORB_LO, _ABSORB_HI = 1e-100, 1e100
 
 
 def _generalized_kl(x: np.ndarray, y: np.ndarray) -> float:
@@ -340,37 +329,68 @@ def _generalized_kl(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def sinkhorn(C: CostMatrix, marg: Marginals, epsilon: float,
-             max_iters: int = 1000, tol: float = 1e-6,
-             log_domain: bool | None = None) -> TransportPlan:
+             max_iters: int = 1000, tol: float = 1e-6) -> TransportPlan:
     """Balanced entropic transport by Sinkhorn-Knopp matrix scaling.
 
     The coupling has the form diag(u) K diag(v) with the kernel taken
-    relative to the product measure.  Convergence is declared when the worst
-    marginal residual drops below ``tol``; on non-convergence the best
-    iterate is returned with ``converged=False``.
+    relative to the product measure.  Convergence is declared when the row
+    marginal residual drops below ``tol`` (each update of v matches the
+    columns exactly); on non-convergence the last iterate is returned with
+    ``converged=False``.
     """
-    _validate_scaling_inputs(C, marg, epsilon, max_iters)
+    return _scaling_solve(C, marg, epsilon, None, max_iters, tol)
+
+
+def unbalanced_sinkhorn(C: CostMatrix, marg: Marginals, epsilon: float, tau: float,
+                        max_iters: int = 1000, tol: float = 1e-6) -> TransportPlan:
+    """Entropic transport with KL-relaxed marginals.
+
+    Minimizes <P,C> + eps KL(P | a x b) + tau (KL(P 1 | a) + KL(P' 1 | b))
+    by alternating scaling updates with damped exponent tau / (tau + eps).
+    Convergence is declared when the scaling vectors stop moving (max change
+    of log u and log v below ``tol``).  tau = 0 yields the closed form
+    ``P = (a x b) exp(-C/eps)`` on the first iteration.
+    """
+    return _scaling_solve(C, marg, epsilon, tau, max_iters, tol)
+
+
+def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
+                   tau: float | None, max_iters: int, tol: float) -> TransportPlan:
+    """Shared body of the two scaling solvers; ``tau=None`` is balanced.
+
+    Zero-mass rows and columns are dropped before the solve and come back
+    as zero coupling with dual -inf.  ``marginal_residual`` is the larger
+    of the row and column residuals of the returned coupling.
+    """
+    if epsilon <= 0:
+        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+    if max_iters < 1:
+        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+    if tau is not None and tau < 0:
+        raise ParameterError(f"tau must be >= 0, got {tau}")
+    if marg.source.size != C.shape[0] or marg.target.size != C.shape[1]:
+        raise ShapeError(f"marginals ({marg.source.size},{marg.target.size}) "
+                         f"do not match cost {C.shape}")
     sub_a = marg.source > 0
     sub_b = marg.target > 0
     a = marg.source[sub_a]
     b = marg.target[sub_b]
     cost = C.values[np.ix_(sub_a, sub_b)]
-    use_log = _auto_log_domain(cost, epsilon, log_domain)
-
-    if not use_log:
-        out = _sinkhorn_plain(cost, a, b, epsilon, max_iters, tol)
-        if out is None:
-            use_log = True
-    if use_log:
-        out = _sinkhorn_log(cost, a, b, epsilon, max_iters, tol)
-    P_sub, log_u, log_v, iterations, converged, residual = out
+    fi = 1.0 if tau is None else tau / (tau + epsilon)
+    P_sub, log_u, log_v, iterations, converged, absorbed = _scale(
+        cost, a, b, epsilon, fi, max_iters, tol, row_residual=tau is None)
 
     P = np.zeros(C.shape)
     P[np.ix_(sub_a, sub_b)] = P_sub
     objective = float(np.sum(P_sub * cost))
     reg = objective + epsilon * _generalized_kl(P_sub, np.outer(a, b))
-    settings = SolverSettings(epsilon=epsilon, max_iters=max_iters,
-                              tolerance=tol, log_domain=use_log)
+    if tau is not None:
+        reg = (reg + tau * _generalized_kl(P_sub.sum(axis=1), a)
+               + tau * _generalized_kl(P_sub.sum(axis=0), b))
+    residual = max(float(np.abs(P_sub.sum(axis=1) - a).max()),
+                   float(np.abs(P_sub.sum(axis=0) - b).max()))
+    settings = SolverSettings(epsilon=epsilon, tau=tau, max_iters=max_iters,
+                              tolerance=tol, log_domain=absorbed)
     return TransportPlan(P, objective, residual, iterations, converged, settings,
                          objective_regularized=reg,
                          dual_source=_embed(log_u, sub_a),
@@ -383,135 +403,72 @@ def _embed(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sinkhorn_plain(cost, a, b, epsilon, max_iters, tol):
-    K = a[:, None] * b[None, :] * np.exp(-cost / epsilon)
-    u = np.ones_like(a)
-    v = np.ones_like(b)
-    residual = np.inf
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for it in range(1, max_iters + 1):
-            Kv = K @ v
-            u_new = a / Kv
-            Ktu = K.T @ u_new
-            v_new = b / Ktu
-            if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-                return None  # overflow: caller retries in log domain
-            u, v = u_new, v_new
-            residual = float(np.abs(u * (K @ v) - a).max())
-            if residual < tol:
-                break
-    return (u[:, None] * K * v[None, :], np.log(u), np.log(v),
-            it, residual < tol, residual)
-
-
 def _logsumexp(x, axis):
     peak = np.max(x, axis=axis, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
     return np.squeeze(peak, axis) + np.log(np.sum(np.exp(x - peak), axis=axis))
 
 
-def _sinkhorn_log(cost, a, b, epsilon, max_iters, tol):
+def _in_range(x: np.ndarray) -> bool:
+    # False for any 0, inf or NaN as well.
+    return _ABSORB_LO < x.min() and x.max() < _ABSORB_HI
+
+
+def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
+    """Scaling iterations ``u = (a / K v)^fi, v = (b / K'u)^fi`` with absorption.
+
+    ``K = (a x b) exp(-C/eps + f + g)`` carries the absorbed log potentials
+    f and g, which start at zero.  When a new scaling leaves the range
+    (_ABSORB_LO, _ABSORB_HI) it is discarded: one log-domain update is taken
+    from the potentials ``f + log u`` and ``g + log v`` instead, its result
+    becomes the new f and g, K is rebuilt, and u = v = 1 (Schmitzer 2019).
+    ``a_s``, ``b_s`` are the marginals rescaled so that the plain update on
+    the absorbed K is the same update.
+
+    Stops on the row-marginal residual when ``row_residual``, else on the
+    change in log scaling.  Returns the sub-coupling, the log scalings
+    ``f + log u`` and ``g + log v``, the iteration count, convergence, and
+    whether any absorption happened.
+    """
     la = np.log(a)
     lb = np.log(b)
     G = -cost / epsilon
-    phi = np.zeros_like(a)
-    psi = np.zeros_like(b)
-    residual = np.inf
-    for it in range(1, max_iters + 1):
-        phi = -_logsumexp(lb[None, :] + G + psi[None, :], axis=1)
-        psi = -_logsumexp(la[:, None] + G + phi[:, None], axis=0)
-        logP = la[:, None] + lb[None, :] + G + phi[:, None] + psi[None, :]
-        residual = float(np.abs(np.exp(_logsumexp(logP, axis=1)) - a).max())
-        if residual < tol:
-            break
-    return np.exp(logP), phi, psi, it, residual < tol, residual
-
-
-def unbalanced_sinkhorn(C: CostMatrix, marg: Marginals, epsilon: float, tau: float,
-                        max_iters: int = 1000, tol: float = 1e-6,
-                        log_domain: bool | None = None) -> TransportPlan:
-    """Entropic transport with KL-relaxed marginals.
-
-    Minimizes <P,C> + eps KL(P | a x b) + tau (KL(P 1 | a) + KL(P' 1 | b))
-    by alternating scaling updates with damped exponent tau / (tau + eps).
-    Convergence is declared when the scaling vectors stop moving (max change
-    of log u and log v below ``tol``).  tau = 0 yields the closed form
-    ``P = (a x b) exp(-C/eps)`` on the first iteration.
-    """
-    _validate_scaling_inputs(C, marg, epsilon, max_iters)
-    if tau < 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
-    sub_a = marg.source > 0
-    sub_b = marg.target > 0
-    a = marg.source[sub_a]
-    b = marg.target[sub_b]
-    cost = C.values[np.ix_(sub_a, sub_b)]
-    fi = tau / (tau + epsilon)
-    use_log = _auto_log_domain(cost, epsilon, log_domain)
-
-    if not use_log:
-        out = _uot_plain(cost, a, b, epsilon, fi, max_iters, tol)
-        if out is None:
-            use_log = True
-    if use_log:
-        out = _uot_log(cost, a, b, epsilon, fi, max_iters, tol)
-    P_sub, log_u, log_v, iterations, converged, _ = out
-
-    P = np.zeros(C.shape)
-    P[np.ix_(sub_a, sub_b)] = P_sub
-    objective = float(np.sum(P_sub * cost))
-    reg = (objective
-           + epsilon * _generalized_kl(P_sub, np.outer(a, b))
-           + tau * _generalized_kl(P_sub.sum(axis=1), a)
-           + tau * _generalized_kl(P_sub.sum(axis=0), b))
-    residual = max(float(np.abs(P_sub.sum(axis=1) - a).max()),
-                   float(np.abs(P_sub.sum(axis=0) - b).max()))
-    settings = SolverSettings(epsilon=epsilon, tau=tau, max_iters=max_iters,
-                              tolerance=tol, log_domain=use_log)
-    return TransportPlan(P, objective, residual, iterations, converged, settings,
-                         objective_regularized=reg,
-                         dual_source=_embed(log_u, sub_a),
-                         dual_target=_embed(log_v, sub_b))
-
-
-def _uot_plain(cost, a, b, epsilon, fi, max_iters, tol):
-    K = a[:, None] * b[None, :] * np.exp(-cost / epsilon)
+    f = np.zeros_like(a)
+    g = np.zeros_like(b)
+    a_s, b_s = a, b
+    K = a[:, None] * b[None, :] * np.exp(G + f[:, None] + g[None, :])
     u = np.ones_like(a)
     v = np.ones_like(b)
-    change = np.inf
+    absorbed = False
+    stop = np.inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(1, max_iters + 1):
-            u_new = (a / (K @ v)) ** fi
-            v_new = (b / (K.T @ u_new)) ** fi
-            if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
-                    and np.all(u_new > 0) and np.all(v_new > 0)):
-                return None
-            change = max(float(np.abs(np.log(u_new) - np.log(u)).max()),
-                         float(np.abs(np.log(v_new) - np.log(v)).max()))
-            u, v = u_new, v_new
-            if change < tol:
+            u_new = (a_s / (K @ v)) ** fi
+            v_new = (b_s / (K.T @ u_new)) ** fi
+            if _in_range(u_new) and _in_range(v_new):
+                if not row_residual:
+                    stop = max(float(np.abs(np.log(u_new) - np.log(u)).max()),
+                               float(np.abs(np.log(v_new) - np.log(v)).max()))
+                u, v = u_new, v_new
+            else:
+                # fi > 0 here: at fi = 0 every scaling is exactly 1.
+                phi = f + np.log(u)
+                psi = g + np.log(v)
+                f = -fi * _logsumexp(lb[None, :] + G + psi[None, :], axis=1)
+                g = -fi * _logsumexp(la[:, None] + G + f[:, None], axis=0)
+                stop = max(float(np.abs(f - phi).max()), float(np.abs(g - psi).max()))
+                K = a[:, None] * b[None, :] * np.exp(G + f[:, None] + g[None, :])
+                a_s = a * np.exp(f * (1.0 - 1.0 / fi))
+                b_s = b * np.exp(g * (1.0 - 1.0 / fi))
+                u = np.ones_like(a)
+                v = np.ones_like(b)
+                absorbed = True
+            if row_residual:
+                stop = float(np.abs(u * (K @ v) - a).max())
+            if stop < tol:
                 break
-    return (u[:, None] * K * v[None, :], np.log(u), np.log(v),
-            it, change < tol, change)
-
-
-def _uot_log(cost, a, b, epsilon, fi, max_iters, tol):
-    la = np.log(a)
-    lb = np.log(b)
-    G = -cost / epsilon
-    phi = np.zeros_like(a)
-    psi = np.zeros_like(b)
-    change = np.inf
-    for it in range(1, max_iters + 1):
-        phi_new = -fi * _logsumexp(lb[None, :] + G + psi[None, :], axis=1)
-        psi_new = -fi * _logsumexp(la[:, None] + G + phi_new[:, None], axis=0)
-        change = max(float(np.abs(phi_new - phi).max()),
-                     float(np.abs(psi_new - psi).max()))
-        phi, psi = phi_new, psi_new
-        if change < tol:
-            break
-    logP = la[:, None] + lb[None, :] + G + phi[:, None] + psi[None, :]
-    return np.exp(logP), phi, psi, it, change < tol, change
+    return (u[:, None] * K * v[None, :], f + np.log(u), g + np.log(v),
+            it, stop < tol, absorbed)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +476,11 @@ def _uot_log(cost, a, b, epsilon, fi, max_iters, tol):
 
 
 def write_plan(plan: TransportPlan, out_prefix, solver: str = "") -> tuple[Path, Path]:
-    """Dump a coupling as CSV plus a JSON diagnostics sidecar."""
+    """Dump a coupling as CSV plus a JSON diagnostics sidecar.
+
+    ``settings.log_domain`` in the JSON is true when a scaling solve
+    absorbed at least once (see ``_scale``); it is not an input.
+    """
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     coupling_path = prefix.with_name(prefix.name + "_coupling.csv")

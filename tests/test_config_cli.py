@@ -307,6 +307,32 @@ def test_cli_km_duplicate_case_id_is_data_error(tmp_path):
     assert ids[3] in err["message"]
 
 
+def test_cli_km_non_numeric_risk_is_format_error(tmp_path):
+    manifest, ids, text = km_inputs(tmp_path)
+    risks = tmp_path / "risks.csv"
+    risks.write_text(text.replace(f"{ids[2]},0.2", f"{ids[2]},abc"))
+    res = run_cli("km", "--risks", risks, "--manifest", manifest,
+                  "--out-prefix", tmp_path / "km")
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_class"] == "FormatError"
+    assert "risks.csv:4" in err["message"] and "abc" in err["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_km_non_finite_risk_is_data_error(tmp_path, value):
+    manifest, ids, text = km_inputs(tmp_path)
+    risks = tmp_path / "risks.csv"
+    risks.write_text(text.replace(f"{ids[5]},0.5", f"{ids[5]},{value}"))
+    res = run_cli("km", "--risks", risks, "--manifest", manifest,
+                  "--out-prefix", tmp_path / "km")
+    assert res.returncode == 3
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_class"] == "DataError"
+    assert "risks.csv:7" in err["message"]
+    assert not list(tmp_path.glob("km_*"))
+
+
 def test_cli_ablate_unknown_mode_exit_code(tmp_path):
     gen = run_cli("gen-synth", "--out", tmp_path / "data", "--n-cases", 12,
                   "--m-p", 6, "--m-g", 3, "--dim", 6, "--seed", 8)

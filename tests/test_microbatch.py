@@ -34,20 +34,20 @@ def make_plan(coupling):
 # Sampling
 
 
-def sizes(plan):
-    return [len(ix) for ix in plan.batch_indices]
+def sizes(batches):
+    return [len(ix) for ix in batches]
 
 
 def test_single_batch_covers_whole_bag_in_order():
-    plan = sample_micro_batches(6, 6, seed=0)
-    assert len(plan.batch_indices) == 1
-    assert np.array_equal(plan.batch_indices[0], np.arange(6))
+    batches = sample_micro_batches(6, 6, seed=0)
+    assert len(batches) == 1
+    assert np.array_equal(batches[0], np.arange(6))
 
 
 def test_batch_sizes_partition():
-    plan = sample_micro_batches(5, 2, seed=1)
-    assert sizes(plan) == [2, 2, 1]
-    joined = np.sort(np.concatenate(plan.batch_indices))
+    batches = sample_micro_batches(5, 2, seed=1)
+    assert sizes(batches) == [2, 2, 1]
+    joined = np.sort(np.concatenate(batches))
     assert np.array_equal(joined, np.arange(5))
 
 
@@ -55,16 +55,17 @@ def test_large_bag_two_seeds_same_size_multiset():
     p1 = sample_micro_batches(1000, 256, seed=1)
     p2 = sample_micro_batches(1000, 256, seed=2)
     assert sizes(p1) == sizes(p2) == [256, 256, 256, 232]
-    assert not np.array_equal(p1.batch_indices[0], p2.batch_indices[0])
+    assert not np.array_equal(p1[0], p2[0])
     for p in (p1, p2):
-        joined = np.sort(np.concatenate(p.batch_indices))
+        joined = np.sort(np.concatenate(p))
         assert np.array_equal(joined, np.arange(1000))
 
 
 def test_sampler_deterministic():
     p1 = sample_micro_batches(100, 17, seed=9)
     p2 = sample_micro_batches(100, 17, seed=9)
-    for a, b in zip(p1.batch_indices, p2.batch_indices):
+    assert len(p1) == len(p2)
+    for a, b in zip(p1, p2):
         assert np.array_equal(a, b)
 
 
@@ -78,11 +79,11 @@ def test_sampler_rejects_nonpositive_m():
        st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=100, deadline=None)
 def test_sampler_coverage_property(M_p, m, seed):
-    plan = sample_micro_batches(M_p, m, seed)
-    joined = np.concatenate(plan.batch_indices)
+    batches = sample_micro_batches(M_p, m, seed)
+    joined = np.concatenate(batches)
     assert joined.size == M_p
     assert np.array_equal(np.sort(joined), np.arange(M_p))
-    for idx in plan.batch_indices[:-1]:
+    for idx in batches[:-1]:
         assert idx.size == min(m, M_p)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from otsurv.errors import ConstraintError, DataError, ParameterError, ShapeError
 from otsurv.transport import (CostMatrix, Marginals, build_cost, normalize_cost,
@@ -199,18 +200,31 @@ def test_sinkhorn_marginals_within_tolerance():
     assert plan.total_mass == pytest.approx(1.0, abs=1e-7)
 
 
-def test_sinkhorn_log_and_plain_domains_agree():
-    rng = np.random.default_rng(4)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_sinkhorn_plan_invariant_under_potential_shift(seed):
+    # C[i,j] + alpha_i + beta_j has the same balanced plan.  With shifts in
+    # the hundreds the plain kernel underflows to zero, so the shifted solve
+    # runs on absorbed potentials while the unshifted one never absorbs.
+    # The two iterate sequences differ and meet only at the limit, hence
+    # the tight tol.
+    rng = np.random.default_rng(seed)
     C, marg = random_instance(rng, 4, 5)
-    plain = sinkhorn(C, marg, epsilon=0.2, log_domain=False, tol=1e-10)
-    logd = sinkhorn(C, marg, epsilon=0.2, log_domain=True, tol=1e-10)
-    assert np.allclose(plain.coupling, logd.coupling, atol=1e-6)
+    alpha = rng.uniform(100.0, 1000.0, size=4)
+    beta = rng.uniform(100.0, 1000.0, size=5)
+    shifted = CostMatrix(C.values + alpha[:, None] + beta[None, :], C.metric)
+    plain = sinkhorn(C, marg, epsilon=0.2, tol=1e-12)
+    absorbed = sinkhorn(shifted, marg, epsilon=0.2, tol=1e-12)
+    assert plain.converged and absorbed.converged
+    assert not plain.settings.log_domain
+    assert absorbed.settings.log_domain
+    assert np.abs(plain.coupling - absorbed.coupling).max() < 1e-10
 
 
 def test_sinkhorn_overflow_switches_to_log_domain():
     # eps tiny vs unnormalized costs: the plain kernel underflows to zero
     C = CostMatrix(np.array([[500.0, 800.0], [900.0, 400.0]]), "l2")
-    plan = sinkhorn(C, uniform_marginals(2, 2), epsilon=0.5, log_domain=None)
+    plan = sinkhorn(C, uniform_marginals(2, 2), epsilon=0.5)
     assert plan.settings.log_domain
     assert np.all(np.isfinite(plan.coupling))
     assert plan.total_mass == pytest.approx(1.0, abs=1e-5)
@@ -301,12 +315,24 @@ def test_uot_fixed_point_of_scaling_update():
     assert np.abs(np.log(v2) - np.log(v)).max() < tol
 
 
-def test_uot_log_plain_agreement():
+def test_uot_absorbed_duals_are_log_domain_fixed_point():
+    # Costs up to 1000 at eps 0.5 force absorption; the returned log
+    # scalings must satisfy one log-domain update to within the stop tol.
     rng = np.random.default_rng(14)
-    C, marg = random_instance(rng, 5, 4)
-    plain = unbalanced_sinkhorn(C, marg, 0.1, 0.7, log_domain=False, tol=1e-10)
-    logd = unbalanced_sinkhorn(C, marg, 0.1, 0.7, log_domain=True, tol=1e-10)
-    assert np.allclose(plain.coupling, logd.coupling, atol=1e-6)
+    eps, tau, tol = 0.5, 2.0, 1e-9
+    for _ in range(5):
+        _, marg = random_instance(rng, 5, 4)
+        C = CostMatrix(rng.uniform(0.0, 1000.0, size=(5, 4)), "l2")
+        plan = unbalanced_sinkhorn(C, marg, eps, tau, tol=tol, max_iters=100000)
+        assert plan.settings.log_domain
+        assert plan.converged
+        fi = tau / (tau + eps)
+        G = -C.values / eps
+        phi = -fi * logsumexp(np.log(marg.target)[None, :] + G
+                              + plan.dual_target[None, :], axis=1)
+        psi = -fi * logsumexp(np.log(marg.source)[:, None] + G + phi[:, None], axis=0)
+        assert np.abs(phi - plan.dual_source).max() < tol
+        assert np.abs(psi - plan.dual_target).max() < tol
 
 
 def test_uot_rejects_negative_tau():
@@ -317,14 +343,26 @@ def test_uot_rejects_negative_tau():
 
 def test_uot_overflow_switches_to_log_domain():
     C = CostMatrix(np.array([[800.0, 1200.0], [1400.0, 600.0]]), "l2")
-    plan = unbalanced_sinkhorn(C, uniform_marginals(2, 2), epsilon=0.5,
-                               tau=2.0, log_domain=None)
+    plan = unbalanced_sinkhorn(C, uniform_marginals(2, 2), epsilon=0.5, tau=2.0)
     assert plan.settings.log_domain
     assert np.all(np.isfinite(plan.coupling))
 
 
 # ---------------------------------------------------------------------------
 # Shared solver properties
+
+
+def test_marginal_residual_is_worst_of_rows_and_columns():
+    # Pinned bit for bit: the value is computed from the returned coupling,
+    # not from the scalings inside the loop.
+    rng = np.random.default_rng(15)
+    for max_iters in (2, 2, 1000, 1000):
+        C, marg = random_instance(rng, 20, 30)
+        for plan in (sinkhorn(C, marg, 0.05, max_iters=max_iters),
+                     unbalanced_sinkhorn(C, marg, 0.05, 0.5, max_iters=max_iters)):
+            rows = np.abs(plan.coupling.sum(axis=1) - marg.source).max()
+            cols = np.abs(plan.coupling.sum(axis=0) - marg.target).max()
+            assert plan.marginal_residual == max(rows, cols)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
