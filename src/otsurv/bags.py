@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -233,6 +235,27 @@ def load_tensor64(path) -> np.ndarray:
     if len(raw) != 12 + 8 * m * d:
         raise FormatError(f"{path}: truncated tensor blob")
     return np.frombuffer(raw, dtype="<f8", offset=12).reshape(m, d).copy()
+
+
+@contextmanager
+def atomic_text_writer(path, newline=None):
+    """Open a UTF-8 text file that replaces ``path`` only once fully written.
+
+    The text goes to a temp file beside ``path``, which is synced and moved
+    over ``path`` with ``os.replace`` on success and removed on failure, so
+    a reader finds the previous file or the new one, never a partial one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

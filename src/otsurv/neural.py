@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Var
-from .bags import GenomicProfile, load_tensor64, save_tensor64
+from .bags import GenomicProfile, atomic_text_writer, load_tensor64, save_tensor64
 from .errors import FormatError, ParameterError
 
 # Standard self-normalizing-network constants.
@@ -244,35 +244,51 @@ def save_checkpoint(params: ModelParams, out_dir, step: int = 0) -> Path:
         "tensors": entries,
     }
     path = out / "checkpoint.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return path
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A manifest that is not JSON, lacks an entry, or gives a tensor a shape
+    its blob cannot take raises :class:`FormatError` naming the manifest.
+    """
     out = Path(ckpt_dir)
     path = out / "checkpoint.json"
     if not path.exists():
         raise FormatError(f"no checkpoint manifest at {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
     def tensor(name):
         entry = doc["tensors"][name]
         arr = load_tensor64(out / "tensors" / entry["file"])
-        return arr.reshape(entry["shape"])
+        try:
+            return arr.reshape(entry["shape"])
+        except ValueError as exc:
+            raise FormatError(f"{path}: tensor {name!r} has {arr.size} values in its "
+                              f"blob, which do not fit shape {entry['shape']}") from exc
 
-    encoders = [EncoderParams(tensor(f"enc.{j}.w1"), tensor(f"enc.{j}.b1"),
-                              tensor(f"enc.{j}.w2"), tensor(f"enc.{j}.b2"))
-                for j in range(doc["n_encoders"])]
-    attn = {side: AttentionParams(*[tensor(f"{side}.{k}")
-                                    for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
-            for side in ("attn_p", "attn_g")}
-    params = ModelParams(
-        proj_w=tensor("proj.w"), proj_b=tensor("proj.b"),
-        encoders=encoders, attn_p=attn["attn_p"], attn_g=attn["attn_g"],
-        hazard_w=tensor("hazard.w"), hazard_b=tensor("hazard.b"),
-        n_heads=int(doc["n_heads"]), seed=int(doc["seed"]),
-    )
-    return params, int(doc["step"])
+    try:
+        encoders = [EncoderParams(tensor(f"enc.{j}.w1"), tensor(f"enc.{j}.b1"),
+                                  tensor(f"enc.{j}.w2"), tensor(f"enc.{j}.b2"))
+                    for j in range(doc["n_encoders"])]
+        attn = {side: AttentionParams(*[tensor(f"{side}.{k}")
+                                        for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
+                for side in ("attn_p", "attn_g")}
+        params = ModelParams(
+            proj_w=tensor("proj.w"), proj_b=tensor("proj.b"),
+            encoders=encoders, attn_p=attn["attn_p"], attn_g=attn["attn_g"],
+            hazard_w=tensor("hazard.w"), hazard_b=tensor("hazard.b"),
+            n_heads=int(doc["n_heads"]), seed=int(doc["seed"]),
+        )
+        step = int(doc["step"])
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing entry {exc}") from exc
+    return params, step

@@ -25,7 +25,8 @@ import numpy as np
 
 from .autodiff import Tape, Var, backward
 from .bags import (CaseManifest, GenomicProfile, SurvivalRecord, assign_bin,
-                   discretize_times, load_bag, load_genomic_profile)
+                   atomic_text_writer, discretize_times, load_bag,
+                   load_genomic_profile)
 from .config import ExperimentConfig
 from .errors import DataError, NumericError, OtsurvError
 from .microbatch import OTSettings, sample_micro_batches, solve_batch
@@ -302,10 +303,10 @@ def cross_validate(cases: list[CaseData], config: ExperimentConfig,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "metrics.json", "w", encoding="utf-8") as fh:
+        with atomic_text_writer(out / "metrics.json") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        with open(out / "risks.csv", "w", encoding="utf-8", newline="") as fh:
+        with atomic_text_writer(out / "risks.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["case_id", "risk", "time_months", "censor", "fold"])
             for row in sorted(pooled):

@@ -409,11 +409,6 @@ def _logsumexp(x, axis):
     return np.squeeze(peak, axis) + np.log(np.sum(np.exp(x - peak), axis=axis))
 
 
-def _in_range(x: np.ndarray) -> bool:
-    # False for any 0, inf or NaN as well.
-    return _ABSORB_LO < x.min() and x.max() < _ABSORB_HI
-
-
 def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     """Scaling iterations ``u = (a / K v)^fi, v = (b / K'u)^fi`` with absorption.
 
@@ -430,6 +425,7 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     ``f + log u`` and ``g + log v``, the iteration count, convergence, and
     whether any absorption happened.
     """
+    n = a.size
     la = np.log(a)
     lb = np.log(b)
     G = -cost / epsilon
@@ -437,19 +433,36 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     g = np.zeros_like(b)
     a_s, b_s = a, b
     K = a[:, None] * b[None, :] * np.exp(G + f[:, None] + g[None, :])
-    u = np.ones_like(a)
-    v = np.ones_like(b)
+    KT = K.T
+    # u and v are views into one buffer w, so a single range check and a
+    # single log change cover both.  Each iteration writes the other buffer
+    # and swaps it in when accepted; log_w carries log(u), log(v) forward.
+    w, w_new = np.ones(n + b.size), np.empty(n + b.size)
+    u, v = w[:n], w[n:]
+    u_new, v_new = w_new[:n], w_new[n:]
+    log_w, log_w_new, step = np.zeros_like(w), np.empty_like(w), np.empty_like(w)
+    Kv, Ku = np.empty_like(a), np.empty_like(b)
     absorbed = False
     stop = np.inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(1, max_iters + 1):
-            u_new = (a_s / (K @ v)) ** fi
-            v_new = (b_s / (K.T @ u_new)) ** fi
-            if _in_range(u_new) and _in_range(v_new):
+            np.dot(K, v, out=Kv)
+            np.divide(a_s, Kv, out=u_new)
+            np.power(u_new, fi, out=u_new)
+            np.dot(KT, u_new, out=Ku)
+            np.divide(b_s, Ku, out=v_new)
+            np.power(v_new, fi, out=v_new)
+            # False for any 0, inf or NaN as well.
+            if (_ABSORB_LO < np.minimum.reduce(w_new)
+                    and np.maximum.reduce(w_new) < _ABSORB_HI):
                 if not row_residual:
-                    stop = max(float(np.abs(np.log(u_new) - np.log(u)).max()),
-                               float(np.abs(np.log(v_new) - np.log(v)).max()))
-                u, v = u_new, v_new
+                    np.log(w_new, out=log_w_new)
+                    np.subtract(log_w_new, log_w, out=step)
+                    np.abs(step, out=step)
+                    stop = float(np.maximum.reduce(step))
+                    log_w, log_w_new = log_w_new, log_w
+                w, w_new = w_new, w
+                u, v, u_new, v_new = u_new, v_new, u, v
             else:
                 # fi > 0 here: at fi = 0 every scaling is exactly 1.
                 phi = f + np.log(u)
@@ -458,10 +471,11 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
                 g = -fi * _logsumexp(la[:, None] + G + f[:, None], axis=0)
                 stop = max(float(np.abs(f - phi).max()), float(np.abs(g - psi).max()))
                 K = a[:, None] * b[None, :] * np.exp(G + f[:, None] + g[None, :])
+                KT = K.T
                 a_s = a * np.exp(f * (1.0 - 1.0 / fi))
                 b_s = b * np.exp(g * (1.0 - 1.0 / fi))
-                u = np.ones_like(a)
-                v = np.ones_like(b)
+                w.fill(1.0)
+                log_w.fill(0.0)
                 absorbed = True
             if row_residual:
                 stop = float(np.abs(u * (K @ v) - a).max())

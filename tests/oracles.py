@@ -126,3 +126,32 @@ def km_survival_oracle(times, events):
         s *= 1.0 - deaths / n_at_risk
         out.append((t, s))
     return out
+
+
+def plain_scaling(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float,
+                  tau: float | None, max_iters: int, tol: float):
+    """Textbook plain-domain scaling for entropic transport, no stabilisation.
+
+    ``u = (a / K v)^fi, v = (b / K'u)^fi`` on ``K = (a x b) exp(-C/eps)``
+    with ``fi = tau / (tau + eps)``, or ``fi = 1`` (balanced) when tau is
+    None.  Stops on the row residual when balanced, else on the largest
+    change of log u and log v.  Returns (coupling, log u, log v, iterations).
+    """
+    fi = 1.0 if tau is None else tau / (tau + epsilon)
+    K = np.outer(a, b) * np.exp(-cost / epsilon)
+    u = np.ones(a.size)
+    v = np.ones(b.size)
+    for it in range(1, max_iters + 1):
+        u_next = (a / (K @ v)) ** fi
+        v_next = (b / (K.T @ u_next)) ** fi
+        if tau is None:
+            change = None
+        else:
+            change = max(np.abs(np.log(u_next) - np.log(u)).max(),
+                         np.abs(np.log(v_next) - np.log(v)).max())
+        u, v = u_next, v_next
+        if change is None:
+            change = np.abs(u * (K @ v) - a).max()
+        if change < tol:
+            break
+    return u[:, None] * K * v[None, :], np.log(u), np.log(v), it

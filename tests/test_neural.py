@@ -1,6 +1,7 @@
 """Differentiable components: forwards against closed forms, gradients
 against central finite differences, Adam against its scalar recurrence."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from otsurv.autodiff import Tape, backward
 from otsurv.bags import GenomicProfile, SurvivalRecord
-from otsurv.errors import ParameterError, ShapeError, StateError
+from otsurv.errors import FormatError, ParameterError, ShapeError, StateError
 from otsurv.microbatch import OTSettings
 from otsurv.neural import (SELU_ALPHA, SELU_LAMBDA, AdamState, adam_step,
                            attention_pool_t, dense_coattention_t,
@@ -384,3 +385,36 @@ def test_checkpoint_bit_exact_roundtrip(tmp_path):
         assert n1 == n2
         assert np.array_equal(t1, t2)
         assert t1.shape == t2.shape
+
+
+def _edit_manifest(ckpt_dir, edit):
+    path = ckpt_dir / "checkpoint.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_checkpoint_invalid_json_is_format_error(tmp_path):
+    save_checkpoint(tiny_params(seed=41), tmp_path)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(path.read_text(encoding="utf-8")[:-20], encoding="utf-8")
+    with pytest.raises(FormatError, match="checkpoint.json"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_missing_tensor_entry_is_format_error(tmp_path):
+    save_checkpoint(tiny_params(seed=42), tmp_path)
+    _edit_manifest(tmp_path, lambda doc: doc["tensors"].pop("hazard.w"))
+    with pytest.raises(FormatError, match="checkpoint.json.*hazard.w"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_shape_not_matching_blob_is_format_error(tmp_path):
+    save_checkpoint(tiny_params(seed=43), tmp_path)
+
+    def widen(doc):
+        doc["tensors"]["proj.w"]["shape"][0] += 1
+    _edit_manifest(tmp_path, widen)
+    with pytest.raises(FormatError, match="checkpoint.json.*proj.w"):
+        load_checkpoint(tmp_path)

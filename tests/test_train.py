@@ -1,7 +1,10 @@
 """Training harness: case forward, stop-gradient contract, whole-bag
 equivalence, fold protocol, and determinism."""
 
+import builtins
 import copy
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +276,54 @@ def test_cross_validate_report_schema_and_determinism(small_dataset, tmp_path):
     assert sorted(ids) == sorted(c.case_id for c in cases)
     lr = pooled_logrank(rep1, {c.case_id: c.record for c in cases})
     assert 0.0 <= lr.p_value <= 1.0
+
+
+@pytest.mark.parametrize("artifact", ["metrics.json", "risks.csv",
+                                      "fold0/checkpoint.json"])
+def test_failed_artifact_write_keeps_previous_file(small_dataset, tmp_path,
+                                                   monkeypatch, artifact):
+    config = ExperimentConfig(seed=3, folds=3, epochs=1, micro_batch=6, bins=3,
+                              grad_accum_steps=8)
+    cross_validate(small_dataset, config, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    target = tmp_path / artifact
+    previous = target.read_bytes()
+    real_open = builtins.open
+
+    class FailingWrites:
+        # Lets two writes through, then fails as a full disk would.
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(text)
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        path = Path(file) if isinstance(file, (str, Path)) else None
+        if ("w" in mode and path is not None and path.parent == target.parent
+                and target.name in path.name):
+            return FailingWrites(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_failing)
+    with pytest.raises(OSError, match="No space left"):
+        cross_validate(small_dataset, replace(config, seed=4), tmp_path)
+    monkeypatch.undo()
+    assert target.read_bytes() == previous
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_dense_mode_report_same_schema(small_dataset, tmp_path):

@@ -11,7 +11,7 @@ from otsurv.transport import (CostMatrix, Marginals, build_cost, normalize_cost,
                               sinkhorn, solve_exact_emd, unbalanced_sinkhorn,
                               uniform_marginals, write_plan)
 
-from oracles import lp_transport
+from oracles import lp_transport, plain_scaling
 
 
 def random_instance(rng, n, m, rational=False):
@@ -333,6 +333,29 @@ def test_uot_absorbed_duals_are_log_domain_fixed_point():
         psi = -fi * logsumexp(np.log(marg.source)[:, None] + G + phi[:, None], axis=0)
         assert np.abs(phi - plan.dual_source).max() < tol
         assert np.abs(psi - plan.dual_target).max() < tol
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([48, 128, 104]), st.sampled_from([None, 0.5]))
+@settings(max_examples=40, deadline=None)
+def test_scaling_solvers_match_plain_oracle_bitwise(seed, n, tau):
+    # Hot-path problems: a normalized cost between n patches and 6 genomic
+    # tokens at eps 0.05.  With no absorption, the kernel does the textbook
+    # arithmetic, so every bit of the plan must match the oracle.
+    rng = np.random.default_rng(seed)
+    C = normalize_cost(build_cost(rng.normal(size=(n, 64)), rng.normal(size=(6, 64))))
+    marg = uniform_marginals(n, 6)
+    if tau is None:
+        plan = sinkhorn(C, marg, 0.05)
+    else:
+        plan = unbalanced_sinkhorn(C, marg, 0.05, tau)
+    assert not plan.settings.log_domain
+    P, log_u, log_v, iterations = plain_scaling(C.values, marg.source, marg.target,
+                                                0.05, tau, 1000, 1e-6)
+    assert plan.iterations == iterations
+    assert plan.coupling.tobytes() == P.tobytes()
+    assert plan.dual_source.tobytes() == log_u.tobytes()
+    assert plan.dual_target.tobytes() == log_v.tobytes()
 
 
 def test_uot_rejects_negative_tau():
