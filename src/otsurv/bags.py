@@ -217,14 +217,12 @@ def _load_fbag(path: Path) -> np.ndarray:
     return data.reshape(m, d).astype(np.float64)
 
 
-def save_tensor64(array: np.ndarray, path) -> None:
-    """Write a float64 matrix in the 64-bit FBAG-layout variant (checkpoints)."""
+def tensor64_bytes(array: np.ndarray) -> bytes:
+    """Encode a float64 matrix in the 64-bit FBAG-layout variant (checkpoints)."""
     arr = np.atleast_2d(np.asarray(array, dtype=np.float64))
     m, d = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(FBAG64_MAGIC)
-        fh.write(struct.pack("<II", m, d))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return (FBAG64_MAGIC + struct.pack("<II", m, d)
+            + np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_tensor64(path) -> np.ndarray:
@@ -238,17 +236,19 @@ def load_tensor64(path) -> np.ndarray:
 
 
 @contextmanager
-def atomic_text_writer(path, newline=None):
-    """Open a UTF-8 text file that replaces ``path`` only once fully written.
+def atomic_writer(path, mode="w", newline=None):
+    """Open a file (UTF-8 text, or bytes for ``mode="wb"``) that replaces
+    ``path`` only once fully written.
 
-    The text goes to a temp file beside ``path``, which is synced and moved
+    The data goes to a temp file beside ``path``, which is synced and moved
     over ``path`` with ``os.replace`` on success and removed on failure, so
     a reader finds the previous file or the new one, never a partial one.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": newline}
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with open(tmp, mode, **text) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

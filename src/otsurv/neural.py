@@ -8,6 +8,7 @@ only the projection on top of them is trainable.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Var
-from .bags import GenomicProfile, atomic_text_writer, load_tensor64, save_tensor64
+from .bags import GenomicProfile, atomic_writer, load_tensor64, tensor64_bytes
 from .errors import FormatError, ParameterError
 
 # Standard self-normalizing-network constants.
@@ -228,33 +229,61 @@ def accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> Non
 
 
 def save_checkpoint(params: ModelParams, out_dir, step: int = 0) -> Path:
-    """JSON manifest plus one 64-bit tensor blob per parameter; bit-exact."""
+    """JSON manifest plus one 64-bit tensor blob per parameter; bit-exact.
+
+    A save replaces the checkpoint as one unit.  Each blob is named after a
+    digest of its bytes and written atomically, so no blob the current
+    manifest names is ever changed; the manifest is then replaced atomically,
+    and only after that are blobs it no longer names deleted.  A save that
+    fails removes the blobs it added and leaves the previous checkpoint
+    loadable as it was.
+    """
     out = Path(out_dir)
-    (out / "tensors").mkdir(parents=True, exist_ok=True)
-    entries = {}
-    for name, tensor in params.tensors():
-        fname = name.replace(".", "_") + ".bin"
-        save_tensor64(tensor, out / "tensors" / fname)
-        entries[name] = {"file": fname, "shape": list(tensor.shape)}
-    doc = {
-        "seed": params.seed,
-        "step": step,
-        "n_heads": params.n_heads,
-        "n_encoders": len(params.encoders),
-        "tensors": entries,
-    }
+    blob_dir = out / "tensors"
+    blob_dir.mkdir(parents=True, exist_ok=True)
+    present = {p.name for p in blob_dir.iterdir()}
+    entries, added = {}, []
     path = out / "checkpoint.json"
-    with atomic_text_writer(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        for name, tensor in params.tensors():
+            data = tensor64_bytes(tensor)
+            fname = f"{name.replace('.', '_')}.{hashlib.sha256(data).hexdigest()[:16]}.bin"
+            if fname not in present:
+                with atomic_writer(blob_dir / fname, "wb") as fh:
+                    fh.write(data)
+                added.append(fname)
+            entries[name] = {"file": fname, "shape": list(tensor.shape)}
+        doc = {
+            "seed": params.seed,
+            "step": step,
+            "n_heads": params.n_heads,
+            "n_encoders": len(params.encoders),
+            "tensors": entries,
+        }
+        with atomic_writer(path) as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except BaseException:
+        for fname in added:
+            (blob_dir / fname).unlink(missing_ok=True)
+        raise
+    named = {e["file"] for e in entries.values()}
+    for fname in present - named:
+        (blob_dir / fname).unlink(missing_ok=True)
     return path
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A manifest that is not JSON, lacks an entry, or gives a tensor a shape
-    its blob cannot take raises :class:`FormatError` naming the manifest.
+    A manifest that is not a JSON object with integer ``seed``, ``step``,
+    ``n_heads`` and ``n_encoders``, lacks a tensor entry, names a blob that
+    cannot be read, or gives a tensor a shape its blob cannot take raises
+    :class:`FormatError` naming the manifest.
     """
     out = Path(ckpt_dir)
     path = out / "checkpoint.json"
@@ -265,30 +294,43 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
+    for key in ("seed", "step", "n_heads", "n_encoders"):
+        if not _is_int(doc.get(key)):
+            raise FormatError(f"{path}: {key!r} must be an integer, got {doc.get(key)!r}")
+    entries = doc.get("tensors")
+    if not isinstance(entries, dict):
+        raise FormatError(f"{path}: 'tensors' must be a JSON object")
 
     def tensor(name):
-        entry = doc["tensors"][name]
-        arr = load_tensor64(out / "tensors" / entry["file"])
+        entry = entries.get(name)
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(_is_int(k) for k in entry["shape"])):
+            raise FormatError(f"{path}: tensor {name!r} needs an entry with a "
+                              f"'file' name and an integer 'shape' list")
+        try:
+            arr = load_tensor64(out / "tensors" / entry["file"])
+        except OSError as exc:
+            raise FormatError(f"{path}: cannot read the blob of tensor {name!r} "
+                              f"({exc})") from exc
         try:
             return arr.reshape(entry["shape"])
         except ValueError as exc:
             raise FormatError(f"{path}: tensor {name!r} has {arr.size} values in its "
                               f"blob, which do not fit shape {entry['shape']}") from exc
 
-    try:
-        encoders = [EncoderParams(tensor(f"enc.{j}.w1"), tensor(f"enc.{j}.b1"),
-                                  tensor(f"enc.{j}.w2"), tensor(f"enc.{j}.b2"))
-                    for j in range(doc["n_encoders"])]
-        attn = {side: AttentionParams(*[tensor(f"{side}.{k}")
-                                        for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
-                for side in ("attn_p", "attn_g")}
-        params = ModelParams(
-            proj_w=tensor("proj.w"), proj_b=tensor("proj.b"),
-            encoders=encoders, attn_p=attn["attn_p"], attn_g=attn["attn_g"],
-            hazard_w=tensor("hazard.w"), hazard_b=tensor("hazard.b"),
-            n_heads=int(doc["n_heads"]), seed=int(doc["seed"]),
-        )
-        step = int(doc["step"])
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing entry {exc}") from exc
-    return params, step
+    encoders = [EncoderParams(tensor(f"enc.{j}.w1"), tensor(f"enc.{j}.b1"),
+                              tensor(f"enc.{j}.w2"), tensor(f"enc.{j}.b2"))
+                for j in range(doc["n_encoders"])]
+    attn = {side: AttentionParams(*[tensor(f"{side}.{k}")
+                                    for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
+            for side in ("attn_p", "attn_g")}
+    params = ModelParams(
+        proj_w=tensor("proj.w"), proj_b=tensor("proj.b"),
+        encoders=encoders, attn_p=attn["attn_p"], attn_g=attn["attn_g"],
+        hazard_w=tensor("hazard.w"), hazard_b=tensor("hazard.b"),
+        n_heads=doc["n_heads"], seed=doc["seed"],
+    )
+    return params, doc["step"]

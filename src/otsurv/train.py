@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import Tape, Var, backward
 from .bags import (CaseManifest, GenomicProfile, SurvivalRecord, assign_bin,
-                   atomic_text_writer, discretize_times, load_bag,
+                   atomic_writer, discretize_times, load_bag,
                    load_genomic_profile)
 from .config import ExperimentConfig
 from .errors import DataError, NumericError, OtsurvError
@@ -303,10 +303,10 @@ def cross_validate(cases: list[CaseData], config: ExperimentConfig,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with atomic_text_writer(out / "metrics.json") as fh:
+        with atomic_writer(out / "metrics.json") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        with atomic_text_writer(out / "risks.csv", newline="") as fh:
+        with atomic_writer(out / "risks.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["case_id", "risk", "time_months", "censor", "fold"])
             for row in sorted(pooled):

@@ -440,7 +440,7 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     w, w_new = np.ones(n + b.size), np.empty(n + b.size)
     u, v = w[:n], w[n:]
     u_new, v_new = w_new[:n], w_new[n:]
-    log_w, log_w_new, step = np.zeros_like(w), np.empty_like(w), np.empty_like(w)
+    log_w, log_w_new = np.zeros_like(w), np.empty_like(w)
     Kv, Ku = np.empty_like(a), np.empty_like(b)
     absorbed = False
     stop = np.inf
@@ -457,9 +457,10 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
                     and np.maximum.reduce(w_new) < _ABSORB_HI):
                 if not row_residual:
                     np.log(w_new, out=log_w_new)
-                    np.subtract(log_w_new, log_w, out=step)
-                    np.abs(step, out=step)
-                    stop = float(np.maximum.reduce(step))
+                    # The old log_w is discarded by the swap, so it holds the step.
+                    np.subtract(log_w_new, log_w, out=log_w)
+                    np.abs(log_w, out=log_w)
+                    stop = float(np.maximum.reduce(log_w))
                     log_w, log_w_new = log_w_new, log_w
                 w, w_new = w_new, w
                 u, v, u_new, v_new = u_new, v_new, u, v

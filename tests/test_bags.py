@@ -12,7 +12,7 @@ from otsurv.bags import (CaseManifest, GenomicProfile, InstanceBag,
                          SurvivalRecord, assign_bin, discretize_times,
                          generate_synthetic_dataset, load_bag,
                          load_genomic_profile, load_manifest, load_tensor64,
-                         save_bag, save_genomic_profile, save_tensor64)
+                         save_bag, save_genomic_profile, tensor64_bytes)
 from otsurv.errors import DataError, FormatError, ParameterError
 
 
@@ -89,7 +89,7 @@ def test_binary_nan_payload_is_data_error(tmp_path):
 def test_tensor64_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     arr = rng.standard_normal((3, 4))
-    save_tensor64(arr, tmp_path / "t.bin")
+    (tmp_path / "t.bin").write_bytes(tensor64_bytes(arr))
     assert np.array_equal(load_tensor64(tmp_path / "t.bin"), arr)
 
 

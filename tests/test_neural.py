@@ -9,6 +9,7 @@ import pytest
 
 from otsurv.autodiff import Tape, backward
 from otsurv.bags import GenomicProfile, SurvivalRecord
+from otsurv import neural
 from otsurv.errors import FormatError, ParameterError, ShapeError, StateError
 from otsurv.microbatch import OTSettings
 from otsurv.neural import (SELU_ALPHA, SELU_LAMBDA, AdamState, adam_step,
@@ -418,3 +419,67 @@ def test_checkpoint_shape_not_matching_blob_is_format_error(tmp_path):
     _edit_manifest(tmp_path, widen)
     with pytest.raises(FormatError, match="checkpoint.json.*proj.w"):
         load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(step="x"),
+    lambda doc: doc.update(n_heads="four"),
+    lambda doc: doc.update(seed=1.5),
+    lambda doc: doc.update(tensors=[]),
+    lambda doc: doc["tensors"]["proj.b"].update(shape=8),
+    lambda doc: doc["tensors"]["proj.b"].update(file="gone.bin"),
+], ids=["step", "n_heads", "seed", "tensors", "shape", "blob"])
+def test_checkpoint_malformed_manifest_is_format_error(tmp_path, edit):
+    save_checkpoint(tiny_params(seed=44), tmp_path)
+    _edit_manifest(tmp_path, edit)
+    with pytest.raises(FormatError, match="checkpoint.json"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_manifest_not_an_object_is_format_error(tmp_path):
+    save_checkpoint(tiny_params(seed=45), tmp_path)
+    (tmp_path / "checkpoint.json").write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(FormatError, match="checkpoint.json"):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("fail_at", ["third blob", "manifest"])
+def test_failed_checkpoint_save_keeps_previous_checkpoint(tmp_path, monkeypatch,
+                                                          fail_at):
+    old = tiny_params(seed=1)
+    save_checkpoint(old, tmp_path, step=1)
+    files = sorted(tmp_path.rglob("*"))
+    calls = []
+
+    def failing(real):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            if fail_at == "manifest" or len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            return real(*args, **kwargs)
+        return wrapped
+
+    if fail_at == "manifest":
+        monkeypatch.setattr(neural.json, "dump", failing(json.dump))
+    else:
+        monkeypatch.setattr(neural, "tensor64_bytes", failing(neural.tensor64_bytes))
+    new = tiny_params(seed=2)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(new, tmp_path, step=2)
+    monkeypatch.undo()
+
+    assert sorted(tmp_path.rglob("*")) == files
+    loaded, step = load_checkpoint(tmp_path)
+    assert (step, loaded.seed) == (1, 1)
+    for (_, t_old), (_, t_loaded) in zip(old.tensors(), loaded.tensors()):
+        assert t_old.tobytes() == t_loaded.tobytes()
+
+    # The next save succeeds and leaves only the blobs its manifest names.
+    save_checkpoint(new, tmp_path, step=2)
+    loaded, step = load_checkpoint(tmp_path)
+    assert (step, loaded.seed) == (2, 2)
+    for (_, t_new), (_, t_loaded) in zip(new.tensors(), loaded.tensors()):
+        assert t_new.tobytes() == t_loaded.tobytes()
+    named = {e["file"] for e in json.loads(
+        (tmp_path / "checkpoint.json").read_text(encoding="utf-8"))["tensors"].values()}
+    assert {p.name for p in (tmp_path / "tensors").iterdir()} == named

@@ -17,7 +17,7 @@ from otsurv.config import ExperimentConfig
 from otsurv.errors import DataError
 from otsurv.microbatch import OTSettings, solve_batch
 from otsurv.neural import (attention_pool_t, encode_genomic_t, hazard_t,
-                           init_params, project_t, wrap_params)
+                           init_params, load_checkpoint, project_t, wrap_params)
 from otsurv.survival import PROB_EPS
 from otsurv.train import (CaseData, ablation_sweep, case_forward,
                           case_loss_and_grads, case_risk, cross_validate,
@@ -288,6 +288,7 @@ def test_failed_artifact_write_keeps_previous_file(small_dataset, tmp_path,
     before = sorted(tmp_path.rglob("*"))
     target = tmp_path / artifact
     previous = target.read_bytes()
+    params, step = load_checkpoint(tmp_path / "fold0")
     real_open = builtins.open
 
     class FailingWrites:
@@ -323,7 +324,19 @@ def test_failed_artifact_write_keeps_previous_file(small_dataset, tmp_path,
         cross_validate(small_dataset, replace(config, seed=4), tmp_path)
     monkeypatch.undo()
     assert target.read_bytes() == previous
-    assert sorted(tmp_path.rglob("*")) == before
+    after = sorted(tmp_path.rglob("*"))
+    assert not [p for p in after if p.name.endswith(".tmp")]
+    if artifact != "fold0/checkpoint.json":
+        # The folds' checkpoints were saved anew, under new blob names.
+        assert [p for p in after if p.parent.name != "tensors"] == \
+            [p for p in before if p.parent.name != "tensors"]
+    else:
+        # The manifest write failed after the new blobs: the old ones stay.
+        assert after == before
+        loaded, loaded_step = load_checkpoint(tmp_path / "fold0")
+        assert loaded_step == step
+        for (_, t), (_, t_loaded) in zip(params.tensors(), loaded.tensors()):
+            assert t.tobytes() == t_loaded.tobytes()
 
 
 def test_dense_mode_report_same_schema(small_dataset, tmp_path):
