@@ -30,9 +30,6 @@ import numpy as np
 from .errors import DataError, FormatError, ParameterError
 
 FBAG_MAGIC = b"FBAG"
-# 64-bit variant used for checkpoint tensors, where bit-exact float64
-# round-trips are required.  Same layout, different payload width.
-FBAG64_MAGIC = b"FBG8"
 
 CSV_FLOAT_FMT = "%.9g"
 
@@ -217,24 +214,6 @@ def _load_fbag(path: Path) -> np.ndarray:
     return data.reshape(m, d).astype(np.float64)
 
 
-def tensor64_bytes(array: np.ndarray) -> bytes:
-    """Encode a float64 matrix in the 64-bit FBAG-layout variant (checkpoints)."""
-    arr = np.atleast_2d(np.asarray(array, dtype=np.float64))
-    m, d = arr.shape
-    return (FBAG64_MAGIC + struct.pack("<II", m, d)
-            + np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_tensor64(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != FBAG64_MAGIC:
-        raise FormatError(f"{path}: missing FBG8 magic")
-    m, d = struct.unpack("<II", raw[4:12])
-    if len(raw) != 12 + 8 * m * d:
-        raise FormatError(f"{path}: truncated tensor blob")
-    return np.frombuffer(raw, dtype="<f8", offset=12).reshape(m, d).copy()
-
-
 @contextmanager
 def atomic_writer(path, mode="w", newline=None):
     """Open a file (UTF-8 text, or bytes for ``mode="wb"``) that replaces
@@ -328,8 +307,8 @@ def save_manifest(manifest: CaseManifest, path) -> Path:
     return path
 
 
-def load_manifest(path, validate: bool = True) -> CaseManifest:
-    """Load a manifest; with validate=True every referenced file must exist and parse."""
+def load_manifest(path) -> CaseManifest:
+    """Load a manifest; the files it names are read by ``train.load_cases``."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"manifest does not exist: {path}")
@@ -353,14 +332,6 @@ def load_manifest(path, validate: bool = True) -> CaseManifest:
         manifest = CaseManifest(cases, int(doc["feature_dim"]), spec, root=path.parent)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: missing or malformed field: {exc}") from exc
-    if validate:
-        for c in manifest.cases:
-            bag = load_bag(manifest.resolve(c.pathology_feature_path), "binary",
-                           modality="pathology", case_id=c.case_id)
-            if bag.dim != manifest.feature_dim:
-                raise DataError(f"{c.case_id}: pathology dim {bag.dim} != manifest "
-                                f"feature_dim {manifest.feature_dim}")
-            load_genomic_profile(manifest.resolve(c.genomic_profile_path), spec, c.case_id)
     return manifest
 
 

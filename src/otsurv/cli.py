@@ -196,7 +196,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_km(args) -> int:
-    manifest = bags.load_manifest(args.manifest, validate=False)
+    manifest = bags.load_manifest(args.manifest)
     risks_by_id: dict[str, float] = {}
     with open(args.risks, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")

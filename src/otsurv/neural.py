@@ -8,7 +8,8 @@ only the projection on top of them is trainable.
 
 from __future__ import annotations
 
-import hashlib
+import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Var
-from .bags import GenomicProfile, atomic_writer, load_tensor64, tensor64_bytes
+from .bags import GenomicProfile, atomic_writer
 from .errors import FormatError, ParameterError
 
 # Standard self-normalizing-network constants.
@@ -229,47 +230,27 @@ def accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> Non
 
 
 def save_checkpoint(params: ModelParams, out_dir, step: int = 0) -> Path:
-    """JSON manifest plus one 64-bit tensor blob per parameter; bit-exact.
+    """Write ``checkpoint.json``: seed, step, head and encoder counts, and
+    per tensor its shape and the base64 of its little-endian float64 bytes.
 
-    A save replaces the checkpoint as one unit.  Each blob is named after a
-    digest of its bytes and written atomically, so no blob the current
-    manifest names is ever changed; the manifest is then replaced atomically,
-    and only after that are blobs it no longer names deleted.  A save that
-    fails removes the blobs it added and leaves the previous checkpoint
-    loadable as it was.
+    The file is replaced atomically, so a save that fails leaves the previous
+    checkpoint as it was.  Reloads are bit-exact.
     """
     out = Path(out_dir)
-    blob_dir = out / "tensors"
-    blob_dir.mkdir(parents=True, exist_ok=True)
-    present = {p.name for p in blob_dir.iterdir()}
-    entries, added = {}, []
+    out.mkdir(parents=True, exist_ok=True)
+    doc = {
+        "seed": params.seed,
+        "step": step,
+        "n_heads": params.n_heads,
+        "n_encoders": len(params.encoders),
+        "tensors": {name: {"shape": list(t.shape),
+                           "data": base64.b64encode(t.astype("<f8").tobytes()).decode()}
+                    for name, t in params.tensors()},
+    }
     path = out / "checkpoint.json"
-    try:
-        for name, tensor in params.tensors():
-            data = tensor64_bytes(tensor)
-            fname = f"{name.replace('.', '_')}.{hashlib.sha256(data).hexdigest()[:16]}.bin"
-            if fname not in present:
-                with atomic_writer(blob_dir / fname, "wb") as fh:
-                    fh.write(data)
-                added.append(fname)
-            entries[name] = {"file": fname, "shape": list(tensor.shape)}
-        doc = {
-            "seed": params.seed,
-            "step": step,
-            "n_heads": params.n_heads,
-            "n_encoders": len(params.encoders),
-            "tensors": entries,
-        }
-        with atomic_writer(path) as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except BaseException:
-        for fname in added:
-            (blob_dir / fname).unlink(missing_ok=True)
-        raise
-    named = {e["file"] for e in entries.values()}
-    for fname in present - named:
-        (blob_dir / fname).unlink(missing_ok=True)
+    with atomic_writer(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
     return path
 
 
@@ -280,22 +261,21 @@ def _is_int(x) -> bool:
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A manifest that is not a JSON object with integer ``seed``, ``step``,
-    ``n_heads`` and ``n_encoders``, lacks a tensor entry, names a blob that
-    cannot be read, or gives a tensor a shape its blob cannot take raises
-    :class:`FormatError` naming the manifest.
+    A file that is not a JSON object with integer ``seed``, ``step``,
+    ``n_heads`` and ``n_encoders``, lacks a tensor entry, or has a tensor
+    whose ``data`` is not base64 of float64 values filling its integer
+    ``shape`` raises :class:`FormatError` naming the file.
     """
-    out = Path(ckpt_dir)
-    path = out / "checkpoint.json"
+    path = Path(ckpt_dir) / "checkpoint.json"
     if not path.exists():
-        raise FormatError(f"no checkpoint manifest at {path}")
+        raise FormatError(f"no checkpoint at {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise FormatError(f"{path}: manifest is not a JSON object")
+        raise FormatError(f"{path}: checkpoint is not a JSON object")
     for key in ("seed", "step", "n_heads", "n_encoders"):
         if not _is_int(doc.get(key)):
             raise FormatError(f"{path}: {key!r} must be an integer, got {doc.get(key)!r}")
@@ -305,21 +285,18 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
 
     def tensor(name):
         entry = entries.get(name)
-        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
+        if not (isinstance(entry, dict) and isinstance(entry.get("data"), str)
                 and isinstance(entry.get("shape"), list)
                 and all(_is_int(k) for k in entry["shape"])):
             raise FormatError(f"{path}: tensor {name!r} needs an entry with a "
-                              f"'file' name and an integer 'shape' list")
+                              f"'data' string and an integer 'shape' list")
         try:
-            arr = load_tensor64(out / "tensors" / entry["file"])
-        except OSError as exc:
-            raise FormatError(f"{path}: cannot read the blob of tensor {name!r} "
+            raw = base64.b64decode(entry["data"], validate=True)
+            return np.frombuffer(raw, "<f8").reshape(entry["shape"]).copy()
+        except (binascii.Error, ValueError) as exc:
+            raise FormatError(f"{path}: tensor {name!r}: 'data' is not base64 of "
+                              f"float64 values filling shape {entry['shape']} "
                               f"({exc})") from exc
-        try:
-            return arr.reshape(entry["shape"])
-        except ValueError as exc:
-            raise FormatError(f"{path}: tensor {name!r} has {arr.size} values in its "
-                              f"blob, which do not fit shape {entry['shape']}") from exc
 
     encoders = [EncoderParams(tensor(f"enc.{j}.w1"), tensor(f"enc.{j}.b1"),
                               tensor(f"enc.{j}.w2"), tensor(f"enc.{j}.b2"))

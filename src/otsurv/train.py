@@ -71,6 +71,9 @@ def load_cases(manifest: CaseManifest) -> list[CaseData]:
     for entry in manifest.cases:
         bag = load_bag(manifest.resolve(entry.pathology_feature_path), "binary",
                        "pathology", entry.case_id)
+        if bag.dim != manifest.feature_dim:
+            raise DataError(f"{entry.case_id}: pathology dim {bag.dim} != manifest "
+                            f"feature_dim {manifest.feature_dim}")
         profile = load_genomic_profile(manifest.resolve(entry.genomic_profile_path),
                                        manifest.category_spec, entry.case_id)
         record = SurvivalRecord(entry.time_months, entry.censor)
@@ -228,12 +231,13 @@ def train_fold(cases: list[CaseData], train_idx, val_idx,
     adam = AdamState.for_params(params)
     settings = _ot_settings(config)
 
-    best_ci = -np.inf
+    # evaluate depends only on the parameters, so the best epoch's pass is
+    # the fold's result.
     best_params = deepcopy(params)
-    best_epoch = -1
+    best_ci, best_risks, best_epoch = -np.inf, {}, -1
     epoch_losses: list[float] = []
     if config.epochs == 0:
-        best_ci, _ = evaluate(params, val_cases, config, fold)
+        best_ci, best_risks = evaluate(params, val_cases, config, fold)
         best_epoch = 0
 
     for epoch in range(config.epochs):
@@ -256,12 +260,11 @@ def train_fold(cases: list[CaseData], train_idx, val_idx,
         if pending:
             _apply_step(params, grads, adam, config, pending)
         epoch_losses.append(total_loss / len(train_cases))
-        ci, _ = evaluate(params, val_cases, config, fold)
+        ci, risks = evaluate(params, val_cases, config, fold)
         if ci > best_ci:
-            best_ci, best_params, best_epoch = ci, deepcopy(params), epoch
+            best_ci, best_risks, best_params, best_epoch = ci, risks, deepcopy(params), epoch
 
-    final_ci, risks = evaluate(best_params, val_cases, config, fold)
-    return (FoldResult(fold, final_ci, risks, epoch_losses, best_epoch), best_params)
+    return FoldResult(fold, best_ci, best_risks, epoch_losses, best_epoch), best_params
 
 
 def _apply_step(params, grads, adam, config, count):
@@ -279,9 +282,8 @@ def cross_validate(cases: list[CaseData], config: ExperimentConfig,
         result, best_params = train_fold(cases, train_idx, val_idx, config, fold)
         fold_results.append(result)
         if out_dir is not None:
-            fold_dir = Path(out_dir) / f"fold{fold}"
-            fold_dir.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(best_params, fold_dir, step=result.best_epoch)
+            save_checkpoint(best_params, Path(out_dir) / f"fold{fold}",
+                            step=result.best_epoch)
 
     cis = np.array([r.c_index for r in fold_results])
     report = {
@@ -354,7 +356,7 @@ def ablation_sweep(cases: list[CaseData], config: ExperimentConfig,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
+        with atomic_writer(out / "ablation.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["mode", "m", "fold", "c_index", "status"])
             for row in rows:

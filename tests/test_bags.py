@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from otsurv.bags import (CaseManifest, GenomicProfile, InstanceBag,
                          SurvivalRecord, assign_bin, discretize_times,
                          generate_synthetic_dataset, load_bag,
-                         load_genomic_profile, load_manifest, load_tensor64,
-                         save_bag, save_genomic_profile, tensor64_bytes)
+                         load_genomic_profile, load_manifest, save_bag,
+                         save_genomic_profile)
 from otsurv.errors import DataError, FormatError, ParameterError
+from otsurv.train import load_cases
 
 
 def test_bag_validation_rejects_nan():
@@ -84,13 +85,6 @@ def test_binary_nan_payload_is_data_error(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError):
         load_bag(path, "binary")
-
-
-def test_tensor64_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(2)
-    arr = rng.standard_normal((3, 4))
-    (tmp_path / "t.bin").write_bytes(tensor64_bytes(arr))
-    assert np.array_equal(load_tensor64(tmp_path / "t.bin"), arr)
 
 
 def test_genomic_profile_roundtrip(tmp_path):
@@ -204,10 +198,10 @@ def test_manifest_roundtrip_and_validation(tmp_path):
     loaded = load_manifest(tmp_path / "manifest.json")
     assert loaded.feature_dim == 5
     assert [c.case_id for c in loaded.cases] == [c.case_id for c in man.cases]
-    # deleting a referenced file must fail validation
+    # deleting a referenced file must fail when the cases are read
     (tmp_path / man.cases[0].pathology_feature_path).unlink()
     with pytest.raises(FormatError):
-        load_manifest(tmp_path / "manifest.json")
+        load_cases(load_manifest(tmp_path / "manifest.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -379,13 +379,15 @@ def test_adam_weight_decay_pulls_toward_zero():
 def test_checkpoint_bit_exact_roundtrip(tmp_path):
     params = tiny_params(seed=40)
     save_checkpoint(params, tmp_path, step=17)
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
     loaded, step = load_checkpoint(tmp_path)
     assert step == 17
     assert loaded.n_heads == params.n_heads
     for (n1, t1), (n2, t2) in zip(params.tensors(), loaded.tensors()):
         assert n1 == n2
-        assert np.array_equal(t1, t2)
+        assert t1.tobytes() == t2.tobytes()
         assert t1.shape == t2.shape
+        assert t2.flags.writeable  # Adam updates loaded tensors in place
 
 
 def _edit_manifest(ckpt_dir, edit):
@@ -427,8 +429,11 @@ def test_checkpoint_shape_not_matching_blob_is_format_error(tmp_path):
     lambda doc: doc.update(seed=1.5),
     lambda doc: doc.update(tensors=[]),
     lambda doc: doc["tensors"]["proj.b"].update(shape=8),
-    lambda doc: doc["tensors"]["proj.b"].update(file="gone.bin"),
-], ids=["step", "n_heads", "seed", "tensors", "shape", "blob"])
+    lambda doc: doc["tensors"]["proj.b"].update(data="not base64!"),
+    # 63 of the 64 bytes: not a whole number of float64 values.
+    lambda doc: doc["tensors"]["proj.b"].update(
+        data=doc["tensors"]["proj.b"]["data"][:-4]),
+], ids=["step", "n_heads", "seed", "tensors", "shape", "data", "short data"])
 def test_checkpoint_malformed_manifest_is_format_error(tmp_path, edit):
     save_checkpoint(tiny_params(seed=44), tmp_path)
     _edit_manifest(tmp_path, edit)
@@ -443,43 +448,46 @@ def test_checkpoint_manifest_not_an_object_is_format_error(tmp_path):
         load_checkpoint(tmp_path)
 
 
-@pytest.mark.parametrize("fail_at", ["third blob", "manifest"])
+@pytest.mark.parametrize("fail_at", ["third write", "manifest"])
 def test_failed_checkpoint_save_keeps_previous_checkpoint(tmp_path, monkeypatch,
                                                           fail_at):
     old = tiny_params(seed=1)
     save_checkpoint(old, tmp_path, step=1)
-    files = sorted(tmp_path.rglob("*"))
-    calls = []
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+    real_dump = json.dump
 
-    def failing(real):
-        def wrapped(*args, **kwargs):
-            calls.append(1)
-            if fail_at == "manifest" or len(calls) == 3:
+    class FailingWrites:
+        # Lets two writes through, then fails as a full disk would.
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
                 raise OSError(28, "No space left on device")
-            return real(*args, **kwargs)
-        return wrapped
+            return self.fh.write(text)
 
-    if fail_at == "manifest":
-        monkeypatch.setattr(neural.json, "dump", failing(json.dump))
-    else:
-        monkeypatch.setattr(neural, "tensor64_bytes", failing(neural.tensor64_bytes))
+    def failing_dump(doc, fh, **kwargs):
+        if fail_at == "manifest":
+            raise OSError(28, "No space left on device")
+        real_dump(doc, FailingWrites(fh), **kwargs)
+
+    monkeypatch.setattr(neural.json, "dump", failing_dump)
     new = tiny_params(seed=2)
     with pytest.raises(OSError, match="No space left"):
         save_checkpoint(new, tmp_path, step=2)
     monkeypatch.undo()
 
-    assert sorted(tmp_path.rglob("*")) == files
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == files
     loaded, step = load_checkpoint(tmp_path)
     assert (step, loaded.seed) == (1, 1)
     for (_, t_old), (_, t_loaded) in zip(old.tensors(), loaded.tensors()):
         assert t_old.tobytes() == t_loaded.tobytes()
 
-    # The next save succeeds and leaves only the blobs its manifest names.
+    # The next save succeeds and replaces the one file.
     save_checkpoint(new, tmp_path, step=2)
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
     loaded, step = load_checkpoint(tmp_path)
     assert (step, loaded.seed) == (2, 2)
     for (_, t_new), (_, t_loaded) in zip(new.tensors(), loaded.tensors()):
         assert t_new.tobytes() == t_loaded.tobytes()
-    named = {e["file"] for e in json.loads(
-        (tmp_path / "checkpoint.json").read_text(encoding="utf-8"))["tensors"].values()}
-    assert {p.name for p in (tmp_path / "tensors").iterdir()} == named

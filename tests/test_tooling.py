@@ -1,13 +1,16 @@
 """Package surface and the experiment scripts."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import otsurv
+from otsurv.cli import main as otsurv_main
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+REPO = Path(__file__).resolve().parents[1]
+SCRIPTS = REPO / "scripts"
 
 
 def run_script(name, out, *extra):
@@ -36,3 +39,28 @@ def test_ablation_script_smoke(tmp_path):
     assert res.returncode == 0, res.stderr
     lines = (tmp_path / "ablation.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 5  # header + modes x folds
+
+
+def test_train_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # At micro-batch 256 and dim 64 the projection's matmuls are large enough
+    # for OpenBLAS to split them across two threads.
+    data = tmp_path / "data"
+    assert otsurv_main(["gen-synth", "--out", str(data), "--n-cases", "20",
+                        "--m-p", "300", "--dim", "64", "--seed", "3"]) == 0
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(REPO / "src"),
+                                               os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}"
+        res = subprocess.run([sys.executable, "-m", "otsurv.cli", "train",
+                              "--manifest", str(data / "manifest.json"),
+                              "--out", str(out), "--folds", "2", "--epochs", "2",
+                              "--micro-batch", "256", "--grad-accum-steps", "4"],
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        runs[threads] = {p.relative_to(out).as_posix(): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()}
+    assert sorted(runs["1"]) == ["fold0/checkpoint.json", "fold1/checkpoint.json",
+                                 "metrics.json", "risks.csv"]
+    assert runs["1"] == runs["2"]

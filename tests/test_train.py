@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from otsurv.autodiff import Tape, backward
-from otsurv.bags import (GenomicProfile, SurvivalRecord,
-                         generate_synthetic_dataset)
+from otsurv.bags import (GenomicProfile, InstanceBag, SurvivalRecord,
+                         discretize_times, generate_synthetic_dataset, save_bag)
 from otsurv import train
 from otsurv.config import ExperimentConfig
 from otsurv.errors import DataError
@@ -21,8 +21,8 @@ from otsurv.neural import (attention_pool_t, encode_genomic_t, hazard_t,
 from otsurv.survival import PROB_EPS
 from otsurv.train import (CaseData, ablation_sweep, case_forward,
                           case_loss_and_grads, case_risk, cross_validate,
-                          derive_seed, fold_splits, load_cases, pooled_logrank,
-                          train_fold)
+                          derive_seed, evaluate, fold_splits, load_cases,
+                          pooled_logrank, train_fold)
 
 ATTR_DIMS = [3, 4, 5]
 
@@ -238,6 +238,18 @@ def small_dataset(tmp_path_factory):
     return load_cases(manifest)
 
 
+def test_load_cases_rejects_bag_dim_not_feature_dim(tmp_path):
+    manifest = generate_synthetic_dataset(
+        n_cases=10, M_p=6, M_g=3, d=5, signal_fraction=0.4, noise_scale=0.2,
+        censor_rate=0.2, seed=2, output_dir=tmp_path)
+    entry = manifest.cases[3]
+    save_bag(InstanceBag(np.ones((6, 4)), "pathology", entry.case_id),
+             manifest.resolve(entry.pathology_feature_path))
+    with pytest.raises(DataError, match=f"{entry.case_id}: pathology dim 4 != "
+                                        f"manifest feature_dim 5"):
+        load_cases(manifest)
+
+
 def test_train_fold_runs_and_improves_fit(small_dataset):
     cases = small_dataset
     splits = fold_splits(len(cases), 3, seed=0)
@@ -259,6 +271,32 @@ def test_epochs_zero_evaluates_untrained(small_dataset):
     assert 0.0 <= result.c_index <= 1.0
 
 
+@pytest.mark.parametrize("mode,epochs", [("umbot", 3), ("dense", 2), ("umbot", 0)])
+def test_train_fold_result_is_the_best_epochs_evaluation(small_dataset, monkeypatch,
+                                                         mode, epochs):
+    cases = small_dataset
+    train_idx, val_idx = fold_splits(len(cases), 3, seed=0)[0]
+    config = ExperimentConfig(seed=0, folds=3, epochs=epochs, micro_batch=6, bins=3,
+                              grad_accum_steps=4, attention_mode=mode)
+    calls = []
+
+    def counting_evaluate(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(train, "evaluate", counting_evaluate)
+    result, best = train_fold(cases, train_idx, val_idx, config, 0)
+    monkeypatch.undo()
+    assert len(calls) == max(epochs, 1)
+    edges, _ = discretize_times([cases[i].record for i in train_idx], config.bins)
+    val_cases = [train._with_bins(cases, edges)[i] for i in val_idx]
+    ci, risks = evaluate(best, val_cases, config, 0)
+    assert np.float64(result.c_index).tobytes() == np.float64(ci).tobytes()
+    assert list(result.risks) == list(risks)
+    assert np.array(list(result.risks.values())).tobytes() == \
+        np.array(list(risks.values())).tobytes()
+
+
 def test_cross_validate_report_schema_and_determinism(small_dataset, tmp_path):
     cases = small_dataset
     config = ExperimentConfig(seed=3, folds=3, epochs=1, micro_batch=6, bins=3,
@@ -278,6 +316,44 @@ def test_cross_validate_report_schema_and_determinism(small_dataset, tmp_path):
     assert 0.0 <= lr.p_value <= 1.0
 
 
+class FailingWrites:
+    """Lets two writes through, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 2:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(text)
+
+
+def fail_writes_to(monkeypatch, target: Path):
+    """Files opened for writing beside ``target`` under a name containing its
+    name (``target`` itself or a temp file for it) fail at their third write."""
+    real_open = builtins.open
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        path = Path(file) if isinstance(file, (str, Path)) else None
+        if ("w" in mode and path is not None and path.parent == target.parent
+                and target.name in path.name):
+            return FailingWrites(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_failing)
+
+
 @pytest.mark.parametrize("artifact", ["metrics.json", "risks.csv",
                                       "fold0/checkpoint.json"])
 def test_failed_artifact_write_keeps_previous_file(small_dataset, tmp_path,
@@ -289,50 +365,14 @@ def test_failed_artifact_write_keeps_previous_file(small_dataset, tmp_path,
     target = tmp_path / artifact
     previous = target.read_bytes()
     params, step = load_checkpoint(tmp_path / "fold0")
-    real_open = builtins.open
-
-    class FailingWrites:
-        # Lets two writes through, then fails as a full disk would.
-        def __init__(self, fh):
-            self.fh, self.writes = fh, 0
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def __getattr__(self, name):
-            return getattr(self.fh, name)
-
-        def write(self, text):
-            self.writes += 1
-            if self.writes > 2:
-                raise OSError(28, "No space left on device")
-            return self.fh.write(text)
-
-    def open_failing(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        path = Path(file) if isinstance(file, (str, Path)) else None
-        if ("w" in mode and path is not None and path.parent == target.parent
-                and target.name in path.name):
-            return FailingWrites(fh)
-        return fh
-
-    monkeypatch.setattr(builtins, "open", open_failing)
+    fail_writes_to(monkeypatch, target)
     with pytest.raises(OSError, match="No space left"):
         cross_validate(small_dataset, replace(config, seed=4), tmp_path)
     monkeypatch.undo()
     assert target.read_bytes() == previous
     after = sorted(tmp_path.rglob("*"))
-    assert not [p for p in after if p.name.endswith(".tmp")]
-    if artifact != "fold0/checkpoint.json":
-        # The folds' checkpoints were saved anew, under new blob names.
-        assert [p for p in after if p.parent.name != "tensors"] == \
-            [p for p in before if p.parent.name != "tensors"]
-    else:
-        # The manifest write failed after the new blobs: the old ones stay.
-        assert after == before
+    assert after == before
+    if artifact == "fold0/checkpoint.json":
         loaded, loaded_step = load_checkpoint(tmp_path / "fold0")
         assert loaded_step == step
         for (_, t), (_, t_loaded) in zip(params.tensors(), loaded.tensors()):
@@ -365,3 +405,19 @@ def test_ablation_sweep_records_otsurv_errors_and_propagates_bugs(small_dataset,
     monkeypatch.setattr(train, "train_fold", type_error)
     with pytest.raises(TypeError, match="bug in the training code"):
         ablation_sweep(small_dataset, config, [6], ["umbot"])
+
+
+def test_failed_ablation_write_keeps_previous_csv(small_dataset, tmp_path,
+                                                  monkeypatch):
+    config = ExperimentConfig(seed=0, folds=3, epochs=1, micro_batch=6, bins=3,
+                              attention_mode="dense")
+    ablation_sweep(small_dataset, config, [6], ["dense"], tmp_path)
+    target = tmp_path / "ablation.csv"
+    previous = target.read_bytes()
+    fail_writes_to(monkeypatch, target)
+    with pytest.raises(OSError, match="No space left"):
+        ablation_sweep(small_dataset, replace(config, seed=1), [6], ["dense"],
+                       tmp_path)
+    monkeypatch.undo()
+    assert target.read_bytes() == previous
+    assert list(tmp_path.iterdir()) == [target]
