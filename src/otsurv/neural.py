@@ -272,8 +272,8 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: checkpoint is not a JSON object")
     for key in ("seed", "step", "n_heads", "n_encoders"):

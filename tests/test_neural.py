@@ -406,6 +406,13 @@ def test_checkpoint_invalid_json_is_format_error(tmp_path):
         load_checkpoint(tmp_path)
 
 
+def test_checkpoint_not_utf8_is_format_error(tmp_path):
+    save_checkpoint(tiny_params(seed=41), tmp_path)
+    (tmp_path / "checkpoint.json").write_bytes(b"\xff\xfe{}")
+    with pytest.raises(FormatError, match="checkpoint.json"):
+        load_checkpoint(tmp_path)
+
+
 def test_checkpoint_missing_tensor_entry_is_format_error(tmp_path):
     save_checkpoint(tiny_params(seed=42), tmp_path)
     _edit_manifest(tmp_path, lambda doc: doc["tensors"].pop("hazard.w"))
