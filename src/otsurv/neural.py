@@ -9,7 +9,6 @@ only the projection on top of them is trainable.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import math
 from dataclasses import dataclass, field
@@ -293,7 +292,7 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
         try:
             raw = base64.b64decode(entry["data"], validate=True)
             return np.frombuffer(raw, "<f8").reshape(entry["shape"]).copy()
-        except (binascii.Error, ValueError) as exc:
+        except ValueError as exc:  # binascii.Error is a ValueError
             raise FormatError(f"{path}: tensor {name!r}: 'data' is not base64 of "
                               f"float64 values filling shape {entry['shape']} "
                               f"({exc})") from exc
