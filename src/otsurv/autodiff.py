@@ -78,8 +78,16 @@ class Tape:
              (b, lambda g, a=a: a.value.T @ g)),
         )
 
-    def transpose(self, a: Var) -> Var:
-        return self._emit(a.value.T, ((a, lambda g: g.T),))
+    def linear(self, x: Var, w: Var, b: Var) -> Var:
+        """``x @ w + b`` as one node, with the VJPs of ``matmul`` and ``add``."""
+        if x.value.shape[-1] != w.value.shape[0]:
+            raise ShapeError(f"linear shapes {x.shape} @ {w.shape}")
+        return self._emit(
+            x.value @ w.value + b.value,
+            ((x, lambda g, w=w: g @ w.value.T),
+             (w, lambda g, x=x: x.value.T @ g),
+             (b, lambda g, s=b.value.shape: _unbroadcast(g, s))),
+        )
 
     def add(self, a: Var, b: Var) -> Var:
         return self._emit(
@@ -113,8 +121,9 @@ class Tape:
     def selu(self, a: Var, alpha: float, lam: float) -> Var:
         x = a.value
         pos = x > 0
-        y = lam * np.where(pos, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
-        deriv = lam * np.where(pos, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
+        e = np.exp(np.minimum(x, 0.0))
+        y = lam * np.where(pos, x, alpha * (e - 1.0))
+        deriv = lam * np.where(pos, 1.0, alpha * e)
         return self._emit(y, ((a, lambda g, d=deriv: g * d),))
 
     def sigmoid(self, a: Var) -> Var:
@@ -122,16 +131,6 @@ class Tape:
         z = np.exp(-np.abs(x))  # never overflows; saturates to exact 0/1
         s = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
         return self._emit(s, ((a, lambda g, s=s: g * s * (1.0 - s)),))
-
-    def softmax_rows(self, a: Var) -> Var:
-        z = a.value - a.value.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        s = e / e.sum(axis=1, keepdims=True)
-
-        def vjp(g, s=s):
-            return s * (g - np.sum(g * s, axis=1, keepdims=True))
-
-        return self._emit(s, ((a, vjp),))
 
     def log(self, a: Var) -> Var:
         return self._emit(np.log(a.value), ((a, lambda g, a=a: g / a.value),))
@@ -149,14 +148,6 @@ class Tape:
             a.value.mean(axis=0, keepdims=True),
             ((a, lambda g, n=n, shape=a.value.shape: np.broadcast_to(g / n, shape).copy()),),
         )
-
-    def col_slice(self, a: Var, j0: int, j1: int) -> Var:
-        def vjp(g, shape=a.value.shape, j0=j0, j1=j1):
-            out = np.zeros(shape)
-            out[:, j0:j1] = g
-            return out
-
-        return self._emit(a.value[:, j0:j1].copy(), ((a, vjp),))
 
     def concat_cols(self, parts: list[Var]) -> Var:
         widths = [p.value.shape[1] for p in parts]
@@ -183,6 +174,53 @@ class Tape:
             return out
 
         return self._emit(a.value[i, j], ((a, vjp),))
+
+    # -- attention ------------------------------------------------------------
+
+    def attention(self, q: Var, k: Var, v: Var, n_heads: int, scale: float) -> Var:
+        """Multi-head softmax attention as one node.
+
+        Column block h of ``q``, ``k`` and ``v`` belongs to head h, which
+        computes ``softmax(scale * q_h @ k_h.T) @ v_h`` over its rows; the
+        heads' outputs are concatenated column-wise, shape (n_q, v width).
+        Query and key row counts may differ.
+
+        The heads run as C-contiguous ``(H, n, dh)`` stacks, so every
+        ``matmul`` hands each head's 2-D operands to BLAS gemm with the
+        same layout and transpose flags as separate per-head products: the
+        value and gradients are bitwise those of the per-head chain.  The
+        first VJP call computes all three gradients; the others reuse them.
+        """
+        (_, d), (n_k, d_k), (n_v, d_v) = q.shape, k.shape, v.shape
+        if d != d_k or n_v != n_k or d % n_heads or d_v % n_heads:
+            raise ShapeError(f"attention shapes q {q.shape}, k {k.shape}, v {v.shape} "
+                             f"with {n_heads} heads")
+
+        def split(x):  # (n, H * dh) -> C-contiguous (H, n, dh)
+            return np.ascontiguousarray(
+                x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2))
+
+        def merge(x):  # (H, n, dh) -> (n, H * dh)
+            return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+        sq, sk, sv = split(q.value), split(k.value), split(v.value)
+        logits = (sq @ sk.transpose(0, 2, 1)) * scale
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        s = e / e.sum(axis=-1, keepdims=True)
+        grads = []
+
+        def vjp(g, i):
+            if not grads:
+                g_out = split(g)
+                g_s = g_out @ sv.transpose(0, 2, 1)
+                g_logits = s * (g_s - np.sum(g_s * s, axis=-1, keepdims=True)) * scale
+                grads.extend((merge(g_logits @ sk),
+                              merge((sq.transpose(0, 2, 1) @ g_logits).transpose(0, 2, 1)),
+                              merge(s.transpose(0, 2, 1) @ g_out)))
+            return grads[i]
+
+        return self._emit(merge(s @ sv),
+                          tuple((x, lambda g, i=i: vjp(g, i)) for i, x in enumerate((q, k, v))))
 
 
 def backward(tape: Tape, root: Var) -> None:

@@ -315,8 +315,8 @@ def load_manifest(path) -> CaseManifest:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     try:
         spec = [(c["name"], int(c["dim"])) for c in doc["category_spec"]]
         cases = [
@@ -330,7 +330,7 @@ def load_manifest(path) -> CaseManifest:
             for c in doc["cases"]
         ]
         manifest = CaseManifest(cases, int(doc["feature_dim"]), spec, root=path.parent)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed field: {exc}") from exc
     return manifest
 

@@ -122,7 +122,7 @@ def wrap_params(tape: Tape, params: ModelParams) -> dict[str, Var]:
 
 def project_t(tape: Tape, pv: dict[str, Var], raw: Var) -> Var:
     """Trainable linear map on top of frozen instance features."""
-    return tape.add(tape.matmul(raw, pv["proj.w"]), pv["proj.b"])
+    return tape.linear(raw, pv["proj.w"], pv["proj.b"])
 
 
 def encode_genomic_t(tape: Tape, pv: dict[str, Var], profile: GenomicProfile) -> Var:
@@ -130,29 +130,20 @@ def encode_genomic_t(tape: Tape, pv: dict[str, Var], profile: GenomicProfile) ->
     rows = []
     for j, (_, attrs) in enumerate(profile.categories):
         x = tape.const(attrs[None, :])
-        h = tape.selu(tape.add(tape.matmul(x, pv[f"enc.{j}.w1"]), pv[f"enc.{j}.b1"]),
+        h = tape.selu(tape.linear(x, pv[f"enc.{j}.w1"], pv[f"enc.{j}.b1"]),
                       SELU_ALPHA, SELU_LAMBDA)
-        rows.append(tape.add(tape.matmul(h, pv[f"enc.{j}.w2"]), pv[f"enc.{j}.b2"]))
+        rows.append(tape.linear(h, pv[f"enc.{j}.w2"], pv[f"enc.{j}.b2"]))
     return tape.concat_rows(rows)
 
 
 def attention_pool_t(tape: Tape, pv: dict[str, Var], side: str, tokens: Var,
                      n_heads: int) -> Var:
     """Multi-head self-attention with a residual, then mean pooling."""
-    d = tokens.value.shape[1]
-    dh = d // n_heads
-    q = tape.add(tape.matmul(tokens, pv[f"{side}.wq"]), pv[f"{side}.bq"])
-    k = tape.add(tape.matmul(tokens, pv[f"{side}.wk"]), pv[f"{side}.bk"])
-    v = tape.add(tape.matmul(tokens, pv[f"{side}.wv"]), pv[f"{side}.bv"])
-    heads = []
-    for h in range(n_heads):
-        qh = tape.col_slice(q, h * dh, (h + 1) * dh)
-        kh = tape.col_slice(k, h * dh, (h + 1) * dh)
-        vh = tape.col_slice(v, h * dh, (h + 1) * dh)
-        logits = tape.scale(tape.matmul(qh, tape.transpose(kh)), 1.0 / math.sqrt(dh))
-        heads.append(tape.matmul(tape.softmax_rows(logits), vh))
-    mixed = tape.add(tape.matmul(tape.concat_cols(heads), pv[f"{side}.wo"]),
-                     pv[f"{side}.bo"])
+    dh = tokens.value.shape[1] // n_heads
+    q, k, v = (tape.linear(tokens, pv[f"{side}.w{x}"], pv[f"{side}.b{x}"])
+               for x in "qkv")
+    heads = tape.attention(q, k, v, n_heads, 1.0 / math.sqrt(dh))
+    mixed = tape.linear(heads, pv[f"{side}.wo"], pv[f"{side}.bo"])
     return tape.mean_rows(tape.add(tokens, mixed))
 
 
@@ -161,14 +152,13 @@ def dense_coattention_t(tape: Tape, queries: Var, keys: Var, values: Var,
     """Differentiable softmax co-attention (the dense comparison arm)."""
     if scale <= 0:
         raise ParameterError(f"scale must be > 0, got {scale}")
-    logits = tape.scale(tape.matmul(queries, tape.transpose(keys)), 1.0 / scale)
-    return tape.matmul(tape.softmax_rows(logits), values)
+    return tape.attention(queries, keys, values, 1, 1.0 / scale)
 
 
 def hazard_t(tape: Tape, pv: dict[str, Var], pooled_p: Var, pooled_g: Var) -> Var:
     """sigmoid(linear(concat)) over the discrete time bins; shape (1, T)."""
     joint = tape.concat_cols([pooled_p, pooled_g])
-    return tape.sigmoid(tape.add(tape.matmul(joint, pv["hazard.w"]), pv["hazard.b"]))
+    return tape.sigmoid(tape.linear(joint, pv["hazard.w"], pv["hazard.b"]))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +209,7 @@ def extract_grads(pv: dict[str, Var]) -> dict[str, np.ndarray]:
 def accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:
     for name, g in part.items():
         if name in total:
-            total[name] = total[name] + g
+            np.add(total[name], g, out=total[name])
         else:
             total[name] = g.copy()
 

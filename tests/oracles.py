@@ -155,3 +155,34 @@ def plain_scaling(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
         if change < tol:
             break
     return u[:, None] * K * v[None, :], np.log(u), np.log(v), it
+
+
+def per_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+                       scale: float, g: np.ndarray):
+    """Multi-head softmax attention and its VJP, one head at a time on 2-D
+    column slices, as a chain of per-head tape ops computes them.
+
+    Head h copies out its column block of q, k and v, takes
+    ``softmax(scale * q_h @ k_h.T) @ v_h``, and writes its block of the
+    output.  The backward replays each op's VJP in reverse for the output
+    cotangent ``g``: ``g_s = g_h @ v_h.T``, the row-softmax VJP times
+    ``scale``, then ``g_l @ k_h``, ``(q_h.T @ g_l).T`` and ``s.T @ g_h``.
+    Returns (out, dq, dk, dv).
+    """
+    dh, dv_h = q.shape[1] // n_heads, v.shape[1] // n_heads
+    out = np.zeros((q.shape[0], v.shape[1]))
+    dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+    for h in range(n_heads):
+        cols, vcols = slice(h * dh, (h + 1) * dh), slice(h * dv_h, (h + 1) * dv_h)
+        qh, kh, vh = q[:, cols].copy(), k[:, cols].copy(), v[:, vcols].copy()
+        logits = (qh @ kh.T) * scale
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        s = e / e.sum(axis=1, keepdims=True)
+        out[:, vcols] = s @ vh
+        gh = g[:, vcols].copy()
+        g_s = gh @ vh.T
+        g_logits = s * (g_s - np.sum(g_s * s, axis=1, keepdims=True)) * scale
+        dq[:, cols] = g_logits @ kh
+        dk[:, cols] = (qh.T @ g_logits).T
+        dv[:, vcols] = s.T @ gh
+    return out, dq, dk, dv

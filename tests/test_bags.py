@@ -1,5 +1,6 @@
 """Data model, file formats, synthetic generation, discretization."""
 
+import json
 import math
 import warnings
 
@@ -202,6 +203,25 @@ def test_manifest_roundtrip_and_validation(tmp_path):
     (tmp_path / man.cases[0].pathology_feature_path).unlink()
     with pytest.raises(FormatError):
         load_cases(load_manifest(tmp_path / "manifest.json"))
+
+
+@pytest.mark.parametrize("field, value", [(None, None), ("dim", "abc"),
+                                          ("time_months", "soon")],
+                         ids=["not utf-8", "dim", "time_months"])
+def test_manifest_malformed_is_format_error_naming_file(tmp_path, field, value):
+    generate_synthetic_dataset(n_cases=10, M_p=6, M_g=3, d=5, signal_fraction=0.4,
+                               noise_scale=0.2, censor_rate=0.2, seed=2,
+                               output_dir=tmp_path)
+    path = tmp_path / "manifest.json"
+    if field is None:
+        path.write_bytes(b"\xff\xfe{}")
+    else:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        entry = doc["category_spec"][0] if field == "dim" else doc["cases"][0]
+        entry[field] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FormatError, match="manifest.json"):
+        load_manifest(path)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,13 @@ def test_config_unknown_key_named(tmp_path):
         load_config(path)
 
 
+def test_config_not_utf8_is_config_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="bad.json"):
+        load_config(path)
+
+
 def test_config_invalid_values_rejected():
     with pytest.raises(ConfigError):
         ExperimentConfig(attention_mode="fancy")
@@ -270,6 +277,16 @@ def test_cli_bad_config_key_exit_code(tmp_path):
     assert res.returncode == 2
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert "bogus_key" in err["message"]
+
+
+def test_cli_config_not_utf8_exit_code(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b"\xff\xfe{}")
+    res = run_cli("train", "--manifest", tmp_path / "none.json",
+                  "--out", tmp_path / "run", "--config", cfg_path)
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_class"] == "ConfigError" and "cfg.json" in err["message"]
 
 
 def km_inputs(tmp_path):

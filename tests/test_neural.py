@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import central_difference_grad, per_head_attention
 from otsurv.autodiff import Tape, backward
 from otsurv.bags import GenomicProfile, SurvivalRecord
 from otsurv import neural
@@ -281,6 +284,105 @@ def test_gradcheck_dense_coattention():
 
     names = ["enc.0.w1", "enc.1.w2"]
     assert _grad_check_layer(loss, params, names) <= 1e-5
+
+
+def _gradcheck_op(op, arrays, n_coords=15, seed=0):
+    """Worst relative error of the tape gradients of sum(op(...)**2) with
+    respect to each array against central differences."""
+    def loss(tape, inputs):
+        out = op(tape, *inputs)
+        return total(tape, tape.mul(out, out))
+
+    def loss_at():
+        tape = Tape()
+        return float(loss(tape, [tape.const(a) for a in arrays.values()]).value)
+
+    tape = Tape()
+    leaves = [tape.leaf(a.copy()) for a in arrays.values()]
+    backward(tape, loss(tape, leaves))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for name, leaf in zip(arrays, leaves):
+        for _ in range(n_coords):
+            idx = tuple(rng.integers(0, s) for s in arrays[name].shape)
+            fd = central_difference_grad(loss_at, arrays, name, idx)
+            ga = float(leaf.grad[idx])
+            worst = max(worst, abs(fd - ga) / max(abs(fd), abs(ga), 1e-8))
+    return worst
+
+
+def test_gradcheck_linear():
+    rng = np.random.default_rng(16)
+    arrays = {"x": rng.standard_normal((5, 8)), "w": rng.standard_normal((8, 3)),
+              "b": rng.standard_normal((1, 3))}
+    assert _gradcheck_op(Tape.linear, arrays) <= 1e-6
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_gradcheck_attention(n_heads):
+    rng = np.random.default_rng(17)
+    arrays = {"q": rng.standard_normal((3, 8)), "k": rng.standard_normal((5, 8)),
+              "v": rng.standard_normal((5, 8))}
+
+    def op(tape, q, k, v):
+        return tape.attention(q, k, v, n_heads, 0.5)
+
+    assert _gradcheck_op(op, arrays) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Fused ops: bitwise equal to the chains of single ops they replace
+
+
+TOKENS = [6, 48, 104, 128]
+
+
+@given(st.sampled_from([1, 2, 4]), st.sampled_from(TOKENS), st.sampled_from(TOKENS),
+       st.sampled_from([0.1, 1.0, 10.0]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_attention_bitwise_equals_per_head_oracle(n_heads, n_q, n_k, spread, seed):
+    rng = np.random.default_rng(seed)
+    q, k, v, g = (spread * rng.standard_normal((n, 64)) for n in (n_q, n_k, n_k, n_q))
+    scale = 1.0 / math.sqrt(64 // n_heads)
+    tape = Tape()
+    out = tape.attention(tape.leaf(q), tape.leaf(k), tape.leaf(v), n_heads, scale)
+    want_out, *want_grads = per_head_attention(q, k, v, n_heads, scale, g)
+    assert out.shape == want_out.shape
+    assert out.value.tobytes() == want_out.tobytes()
+    # Whichever VJP runs first computes all three gradients.
+    vjps = [vjp for _, vjp in out.backrefs]
+    for i in (2, 0, 1):
+        got = vjps[i](g)
+        assert got.shape == want_grads[i].shape
+        assert got.tobytes() == want_grads[i].tobytes()
+
+
+def test_attention_shape_mismatch_is_shape_error():
+    tape = Tape()
+    q, k = tape.const(np.ones((3, 8))), tape.const(np.ones((5, 6)))
+    with pytest.raises(ShapeError):
+        tape.attention(q, k, k, 2, 1.0)
+    with pytest.raises(ShapeError):
+        tape.attention(q, q, q, 3, 1.0)
+
+
+@given(st.sampled_from([1, 6, 48, 104]), st.sampled_from([8, 64, 128]),
+       st.sampled_from([4, 64]), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_linear_bitwise_equals_matmul_add_chain(n, d_in, d_out, seed):
+    rng = np.random.default_rng(seed)
+    arrays = (rng.standard_normal((n, d_in)), rng.standard_normal((d_in, d_out)),
+              rng.standard_normal((1, d_out)))
+    target = rng.standard_normal((n, d_out))
+    runs = []
+    for fused in (True, False):
+        tape = Tape()
+        x, w, b = (tape.leaf(a) for a in arrays)
+        out = tape.linear(x, w, b) if fused else tape.add(tape.matmul(x, w), b)
+        diff = tape.add(out, tape.const(-target))
+        backward(tape, total(tape, tape.mul(diff, diff)))
+        runs.append([out.value.tobytes()] + [leaf.grad.tobytes() for leaf in (x, w, b)])
+    assert runs[0] == runs[1]
 
 
 def test_single_linear_sigmoid_nll_matches_hand_gradient():

@@ -1,12 +1,15 @@
 """Package surface and the experiment scripts."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import otsurv
+from otsurv.autodiff import Tape
 from otsurv.cli import main as otsurv_main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -24,6 +27,16 @@ def test_every_exported_name_resolves():
     missing = [name for name in otsurv.__all__ if not hasattr(otsurv, name)]
     assert missing == []
     assert len(set(otsurv.__all__)) == len(otsurv.__all__)
+
+
+def test_every_tape_op_has_a_caller():
+    # An op that a fusion leaves without callers is dead code: delete it.
+    sources = [*(REPO / "src" / "otsurv").glob("*.py"), REPO / "tests" / "test_acceptance.py"]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in sources)
+    ops = [name for name, _ in inspect.getmembers(Tape, inspect.isfunction)
+           if not name.startswith("_")]
+    assert ops
+    assert [op for op in ops if not re.search(rf"\btape\.{op}\(", text)] == []
 
 
 def test_end_to_end_script_smoke(tmp_path):
