@@ -37,7 +37,7 @@ class Var:
     def __init__(self, value, backrefs=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.backrefs = backrefs  # tuple of (parent Var, vjp callable)
+        self.backrefs = backrefs  # tuple of (parent Var, vjp callable); None on a const
 
     @property
     def shape(self):
@@ -63,9 +63,8 @@ class Tape:
         return self._emit(value)
 
     def const(self, value) -> Var:
-        """A non-differentiable input; backward never reaches past it."""
-        node = Var(value)
-        return node
+        """A non-differentiable input; backward computes no gradient for it."""
+        return Var(value, None)
 
     # -- linear algebra ----------------------------------------------------
 
@@ -224,7 +223,7 @@ class Tape:
 
 
 def backward(tape: Tape, root: Var) -> None:
-    """Accumulate gradients of ``root`` into every reachable Var's ``.grad``."""
+    """Accumulate gradients of ``root`` into every reachable non-const Var's ``.grad``."""
     if tape.consumed:
         raise StateError("tape already consumed by a previous backward pass")
     if root.value.shape != ():
@@ -235,6 +234,8 @@ def backward(tape: Tape, root: Var) -> None:
         if node.grad is None:
             continue
         for parent, vjp in node.backrefs:
+            if parent.backrefs is None:  # a const: its gradient is never read
+                continue
             contrib = vjp(node.grad)
             if parent.grad is None:
                 parent.grad = np.zeros(parent.value.shape)

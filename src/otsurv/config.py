@@ -18,6 +18,10 @@ from .transport import COST_METRICS
 
 ATTENTION_MODES = ("umbot", "emd", "dense")
 
+# Annotation -> accepted types.  A bool is an int to Python, but a value of
+# true in an int or float field is a mistake, so only a bool field takes one.
+_ACCEPTS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -36,6 +40,11 @@ class ExperimentConfig:
     normalize_cost: bool = True
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _ACCEPTS[f.type])
+                    or (isinstance(value, bool) and f.type != "bool")):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.attention_mode not in ATTENTION_MODES:
             raise ConfigError(f"attention_mode must be one of {ATTENTION_MODES}, "
                               f"got {self.attention_mode!r}")
@@ -64,7 +73,8 @@ _FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a JSON config; unknown keys are rejected by name."""
+    """Read a JSON config; unknown keys and wrongly typed values are
+    rejected by name, with the file's path."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file does not exist: {path}")
@@ -78,7 +88,10 @@ def load_config(path) -> ExperimentConfig:
     unknown = sorted(set(doc) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    return ExperimentConfig(**doc)
+    try:
+        return ExperimentConfig(**doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def merge_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:

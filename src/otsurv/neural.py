@@ -11,7 +11,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,62 +25,40 @@ SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
 
 
-@dataclass
-class EncoderParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
-class AttentionParams:
-    wq: np.ndarray
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wo: np.ndarray
-    bo: np.ndarray
+def param_names(n_encoders: int) -> list[str]:
+    """Every parameter name, in the one order that :meth:`ModelParams.tensors`,
+    Adam state, gradient dicts and checkpoints share."""
+    names = ["proj.w", "proj.b"]
+    for j in range(n_encoders):
+        names += [f"enc.{j}.{k}" for k in ("w1", "b1", "w2", "b2")]
+    for side in ("attn_p", "attn_g"):
+        names += [f"{side}.{k}" for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+    return names + ["hazard.w", "hazard.b"]
 
 
 @dataclass
 class ModelParams:
-    """All trainable tensors, with deterministic naming for optimizer state."""
+    """All trainable tensors by name, in :func:`param_names` order; biases are 1-D."""
 
-    proj_w: np.ndarray
-    proj_b: np.ndarray
-    encoders: list[EncoderParams]
-    attn_p: AttentionParams
-    attn_g: AttentionParams
-    hazard_w: np.ndarray
-    hazard_b: np.ndarray
+    arrays: dict[str, np.ndarray]
     n_heads: int = 4
-    seed: int = field(default=0)
+    seed: int = 0
 
     def tensors(self):
-        """Yield (name, array) in a fixed order."""
-        yield "proj.w", self.proj_w
-        yield "proj.b", self.proj_b
-        for j, enc in enumerate(self.encoders):
-            yield f"enc.{j}.w1", enc.w1
-            yield f"enc.{j}.b1", enc.b1
-            yield f"enc.{j}.w2", enc.w2
-            yield f"enc.{j}.b2", enc.b2
-        for side, attn in (("attn_p", self.attn_p), ("attn_g", self.attn_g)):
-            for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
-                yield f"{side}.{key}", getattr(attn, key)
-        yield "hazard.w", self.hazard_w
-        yield "hazard.b", self.hazard_b
+        """The (name, array) pairs; the arrays are the live ones."""
+        return self.arrays.items()
 
     @property
     def dim(self) -> int:
-        return self.proj_w.shape[1]
+        return self.arrays["proj.w"].shape[1]
 
     @property
     def n_bins(self) -> int:
-        return self.hazard_w.shape[1]
+        return self.arrays["hazard.w"].shape[1]
+
+    @property
+    def n_encoders(self) -> int:
+        return sum(1 for n in self.arrays if n.startswith("enc.") and n.endswith(".w1"))
 
 
 def init_params(d_in: int, d: int, attr_dims: list[int], n_bins: int,
@@ -93,27 +71,29 @@ def init_params(d_in: int, d: int, attr_dims: list[int], n_bins: int,
     def linear(fan_in, fan_out):
         return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, fan_out))
 
-    def attention():
-        return AttentionParams(
-            wq=linear(d, d), bq=np.zeros(d), wk=linear(d, d), bk=np.zeros(d),
-            wv=linear(d, d), bv=np.zeros(d), wo=linear(d, d), bo=np.zeros(d),
-        )
+    # The weights are drawn in this order, not in name order: every
+    # encoder's w1 then w2, the projection, attn_p, attn_g, the hazard head.
+    # Seeded runs depend on it.
+    weights = {}
+    for j, dj in enumerate(attr_dims):
+        weights[f"enc.{j}.w1"] = linear(dj, d)
+        weights[f"enc.{j}.w2"] = linear(d, d)
+    weights["proj.w"] = linear(d_in, d)
+    for side in ("attn_p", "attn_g"):
+        for x in "qkvo":
+            weights[f"{side}.w{x}"] = linear(d, d)
+    weights["hazard.w"] = linear(2 * d, n_bins)
 
-    encoders = [EncoderParams(w1=linear(dj, d), b1=np.zeros(d),
-                              w2=linear(d, d), b2=np.zeros(d))
-                for dj in attr_dims]
-    return ModelParams(
-        proj_w=linear(d_in, d), proj_b=np.zeros(d),
-        encoders=encoders,
-        attn_p=attention(), attn_g=attention(),
-        hazard_w=linear(2 * d, n_bins), hazard_b=np.zeros(n_bins),
-        n_heads=n_heads, seed=seed,
-    )
+    # Every bias is zero and d wide, but the hazard head's, which has a bin each.
+    arrays = {name: weights[name] if name in weights
+              else np.zeros(n_bins if name == "hazard.b" else d)
+              for name in param_names(len(attr_dims))}
+    return ModelParams(arrays, n_heads=n_heads, seed=seed)
 
 
 def wrap_params(tape: Tape, params: ModelParams) -> dict[str, Var]:
-    """Wrap every tensor as a tape leaf; biases become (1, k) rows."""
-    return {name: tape.leaf(np.atleast_2d(t)) for name, t in params.tensors()}
+    """Wrap every tensor as a tape leaf; a 1-D bias broadcasts over rows."""
+    return {name: tape.leaf(t) for name, t in params.tensors()}
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +170,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     for name, tensor in params.tensors():
         if name not in grads:
             continue
-        g = grads[name].reshape(tensor.shape)
+        g = grads[name]
         if weight_decay:
             g = g + weight_decay * tensor
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
@@ -231,7 +211,7 @@ def save_checkpoint(params: ModelParams, out_dir, step: int = 0) -> Path:
         "seed": params.seed,
         "step": step,
         "n_heads": params.n_heads,
-        "n_encoders": len(params.encoders),
+        "n_encoders": params.n_encoders,
         "tensors": {name: {"shape": list(t.shape),
                            "data": base64.b64encode(t.astype("<f8").tobytes()).decode()}
                     for name, t in params.tensors()},
@@ -251,9 +231,11 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     A file that is not a JSON object with integer ``seed``, ``step``,
-    ``n_heads`` and ``n_encoders``, lacks a tensor entry, or has a tensor
-    whose ``data`` is not base64 of float64 values filling its integer
-    ``shape`` raises :class:`FormatError` naming the file.
+    ``n_heads`` >= 1 and ``n_encoders`` >= 0, lacks a tensor entry of
+    :func:`param_names`, has a tensor whose ``data`` is not base64 of float64
+    values filling its integer ``shape``, or has a ``proj.w`` that is not a
+    matrix whose width ``n_heads`` divides raises :class:`FormatError` naming
+    the file.
     """
     path = Path(ckpt_dir) / "checkpoint.json"
     if not path.exists():
@@ -268,6 +250,9 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
     for key in ("seed", "step", "n_heads", "n_encoders"):
         if not _is_int(doc.get(key)):
             raise FormatError(f"{path}: {key!r} must be an integer, got {doc.get(key)!r}")
+    if doc["n_heads"] < 1 or doc["n_encoders"] < 0:
+        raise FormatError(f"{path}: need 'n_heads' >= 1 and 'n_encoders' >= 0, got "
+                          f"{doc['n_heads']} and {doc['n_encoders']}")
     entries = doc.get("tensors")
     if not isinstance(entries, dict):
         raise FormatError(f"{path}: 'tensors' must be a JSON object")
@@ -287,16 +272,10 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
                               f"float64 values filling shape {entry['shape']} "
                               f"({exc})") from exc
 
-    encoders = [EncoderParams(tensor(f"enc.{j}.w1"), tensor(f"enc.{j}.b1"),
-                              tensor(f"enc.{j}.w2"), tensor(f"enc.{j}.b2"))
-                for j in range(doc["n_encoders"])]
-    attn = {side: AttentionParams(*[tensor(f"{side}.{k}")
-                                    for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
-            for side in ("attn_p", "attn_g")}
-    params = ModelParams(
-        proj_w=tensor("proj.w"), proj_b=tensor("proj.b"),
-        encoders=encoders, attn_p=attn["attn_p"], attn_g=attn["attn_g"],
-        hazard_w=tensor("hazard.w"), hazard_b=tensor("hazard.b"),
-        n_heads=doc["n_heads"], seed=doc["seed"],
-    )
+    params = ModelParams({name: tensor(name) for name in param_names(doc["n_encoders"])},
+                         n_heads=doc["n_heads"], seed=doc["seed"])
+    proj_w = params.arrays["proj.w"]
+    if proj_w.ndim != 2 or params.dim % params.n_heads:
+        raise FormatError(f"{path}: 'proj.w' must be a matrix whose width 'n_heads' "
+                          f"{params.n_heads} divides, got shape {list(proj_w.shape)}")
     return params, doc["step"]

@@ -181,12 +181,6 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals, max_pivots: int = 100_000
     b *= total / b.sum()
 
     settings = SolverSettings(max_iters=max_pivots)
-    if n == 1 and m == 1:
-        P = np.array([[total]])
-        return TransportPlan(P, float(total * cost[0, 0]), 0.0, 0, True, settings,
-                             dual_source=np.zeros(1), dual_target=cost[0].copy(),
-                             duality_gap=0.0)
-
     # Northwest-corner initial basis: a staircase of n+m-1 cells.
     alloc = np.zeros((n, m))
     basis: list[tuple[int, int]] = []

@@ -76,6 +76,24 @@ def test_config_invalid_values_rejected():
         ExperimentConfig(tau=-0.5)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "x"), ("epochs", 2.5), ("micro_batch", 3.7), ("lr", "0.1"),
+    ("normalize_cost", "no"), ("seed", True), ("lr", False), ("attention_mode", 1),
+])
+def test_config_wrong_type_named_with_file(tmp_path, key, value):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=f"typed.json.*{key}"):
+        load_config(path)
+
+
+def test_config_float_field_takes_int_unconverted(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"lr": 1, "tau": 0}))
+    cfg = load_config(path)
+    assert (type(cfg.lr), cfg.lr, type(cfg.tau)) == (int, 1, int)
+
+
 def test_merge_overrides_flags_win():
     cfg = ExperimentConfig(seed=1, epochs=5)
     merged = merge_overrides(cfg, {"epochs": 7, "seed": None})
@@ -277,6 +295,17 @@ def test_cli_bad_config_key_exit_code(tmp_path):
     assert res.returncode == 2
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert "bogus_key" in err["message"]
+
+
+def test_cli_config_wrong_type_exit_code(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"epochs": "x"}')
+    res = run_cli("train", "--manifest", tmp_path / "none.json",
+                  "--out", tmp_path / "run", "--config", cfg_path)
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_class"] == "ConfigError"
+    assert "cfg.json" in err["message"] and "epochs" in err["message"]
 
 
 def test_cli_config_not_utf8_exit_code(tmp_path):

@@ -103,8 +103,8 @@ def identity_params(case, seed=0):
     """Model whose projection is the identity, so projected == raw bitwise."""
     d = case.pathology_raw.shape[1]
     params = init_params(d, d, case.profile.attr_dims(), 3, n_heads=1, seed=seed)
-    params.proj_w[:] = np.eye(d)
-    params.proj_b[:] = 0.0
+    params.arrays["proj.w"][:] = np.eye(d)
+    params.arrays["proj.b"][:] = 0.0
     return params
 
 

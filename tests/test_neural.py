@@ -58,9 +58,9 @@ def hazards(H_p, H_g, params):
 
 def test_encoder_zero_params_gives_zero_bag():
     params = tiny_params()
-    for enc in params.encoders:
-        enc.w1[:] = 0
-        enc.w2[:] = 0
+    for j in range(2):
+        params.arrays[f"enc.{j}.w1"][:] = 0
+        params.arrays[f"enc.{j}.w2"][:] = 0
     rng = np.random.default_rng(0)
     out = encode(rand_profile(rng), params)
     assert np.all(out == 0.0)
@@ -71,11 +71,8 @@ def test_encoder_identity_selu_scaling():
     # identity first layer, identity second layer, positive inputs:
     # output = lambda * x because SELU is lambda*x on the positive branch
     params = init_params(3, 3, [3], 4, n_heads=3, seed=0)
-    enc = params.encoders[0]
-    enc.w1[:] = np.eye(3)
-    enc.b1[:] = 0
-    enc.w2[:] = np.eye(3)
-    enc.b2[:] = 0
+    for key in ("w1", "w2"):
+        params.arrays[f"enc.0.{key}"][:] = np.eye(3)
     x = np.array([0.5, 1.0, 2.0])
     out = encode(GenomicProfile([("c", x)], "p"), params)
     assert np.allclose(out[0], SELU_LAMBDA * x, atol=1e-12)
@@ -87,10 +84,10 @@ def test_encoder_matches_manual_forward():
     profile = rand_profile(rng)
     out = encode(profile, params)
     for j, (_, attrs) in enumerate(profile.categories):
-        enc = params.encoders[j]
-        pre = attrs @ enc.w1 + enc.b1
+        w1, b1, w2, b2 = (params.arrays[f"enc.{j}.{k}"] for k in ("w1", "b1", "w2", "b2"))
+        pre = attrs @ w1 + b1
         hidden = SELU_LAMBDA * np.where(pre > 0, pre, SELU_ALPHA * (np.exp(pre) - 1))
-        want = hidden @ enc.w2 + enc.b2
+        want = hidden @ w2 + b2
         assert np.allclose(out[j], want, atol=1e-10)
 
 
@@ -110,9 +107,9 @@ def test_aggregate_single_token_closed_form():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((1, 8))
     pooled = pool(x, params, "attn_p")
-    attn = params.attn_p
-    v = x @ attn.wv + attn.bv
-    want = (x + (v @ attn.wo + attn.bo))[0]
+    attn = params.arrays
+    v = x @ attn["attn_p.wv"] + attn["attn_p.bv"]
+    want = (x + (v @ attn["attn_p.wo"] + attn["attn_p.bo"]))[0]
     assert np.allclose(pooled, want, atol=1e-12)
 
 
@@ -145,16 +142,16 @@ def test_aggregate_empty_bag_rejected():
 
 def test_hazard_zero_params_is_half():
     params = tiny_params()
-    params.hazard_w[:] = 0
-    params.hazard_b[:] = 0
+    params.arrays["hazard.w"][:] = 0
+    params.arrays["hazard.b"][:] = 0
     h = hazards(np.ones(8), np.ones(8), params)
     assert np.allclose(h, 0.5)
 
 
 def test_hazard_saturates_with_large_bias():
     params = tiny_params()
-    params.hazard_w[:] = 0
-    params.hazard_b[:] = 50.0
+    params.arrays["hazard.w"][:] = 0
+    params.arrays["hazard.b"][:] = 50.0
     h = hazards(np.zeros(8), np.zeros(8), params)
     assert np.all(h > 1 - 1e-9)
 
@@ -164,7 +161,8 @@ def test_hazard_matches_manual():
     rng = np.random.default_rng(6)
     hp, hg = rng.standard_normal(8), rng.standard_normal(8)
     h = hazards(hp, hg, params)
-    logits = np.concatenate([hp, hg]) @ params.hazard_w + params.hazard_b
+    arrays = params.arrays
+    logits = np.concatenate([hp, hg]) @ arrays["hazard.w"] + arrays["hazard.b"]
     assert np.allclose(h, 1 / (1 + np.exp(-logits)), atol=1e-12)
 
 
@@ -180,6 +178,45 @@ def test_init_params_deterministic_and_counted():
     n_expected = (d * d + d + sum(dj * d + d + d * d + d for dj in (3, 5))
                   + 2 * 4 * (d * d + d) + 2 * d * 4 + 4)
     assert sum(t.size for _, t in p1.tensors()) == n_expected
+
+
+def test_param_layout_is_written_once(tmp_path):
+    params = tiny_params(seed=12)
+    names = neural.param_names(2)
+    assert [n for n, _ in params.tensors()] == names
+    assert params.n_encoders == 2 and params.dim == 8 and params.n_bins == 4
+    save_checkpoint(params, tmp_path)
+    doc = json.loads((tmp_path / "checkpoint.json").read_text(encoding="utf-8"))
+    assert sorted(doc["tensors"]) == sorted(names)
+    assert doc["n_encoders"] == 2
+    assert [n for n, _ in load_checkpoint(tmp_path)[0].tensors()] == names
+
+
+def test_init_params_draw_order():
+    # The draws run encoder by encoder (w1, w2), then the projection, the
+    # four maps of attn_p and of attn_g, then the hazard head.
+    d_in, d, attr_dims, n_bins = 6, 8, [3, 5], 4
+    rng = np.random.default_rng(13)
+
+    def draw(fan_in, fan_out):
+        return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, fan_out))
+
+    want = {}
+    for j, dj in enumerate(attr_dims):
+        want[f"enc.{j}.w1"] = draw(dj, d)
+        want[f"enc.{j}.w2"] = draw(d, d)
+    want["proj.w"] = draw(d_in, d)
+    for side in ("attn_p", "attn_g"):
+        for x in "qkvo":
+            want[f"{side}.w{x}"] = draw(d, d)
+    want["hazard.w"] = draw(2 * d, n_bins)
+    params = init_params(d_in, d, attr_dims, n_bins, n_heads=4, seed=13)
+    for name, arr in params.tensors():
+        if name in want:
+            assert arr.tobytes() == want[name].tobytes(), name
+        else:
+            assert arr.shape == (n_bins if name == "hazard.b" else d,), name
+            assert not arr.any(), name
 
 
 def test_init_rejects_indivisible_heads():
@@ -401,6 +438,26 @@ def test_single_linear_sigmoid_nll_matches_hand_gradient():
     assert np.allclose(wv.grad.ravel(), want, rtol=1e-12)
 
 
+def test_backward_computes_no_gradient_for_consts():
+    # The same graph with its input as a const and as a leaf: the const gets
+    # no gradient, and the parameters' gradients are byte-equal either way.
+    rng = np.random.default_rng(16)
+    x, w, b = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (3,)))
+    coupling = rng.uniform(size=(2, 5))
+    grads = {}
+    for kind in ("const", "leaf"):
+        tape = Tape()
+        make = getattr(tape, kind)
+        xv, cv = make(x), make(coupling)
+        wv, bv = tape.leaf(w), tape.leaf(b)
+        out = tape.matmul(cv, tape.linear(xv, wv, bv))
+        backward(tape, total(tape, tape.mul(out, out)))
+        grads[kind] = (wv.grad.tobytes(), bv.grad.tobytes())
+        if kind == "const":
+            assert xv.grad is None and cv.grad is None
+    assert grads["const"] == grads["leaf"]
+
+
 def test_backward_twice_is_state_error():
     tape = Tape()
     x = tape.leaf(np.ones(()))
@@ -536,13 +593,18 @@ def test_checkpoint_shape_not_matching_blob_is_format_error(tmp_path):
     lambda doc: doc.update(step="x"),
     lambda doc: doc.update(n_heads="four"),
     lambda doc: doc.update(seed=1.5),
+    lambda doc: doc.update(n_heads=0),
+    lambda doc: doc.update(n_heads=3),  # does not divide d = 8
+    lambda doc: doc.update(n_encoders=-1),
+    lambda doc: doc["tensors"]["proj.w"].update(shape=[64]),
     lambda doc: doc.update(tensors=[]),
     lambda doc: doc["tensors"]["proj.b"].update(shape=8),
     lambda doc: doc["tensors"]["proj.b"].update(data="not base64!"),
     # 63 of the 64 bytes: not a whole number of float64 values.
     lambda doc: doc["tensors"]["proj.b"].update(
         data=doc["tensors"]["proj.b"]["data"][:-4]),
-], ids=["step", "n_heads", "seed", "tensors", "shape", "data", "short data"])
+], ids=["step", "n_heads", "seed", "n_heads 0", "n_heads 3", "n_encoders -1",
+        "proj.w 1-D", "tensors", "shape", "data", "short data"])
 def test_checkpoint_malformed_manifest_is_format_error(tmp_path, edit):
     save_checkpoint(tiny_params(seed=44), tmp_path)
     _edit_manifest(tmp_path, edit)

@@ -143,8 +143,8 @@ def one_case(bin_=1):
 def constant_hazard_params(n_bins, bias):
     """Every hazard equals sigmoid(bias), whatever the inputs."""
     params = init_params(4, 4, [2], n_bins, n_heads=1, seed=0)
-    params.hazard_w[:] = 0.0
-    params.hazard_b[:] = bias
+    params.arrays["hazard.w"][:] = 0.0
+    params.arrays["hazard.b"][:] = bias
     return params
 
 

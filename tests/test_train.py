@@ -95,15 +95,15 @@ def test_stop_gradient_contract():
     _, _, _, _, base = case_forward(params, case, 5, settings, "umbot", 7)
 
     bumped = copy.deepcopy(params)
-    bumped.hazard_w += 0.5
-    bumped.hazard_b += 1.0
+    bumped.arrays["hazard.w"] += 0.5
+    bumped.arrays["hazard.b"] += 1.0
     _, _, _, _, after = case_forward(bumped, case, 5, settings, "umbot", 7)
     for p0, p1 in zip(base, after):
         assert np.array_equal(p0.coupling, p1.coupling)
 
     # and the couplings DO respond to the projection (upstream of the solve)
     upstream = copy.deepcopy(params)
-    upstream.proj_w += 0.05
+    upstream.arrays["proj.w"] += 0.05
     _, _, _, _, moved = case_forward(upstream, case, 5, settings, "umbot", 7)
     assert any(not np.array_equal(p0.coupling, p1.coupling)
                for p0, p1 in zip(base, moved))
@@ -179,8 +179,8 @@ def test_zero_loss_construction_gives_zero_gradients():
     rng = np.random.default_rng(6)
     case = make_case(rng, bin_=2, censor=1)
     params = make_params(seed=7)
-    params.hazard_w[:] = 0.0
-    params.hazard_b[:] = -1000.0  # sigmoid underflows to exactly 0.0
+    params.arrays["hazard.w"][:] = 0.0
+    params.arrays["hazard.b"][:] = -1000.0  # sigmoid underflows to exactly 0.0
     tape, pv, loss, _, _ = case_forward(params, case, 5, OTSettings(), "umbot", 3)
     assert float(loss.value) == 0.0
     backward(tape, loss)

@@ -116,10 +116,18 @@ def test_emd_forced_transport_single_source():
 
 
 def test_emd_1x1_short_circuit():
-    C = CostMatrix(np.array([[2.5]]), "l2")
-    plan = solve_exact_emd(C, Marginals(np.array([1.0]), np.array([1.0])))
-    assert plan.coupling[0, 0] == pytest.approx(1.0)
-    assert plan.duality_gap == 0.0
+    # A 1 x 1 problem takes the general path: the northwest corner is already
+    # optimal, so no pivot runs and the certificate is exact.
+    for c in (0.0, 0.37, 2.5, 5.0, float(np.random.default_rng(8).uniform(0, 10))):
+        C = CostMatrix(np.array([[c]]), "l2")
+        plan = solve_exact_emd(C, Marginals(np.array([1.0]), np.array([1.0])))
+        assert plan.coupling.tolist() == [[1.0]]
+        assert plan.objective_value == c
+        assert plan.marginal_residual == 0.0
+        assert plan.iterations == 0 and plan.converged
+        assert plan.dual_source.tolist() == [0.0]
+        assert plan.dual_target.tolist() == [c]
+        assert plan.duality_gap == 0.0
 
 
 def test_emd_infeasible_marginals():
