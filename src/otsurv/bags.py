@@ -151,14 +151,14 @@ def save_bag(bag: InstanceBag, path, fmt: str = "binary") -> None:
     is exact only for float32-representable values (all generated datasets
     qualify by construction).
     """
-    path = Path(path)
     if fmt == "csv":
         header = ",".join(f"f{j}" for j in range(bag.dim))
-        np.savetxt(path, bag.features, delimiter=",", header=header,
-                   comments="", fmt=CSV_FLOAT_FMT)
+        with atomic_writer(path) as fh:
+            np.savetxt(fh, bag.features, delimiter=",", header=header,
+                       comments="", fmt=CSV_FLOAT_FMT)
     elif fmt == "binary":
         m, d = bag.features.shape
-        with open(path, "wb") as fh:
+        with atomic_writer(path, "wb") as fh:
             fh.write(FBAG_MAGIC)
             fh.write(struct.pack("<II", m, d))
             fh.write(np.ascontiguousarray(bag.features, dtype="<f4").tobytes())
@@ -217,13 +217,15 @@ def _load_fbag(path: Path) -> np.ndarray:
 @contextmanager
 def atomic_writer(path, mode="w", newline=None):
     """Open a file (UTF-8 text, or bytes for ``mode="wb"``) that replaces
-    ``path`` only once fully written.
+    ``path`` only once fully written; the only way otsurv writes a file.
 
-    The data goes to a temp file beside ``path``, which is synced and moved
-    over ``path`` with ``os.replace`` on success and removed on failure, so
-    a reader finds the previous file or the new one, never a partial one.
+    The parent directory is created if needed.  The data goes to a temp file
+    beside ``path``, which is synced and moved over ``path`` with
+    ``os.replace`` on success and removed on failure, so a reader finds the
+    previous file or the new one, never a partial one.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": newline}
     try:
@@ -237,12 +239,38 @@ def atomic_writer(path, mode="w", newline=None):
         raise
 
 
+def write_json(path, doc) -> Path:
+    """Write ``doc`` as UTF-8 JSON (indent 1, sorted keys, trailing newline)
+    through :func:`atomic_writer`."""
+    with atomic_writer(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return Path(path)
+
+
+def read_json(path, error: type[Exception]) -> dict:
+    """Load a JSON object from ``path``; a missing file, a file that is not
+    UTF-8 JSON, or a document that is not an object raises ``error`` naming
+    the file."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"file does not exist: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise error(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: not a JSON object")
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # Genomic profile files
 
 
 def save_genomic_profile(profile: GenomicProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write("category,value\n")
         for name, attrs in profile.categories:
             for v in attrs:
@@ -286,7 +314,6 @@ def load_genomic_profile(path, category_spec: list[tuple[str, int]] | None = Non
 
 
 def save_manifest(manifest: CaseManifest, path) -> Path:
-    path = Path(path)
     doc = {
         "feature_dim": int(manifest.feature_dim),
         "category_spec": [{"name": n, "dim": int(d)} for n, d in manifest.category_spec],
@@ -301,22 +328,13 @@ def save_manifest(manifest: CaseManifest, path) -> Path:
             for c in manifest.cases
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(path, doc)
 
 
 def load_manifest(path) -> CaseManifest:
     """Load a manifest; the files it names are read by ``train.load_cases``."""
     path = Path(path)
-    if not path.exists():
-        raise FormatError(f"manifest does not exist: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise FormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+    doc = read_json(path, FormatError)
     try:
         spec = [(c["name"], int(c["dim"])) for c in doc["category_spec"]]
         cases = [
@@ -382,7 +400,6 @@ def generate_synthetic_dataset(
     attr_dims = [8 + 2 * (j % 4) for j in range(M_g)]
 
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(seed)
     # Per-dataset structure: unit prototype directions (d) and per-category
@@ -436,7 +453,7 @@ def generate_synthetic_dataset(
         latents.append((case_id, r))
 
     # Diagnostic sidecar: the planted risk per case (not part of the manifest).
-    with open(out / "latents.csv", "w", encoding="utf-8") as fh:
+    with atomic_writer(out / "latents.csv") as fh:
         fh.write("case_id,latent_risk\n")
         for case_id, r in latents:
             fh.write(f"{case_id},{CSV_FLOAT_FMT % r}\n")
@@ -469,8 +486,7 @@ def discretize_times(records: list[SurvivalRecord], n_bins: int
     if np.unique(edges).size < edges.size:
         warnings.warn("degenerate bin edges: tied quantiles collapse some bins",
                       stacklevel=2)
-    out = [replace(r, bin=int(np.searchsorted(edges, r.time_months, side="left")))
-           for r in records]
+    out = [replace(r, bin=assign_bin(edges, r.time_months)) for r in records]
     return edges, out
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bags, survival, train as training
-from .config import ATTENTION_MODES, ExperimentConfig, load_config, merge_overrides
+from .config import CHOICES, ExperimentConfig, load_config, merge_overrides
 from .errors import (ConfigError, ConstraintError, DataError, FormatError,
                      NumericError, OtsurvError, ParameterError, SolverError)
 from .microbatch import OTSettings, solve_batch
@@ -58,21 +58,16 @@ def _load_effective_config(args) -> ExperimentConfig:
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
+    """One flag per :class:`ExperimentConfig` field: ``--micro-batch`` for
+    ``micro_batch``, typed by its annotation; a bool is ``--x/--no-x``."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--micro-batch", dest="micro_batch", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--grad-accum-steps", dest="grad_accum_steps", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--attention-mode", dest="attention_mode", choices=ATTENTION_MODES)
-    p.add_argument("--cost-metric", dest="cost_metric", choices=COST_METRICS)
-    p.add_argument("--normalize-cost", dest="normalize_cost",
-                   action=argparse.BooleanOptionalAction)
+    for f in dataclasses.fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(flag, type={"int": int, "float": float}.get(f.type),
+                           choices=CHOICES.get(f.name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,20 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen_synth(args) -> int:
     out = _out_path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.touch()
-        probe.unlink()
-    except OSError as exc:
-        print(f"error: output directory not writable: {out} ({exc})", file=sys.stderr)
-        return EXIT_DATA
-    manifest = bags.generate_synthetic_dataset(
+    bags.generate_synthetic_dataset(
         n_cases=args.n_cases, M_p=args.m_p, M_g=args.m_g, d=args.dim,
         signal_fraction=args.signal_fraction, noise_scale=args.noise_scale,
         censor_rate=args.censor_rate, seed=args.seed, output_dir=out)
     print(out / "manifest.json")
-    return 0 if manifest else EXIT_DATA
+    return 0
 
 
 def cmd_solve(args) -> int:
@@ -244,8 +231,7 @@ def cmd_bench(args) -> int:
     M_values = [int(x) for x in args.M_values.split(",") if x]
     rows = training.bench_solves(M_values, args.m, args.dim)
     out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    with bags.atomic_writer(out) as fh:
         fh.write("M,seconds,instances_per_second\n")
         for M, secs, ips in rows:
             fh.write(f"{M},{secs:.6g},{ips:.6g}\n")

@@ -9,14 +9,14 @@ micro-batch 256, marginal-penalty coefficient 0.5, entropic coefficient
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
+from .bags import read_json
 from .errors import ConfigError
 from .transport import COST_METRICS
 
-ATTENTION_MODES = ("umbot", "emd", "dense")
+# The fields that take one of a fixed set of values.
+CHOICES = {"attention_mode": ("umbot", "emd", "dense"), "cost_metric": COST_METRICS}
 
 # Annotation -> accepted types.  A bool is an int to Python, but a value of
 # true in an int or float field is a mistake, so only a bool field takes one.
@@ -45,12 +45,10 @@ class ExperimentConfig:
             if (not isinstance(value, _ACCEPTS[f.type])
                     or (isinstance(value, bool) and f.type != "bool")):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.attention_mode not in ATTENTION_MODES:
-            raise ConfigError(f"attention_mode must be one of {ATTENTION_MODES}, "
-                              f"got {self.attention_mode!r}")
-        if self.cost_metric not in COST_METRICS:
-            raise ConfigError(f"cost_metric must be one of {COST_METRICS}, "
-                              f"got {self.cost_metric!r}")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, "
+                                  f"got {getattr(self, name)!r}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.micro_batch < 1:
@@ -75,16 +73,7 @@ _FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 def load_config(path) -> ExperimentConfig:
     """Read a JSON config; unknown keys and wrongly typed values are
     rejected by name, with the file's path."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file does not exist: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+    doc = read_json(path, ConfigError)
     unknown = sorted(set(doc) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")

@@ -9,7 +9,6 @@ only the projection on top of them is trainable.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Var
-from .bags import GenomicProfile, atomic_writer
+from .bags import GenomicProfile, read_json, write_json
 from .errors import FormatError, ParameterError
 
 # Standard self-normalizing-network constants.
@@ -34,6 +33,23 @@ def param_names(n_encoders: int) -> list[str]:
     for side in ("attn_p", "attn_g"):
         names += [f"{side}.{k}" for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
     return names + ["hazard.w", "hazard.b"]
+
+
+def param_shapes(d_in: int, d: int, attr_dims: list[int], n_bins: int
+                 ) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in :func:`param_names` order: a weight maps
+    its input width (``d_in``, ``d_j``, ``2 d`` or ``d``) to ``d``, or to
+    ``n_bins`` in the hazard head; a bias is as wide as its weight's output."""
+    fan_in = {"proj.w": d_in, "hazard.w": 2 * d}
+    fan_in.update({f"enc.{j}.w1": dj for j, dj in enumerate(attr_dims)})
+
+    def shape(name):
+        width = n_bins if name.startswith("hazard.") else d
+        if name.rpartition(".")[2].startswith("b"):
+            return (width,)
+        return (fan_in.get(name, d), width)
+
+    return {name: shape(name) for name in param_names(len(attr_dims))}
 
 
 @dataclass
@@ -67,27 +83,16 @@ def init_params(d_in: int, d: int, attr_dims: list[int], n_bins: int,
     if d % n_heads != 0:
         raise ParameterError(f"model dim {d} must be divisible by n_heads {n_heads}")
     rng = np.random.default_rng(seed)
-
-    def linear(fan_in, fan_out):
-        return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, fan_out))
-
+    shapes = param_shapes(d_in, d, attr_dims, n_bins)
     # The weights are drawn in this order, not in name order: every
-    # encoder's w1 then w2, the projection, attn_p, attn_g, the hazard head.
-    # Seeded runs depend on it.
-    weights = {}
-    for j, dj in enumerate(attr_dims):
-        weights[f"enc.{j}.w1"] = linear(dj, d)
-        weights[f"enc.{j}.w2"] = linear(d, d)
-    weights["proj.w"] = linear(d_in, d)
-    for side in ("attn_p", "attn_g"):
-        for x in "qkvo":
-            weights[f"{side}.w{x}"] = linear(d, d)
-    weights["hazard.w"] = linear(2 * d, n_bins)
-
-    # Every bias is zero and d wide, but the hazard head's, which has a bin each.
-    arrays = {name: weights[name] if name in weights
-              else np.zeros(n_bins if name == "hazard.b" else d)
-              for name in param_names(len(attr_dims))}
+    # encoder's w1 then w2, then the other weights in name order (the
+    # projection, attn_p, attn_g, the hazard head).  Seeded runs depend on it.
+    drawn = sorted((name for name, shape in shapes.items() if len(shape) == 2),
+                   key=lambda name: not name.startswith("enc."))
+    weights = {name: rng.normal(0.0, 1.0 / math.sqrt(shapes[name][0]), size=shapes[name])
+               for name in drawn}
+    arrays = {name: weights[name] if name in weights else np.zeros(shape)
+              for name, shape in shapes.items()}
     return ModelParams(arrays, n_heads=n_heads, seed=seed)
 
 
@@ -205,8 +210,6 @@ def save_checkpoint(params: ModelParams, out_dir, step: int = 0) -> Path:
     The file is replaced atomically, so a save that fails leaves the previous
     checkpoint as it was.  Reloads are bit-exact.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     doc = {
         "seed": params.seed,
         "step": step,
@@ -216,11 +219,7 @@ def save_checkpoint(params: ModelParams, out_dir, step: int = 0) -> Path:
                            "data": base64.b64encode(t.astype("<f8").tobytes()).decode()}
                     for name, t in params.tensors()},
     }
-    path = out / "checkpoint.json"
-    with atomic_writer(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(Path(out_dir) / "checkpoint.json", doc)
 
 
 def _is_int(x) -> bool:
@@ -232,21 +231,15 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
 
     A file that is not a JSON object with integer ``seed``, ``step``,
     ``n_heads`` >= 1 and ``n_encoders`` >= 0, lacks a tensor entry of
-    :func:`param_names`, has a tensor whose ``data`` is not base64 of float64
-    values filling its integer ``shape``, or has a ``proj.w`` that is not a
-    matrix whose width ``n_heads`` divides raises :class:`FormatError` naming
-    the file.
+    :func:`param_names` or has one more, has a tensor whose ``data`` is not
+    base64 of float64 values filling its integer ``shape``, has a tensor
+    whose shape breaks :func:`param_shapes` (with ``d_in`` and ``d`` read
+    off ``proj.w``, each ``d_j`` off ``enc.<j>.w1`` and ``n_bins`` off
+    ``hazard.w``), or has a model width ``n_heads`` does not divide raises
+    :class:`FormatError` naming the file.
     """
     path = Path(ckpt_dir) / "checkpoint.json"
-    if not path.exists():
-        raise FormatError(f"no checkpoint at {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise FormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: checkpoint is not a JSON object")
+    doc = read_json(path, FormatError)
     for key in ("seed", "step", "n_heads", "n_encoders"):
         if not _is_int(doc.get(key)):
             raise FormatError(f"{path}: {key!r} must be an integer, got {doc.get(key)!r}")
@@ -272,10 +265,26 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
                               f"float64 values filling shape {entry['shape']} "
                               f"({exc})") from exc
 
-    params = ModelParams({name: tensor(name) for name in param_names(doc["n_encoders"])},
-                         n_heads=doc["n_heads"], seed=doc["seed"])
-    proj_w = params.arrays["proj.w"]
-    if proj_w.ndim != 2 or params.dim % params.n_heads:
-        raise FormatError(f"{path}: 'proj.w' must be a matrix whose width 'n_heads' "
-                          f"{params.n_heads} divides, got shape {list(proj_w.shape)}")
-    return params, doc["step"]
+    names = param_names(doc["n_encoders"])
+    extra = sorted(set(entries) - set(names))
+    if extra:
+        raise FormatError(f"{path}: tensor {extra[0]!r} is not a parameter of a model "
+                          f"with {doc['n_encoders']} encoders")
+    arrays = {name: tensor(name) for name in names}
+
+    def matrix(name):
+        if arrays[name].ndim != 2:
+            raise FormatError(f"{path}: tensor {name!r} must be a matrix, got shape "
+                              f"{list(arrays[name].shape)}")
+        return arrays[name].shape
+
+    (d_in, d), (_, n_bins) = matrix("proj.w"), matrix("hazard.w")
+    attr_dims = [matrix(f"enc.{j}.w1")[0] for j in range(doc["n_encoders"])]
+    for name, shape in param_shapes(d_in, d, attr_dims, n_bins).items():
+        if arrays[name].shape != shape:
+            raise FormatError(f"{path}: tensor {name!r} has shape "
+                              f"{list(arrays[name].shape)}, expected {list(shape)}")
+    if d % doc["n_heads"]:
+        raise FormatError(f"{path}: model width {d} (from 'proj.w') is not divisible "
+                          f"by 'n_heads' {doc['n_heads']}")
+    return ModelParams(arrays, n_heads=doc["n_heads"], seed=doc["seed"]), doc["step"]

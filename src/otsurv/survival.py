@@ -8,7 +8,6 @@ an analytic chi-square(1) tail.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bags import SurvivalRecord
+from .bags import SurvivalRecord, atomic_writer, write_json
 from .errors import DataError, MetricUndefinedError, ParameterError
 
 # Probability floor inside logs; keeps the loss finite at saturated hazards.
@@ -161,21 +160,16 @@ def write_km_outputs(curves: dict[str, KMCurve], result: LogrankResult,
                      out_prefix) -> list[Path]:
     """CSV step data per group plus a JSON log-rank summary."""
     prefix = Path(out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, curve in curves.items():
         path = prefix.with_name(f"{prefix.name}_km_{name}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_writer(path) as fh:
             fh.write("time,at_risk,events,survival\n")
             for t, n, d, s in zip(curve.event_times, curve.at_risk,
                                   curve.events, curve.survival):
                 fh.write(f"{t:.9g},{n},{d},{s:.9g}\n")
         paths.append(path)
-    jpath = prefix.with_name(f"{prefix.name}_logrank.json")
-    with open(jpath, "w", encoding="utf-8") as fh:
-        json.dump({"statistic": result.statistic, "p_value": result.p_value,
-                   "group_sizes": list(result.group_sizes)}, fh, indent=1,
-                  sort_keys=True)
-        fh.write("\n")
-    paths.append(jpath)
+    paths.append(write_json(prefix.with_name(f"{prefix.name}_logrank.json"),
+                            {"statistic": result.statistic, "p_value": result.p_value,
+                             "group_sizes": list(result.group_sizes)}))
     return paths

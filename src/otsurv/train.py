@@ -13,7 +13,6 @@ curves are averaged before the risk score is taken.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import time
@@ -26,7 +25,7 @@ import numpy as np
 from .autodiff import Tape, Var, backward
 from .bags import (CaseManifest, GenomicProfile, SurvivalRecord, assign_bin,
                    atomic_writer, discretize_times, load_bag,
-                   load_genomic_profile)
+                   load_genomic_profile, write_json)
 from .config import ExperimentConfig
 from .errors import DataError, NumericError, OtsurvError
 from .microbatch import OTSettings, sample_micro_batches, solve_batch
@@ -304,10 +303,7 @@ def cross_validate(cases: list[CaseData], config: ExperimentConfig,
             pooled.append((case_id, risk, rec.time_months, rec.censor, r.fold))
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with atomic_writer(out / "metrics.json") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "metrics.json", report)
         with atomic_writer(out / "risks.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["case_id", "risk", "time_months", "censor", "fold"])
@@ -354,9 +350,7 @@ def ablation_sweep(cases: list[CaseData], config: ExperimentConfig,
             rows.append({"mode": mode, "m": m, "fold": -1,
                          "c_index": float("nan"), "status": f"error: {exc}"})
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with atomic_writer(out / "ablation.csv", newline="") as fh:
+        with atomic_writer(Path(out_dir) / "ablation.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["mode", "m", "fold", "c_index", "status"])
             for row in rows:

@@ -20,12 +20,12 @@ log-domain solver.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
+from .bags import atomic_writer, write_json
 from .errors import ConstraintError, DataError, ParameterError, ShapeError, SolverError
 
 COST_METRICS = ("l2", "squared_l2", "cosine_distance")
@@ -491,10 +491,9 @@ def write_plan(plan: TransportPlan, out_prefix, solver: str = "") -> tuple[Path,
     absorbed at least once (see ``_scale``); it is not an input.
     """
     prefix = Path(out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     coupling_path = prefix.with_name(prefix.name + "_coupling.csv")
-    json_path = prefix.with_name(prefix.name + "_plan.json")
-    np.savetxt(coupling_path, plan.coupling, delimiter=",", fmt="%.12g")
+    with atomic_writer(coupling_path) as fh:
+        np.savetxt(fh, plan.coupling, delimiter=",", fmt="%.12g")
     doc = {
         "solver": solver,
         "objective_value": plan.objective_value,
@@ -507,7 +506,5 @@ def write_plan(plan: TransportPlan, out_prefix, solver: str = "") -> tuple[Path,
         "settings": asdict(plan.settings),
         "shape": list(plan.coupling.shape),
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    json_path = write_json(prefix.with_name(prefix.name + "_plan.json"), doc)
     return coupling_path, json_path

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from failing_writes import fail_writes_to, files_under
 from otsurv.bags import (CaseManifest, GenomicProfile, InstanceBag,
                          SurvivalRecord, assign_bin, discretize_times,
                          generate_synthetic_dataset, load_bag,
                          load_genomic_profile, load_manifest, save_bag,
-                         save_genomic_profile)
-from otsurv.errors import DataError, FormatError, ParameterError
+                         save_genomic_profile, save_manifest)
+from otsurv.config import load_config
+from otsurv.errors import ConfigError, DataError, FormatError, ParameterError
+from otsurv.neural import load_checkpoint
 from otsurv.train import load_cases
 
 
@@ -222,6 +225,36 @@ def test_manifest_malformed_is_format_error_naming_file(tmp_path, field, value):
         path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(FormatError, match="manifest.json"):
         load_manifest(path)
+
+
+def test_failed_manifest_write_keeps_previous_file(tmp_path, monkeypatch):
+    man = generate_synthetic_dataset(n_cases=10, M_p=6, M_g=3, d=5,
+                                     signal_fraction=0.4, noise_scale=0.2,
+                                     censor_rate=0.2, seed=2, output_dir=tmp_path)
+    before = files_under(tmp_path)
+    target = tmp_path / "manifest.json"
+    fail_writes_to(monkeypatch, target)
+    with pytest.raises(OSError, match="No space left"):
+        save_manifest(CaseManifest(man.cases[:5], man.feature_dim, man.category_spec),
+                      target)
+    monkeypatch.undo()
+    assert files_under(tmp_path) == before
+    assert len(load_manifest(target).cases) == 10
+
+
+@pytest.mark.parametrize("text", [None, "[1, 2]", "null"],
+                         ids=["missing", "list", "null"])
+@pytest.mark.parametrize("load, name, error", [
+    (load_manifest, "manifest.json", FormatError),
+    (load_config, "config.json", ConfigError),
+    (lambda path: load_checkpoint(path.parent), "checkpoint.json", FormatError),
+], ids=["manifest", "config", "checkpoint"])
+def test_json_inputs_must_be_objects_naming_file(tmp_path, load, name, error, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match=name):
+        load(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Configuration round-trips and the command-line surface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from otsurv.config import ExperimentConfig, load_config, merge_overrides
+from failing_writes import fail_writes_to, files_under
+from otsurv import cli
+from otsurv.config import CHOICES, ExperimentConfig, load_config, merge_overrides
 from otsurv.errors import ConfigError
 
 CLI = [sys.executable, "-m", "otsurv.cli"]
@@ -262,6 +265,62 @@ def test_cli_bench_schema(tmp_path):
     assert lines[0] == "M,seconds,instances_per_second"
     assert len(lines) == 3
     assert all(len(ln.split(",")) == 3 for ln in lines)
+
+
+def test_cli_failed_bench_write_keeps_previous_csv(tmp_path, monkeypatch, capsys):
+    args = ["bench", "--m-values", "64,96,128", "--m", 32, "--dim", 4,
+            "--out", tmp_path / "out" / "bench.csv"]
+    assert cli.main(list(map(str, args))) == 0
+    before = files_under(tmp_path)
+    fail_writes_to(monkeypatch, tmp_path / "out" / "bench.csv")
+    assert cli.main(list(map(str, args))) == 3
+    monkeypatch.undo()
+    assert files_under(tmp_path) == before
+    assert "No space left" in capsys.readouterr().err
+
+
+def _flag_value(field):
+    """A valid value other than the default, as a flag and as the config holds it."""
+    default = getattr(ExperimentConfig(), field.name)
+    if field.name in CHOICES:
+        value = CHOICES[field.name][-1]
+        return [value], value
+    if field.type == "bool":
+        return [], not default
+    value = default * 2 if field.type == "float" else default + 3
+    return [str(value)], value
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
+                         ids=lambda f: f.name)
+def test_config_flag_for_every_field(field):
+    words, value = _flag_value(field)
+    flag = "--" + field.name.replace("_", "-")
+    if field.type == "bool":
+        flag = flag if value else "--no-" + flag[2:]
+    for command in ("train", "ablate"):
+        args = cli.build_parser().parse_args([command, "--manifest", "m", "--out", "o",
+                                              flag, *words])
+        assert cli._load_effective_config(args) == \
+            ExperimentConfig().replace(**{field.name: value})
+
+
+def test_config_flags_keep_their_types_and_choices():
+    train = cli.build_parser()._subparsers._group_actions[0].choices["train"]
+    flags = {a.dest: (a.option_strings, a.type, a.choices)
+             for a in train._actions if a.dest not in ("help", "manifest", "out", "config")}
+    assert flags == {
+        "seed": (["--seed"], int, None), "folds": (["--folds"], int, None),
+        "micro_batch": (["--micro-batch"], int, None),
+        "epsilon": (["--epsilon"], float, None), "tau": (["--tau"], float, None),
+        "epochs": (["--epochs"], int, None), "lr": (["--lr"], float, None),
+        "weight_decay": (["--weight-decay"], float, None),
+        "grad_accum_steps": (["--grad-accum-steps"], int, None),
+        "bins": (["--bins"], int, None),
+        "attention_mode": (["--attention-mode"], None, ("umbot", "emd", "dense")),
+        "cost_metric": (["--cost-metric"], None, ("l2", "squared_l2", "cosine_distance")),
+        "normalize_cost": (["--normalize-cost", "--no-normalize-cost"], None, None),
+    }
 
 
 def test_cli_out_root_env_var(tmp_path):

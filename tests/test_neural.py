@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from failing_writes import FailingWrites
 from oracles import central_difference_grad, per_head_attention
 from otsurv.autodiff import Tape, backward
 from otsurv.bags import GenomicProfile, SurvivalRecord
@@ -612,6 +613,36 @@ def test_checkpoint_malformed_manifest_is_format_error(tmp_path, edit):
         load_checkpoint(tmp_path)
 
 
+def test_checkpoint_with_fewer_encoders_than_entries_is_format_error(tmp_path):
+    save_checkpoint(tiny_params(seed=46), tmp_path)  # two encoders
+    _edit_manifest(tmp_path, lambda doc: doc.update(n_encoders=1))
+    with pytest.raises(FormatError, match="checkpoint.json.*enc.1"):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("attn_p.wq", [4, 16]),    # same 64 values as 8 x 8
+    ("enc.0.w2", [3, 8]),      # the encoder's first layer is 3 wide
+    ("attn_g.bo", [4]),
+    ("hazard.b", [8]),         # 4 bins
+    ("hazard.w", [8, 4]),      # takes 2 d = 16 inputs
+])
+def test_checkpoint_tensor_shape_breaking_layout_is_format_error(tmp_path, name, shape):
+    params = tiny_params(seed=47)
+    arrays = dict(params.arrays)
+    arrays[name] = np.zeros(shape)
+    save_checkpoint(neural.ModelParams(arrays, n_heads=4), tmp_path)
+    with pytest.raises(FormatError, match=f"checkpoint.json.*{name}"):
+        load_checkpoint(tmp_path)
+
+
+def test_param_shapes_match_init_params():
+    params = tiny_params()
+    shapes = neural.param_shapes(8, 8, [3, 5], 4)
+    assert list(shapes) == neural.param_names(2)
+    assert {n: t.shape for n, t in params.tensors()} == shapes
+
+
 def test_checkpoint_manifest_not_an_object_is_format_error(tmp_path):
     save_checkpoint(tiny_params(seed=45), tmp_path)
     (tmp_path / "checkpoint.json").write_text("[1, 2]", encoding="utf-8")
@@ -627,23 +658,12 @@ def test_failed_checkpoint_save_keeps_previous_checkpoint(tmp_path, monkeypatch,
     files = {p: p.read_bytes() for p in tmp_path.rglob("*")}
     real_dump = json.dump
 
-    class FailingWrites:
-        # Lets two writes through, then fails as a full disk would.
-        def __init__(self, fh):
-            self.fh, self.writes = fh, 0
-
-        def write(self, text):
-            self.writes += 1
-            if self.writes > 2:
-                raise OSError(28, "No space left on device")
-            return self.fh.write(text)
-
     def failing_dump(doc, fh, **kwargs):
         if fail_at == "manifest":
             raise OSError(28, "No space left on device")
         real_dump(doc, FailingWrites(fh), **kwargs)
 
-    monkeypatch.setattr(neural.json, "dump", failing_dump)
+    monkeypatch.setattr(json, "dump", failing_dump)
     new = tiny_params(seed=2)
     with pytest.raises(OSError, match="No space left"):
         save_checkpoint(new, tmp_path, step=2)

@@ -13,9 +13,11 @@ from otsurv.errors import DataError, MetricUndefinedError
 from otsurv.microbatch import OTSettings
 from otsurv.neural import init_params
 from otsurv.survival import (PROB_EPS, c_index, chi2_sf_1df, km_estimate,
-                             logrank, median_split, survival_from_hazard)
+                             logrank, median_split, survival_from_hazard,
+                             write_km_outputs)
 from otsurv.train import CaseData, _nll_terms, case_forward, case_risk
 
+from failing_writes import fail_writes_to, files_under
 from oracles import chi2_sf_1df_oracle, km_survival_oracle, pairwise_c_index
 
 
@@ -365,3 +367,24 @@ def test_median_split_ties_at_median_go_low():
     low, high = median_split([1.0, 2.0, 2.0, 3.0])
     assert list(low) == [0, 1, 2]
     assert list(high) == [3]
+
+
+def _km_outputs(prefix, shift):
+    low = [SurvivalRecord(t + shift, c) for t, c in ((3, 0), (5, 1), (8, 0), (13, 0))]
+    high = [SurvivalRecord(t + shift, c) for t, c in ((1, 0), (2, 0), (4, 1), (6, 0))]
+    curves = {"low": km_estimate(low), "high": km_estimate(high)}
+    return write_km_outputs(curves, logrank(low, high), prefix)
+
+
+@pytest.mark.parametrize("suffix", ["_km_low.csv", "_km_high.csv", "_logrank.json"])
+def test_failed_km_write_keeps_previous_file(tmp_path, monkeypatch, suffix):
+    _km_outputs(tmp_path / "out" / "km", shift=0.0)
+    before = files_under(tmp_path)
+    target = tmp_path / "out" / f"km{suffix}"
+    fail_writes_to(monkeypatch, target)
+    with pytest.raises(OSError, match="No space left"):
+        _km_outputs(tmp_path / "out" / "km", shift=0.5)
+    monkeypatch.undo()
+    after = files_under(tmp_path)
+    assert after[target] == before[target]
+    assert sorted(after) == sorted(before)

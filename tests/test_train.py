@@ -1,7 +1,6 @@
 """Training harness: case forward, stop-gradient contract, whole-bag
 equivalence, fold protocol, and determinism."""
 
-import builtins
 import copy
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from failing_writes import fail_writes_to
 from otsurv.autodiff import Tape, backward
 from otsurv.bags import (GenomicProfile, InstanceBag, SurvivalRecord,
                          discretize_times, generate_synthetic_dataset, save_bag)
@@ -314,44 +314,6 @@ def test_cross_validate_report_schema_and_determinism(small_dataset, tmp_path):
     assert sorted(ids) == sorted(c.case_id for c in cases)
     lr = pooled_logrank(rep1, {c.case_id: c.record for c in cases})
     assert 0.0 <= lr.p_value <= 1.0
-
-
-class FailingWrites:
-    """Lets two writes through, then fails as a full disk would."""
-
-    def __init__(self, fh):
-        self.fh, self.writes = fh, 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def __getattr__(self, name):
-        return getattr(self.fh, name)
-
-    def write(self, text):
-        self.writes += 1
-        if self.writes > 2:
-            raise OSError(28, "No space left on device")
-        return self.fh.write(text)
-
-
-def fail_writes_to(monkeypatch, target: Path):
-    """Files opened for writing beside ``target`` under a name containing its
-    name (``target`` itself or a temp file for it) fail at their third write."""
-    real_open = builtins.open
-
-    def open_failing(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        path = Path(file) if isinstance(file, (str, Path)) else None
-        if ("w" in mode and path is not None and path.parent == target.parent
-                and target.name in path.name):
-            return FailingWrites(fh)
-        return fh
-
-    monkeypatch.setattr(builtins, "open", open_failing)
 
 
 @pytest.mark.parametrize("artifact", ["metrics.json", "risks.csv",

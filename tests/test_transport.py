@@ -11,6 +11,7 @@ from otsurv.transport import (CostMatrix, Marginals, build_cost, normalize_cost,
                               sinkhorn, solve_exact_emd, unbalanced_sinkhorn,
                               uniform_marginals, write_plan)
 
+from failing_writes import fail_writes_to, files_under
 from oracles import lp_transport, plain_scaling
 
 
@@ -442,3 +443,20 @@ def test_write_plan_outputs(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc["solver"] == "sinkhorn"
     assert doc["converged"] is True
+
+
+@pytest.mark.parametrize("suffix", ["_coupling.csv", "_plan.json"])
+def test_failed_plan_write_keeps_previous_file(tmp_path, monkeypatch, suffix):
+    rng = np.random.default_rng(18)
+    C, marg = random_instance(rng, 5, 4)
+    write_plan(sinkhorn(C, marg, 0.1), tmp_path / "out" / "case", solver="sinkhorn")
+    before = files_under(tmp_path)
+    target = tmp_path / "out" / f"case{suffix}"
+    fail_writes_to(monkeypatch, target)
+    with pytest.raises(OSError, match="No space left"):
+        write_plan(unbalanced_sinkhorn(C, marg, 0.1, 0.5), tmp_path / "out" / "case",
+                   solver="uot")
+    monkeypatch.undo()
+    after = files_under(tmp_path)
+    assert after[target] == before[target]
+    assert sorted(after) == sorted(before)
