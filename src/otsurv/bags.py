@@ -11,11 +11,12 @@ formats are supported for bags:
 Raw genomic attributes are stored per case in a single CSV with columns
 ``category,value`` (attribute lengths may differ per category).  A dataset
 manifest is a JSON file binding case ids to feature files and survival
-labels.
+labels.  Every CSV file is written by :func:`write_csv`, read by :func:`read_csv`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -152,10 +153,8 @@ def save_bag(bag: InstanceBag, path, fmt: str = "binary") -> None:
     qualify by construction).
     """
     if fmt == "csv":
-        header = ",".join(f"f{j}" for j in range(bag.dim))
-        with atomic_writer(path) as fh:
-            np.savetxt(fh, bag.features, delimiter=",", header=header,
-                       comments="", fmt=CSV_FLOAT_FMT)
+        write_csv(path, [[f"f{j}" for j in range(bag.dim)],
+                         *([CSV_FLOAT_FMT % v for v in row] for row in bag.features)])
     elif fmt == "binary":
         m, d = bag.features.shape
         with atomic_writer(path, "wb") as fh:
@@ -184,21 +183,16 @@ def load_bag(path, fmt: str = "binary", modality: str = "pathology",
 
 
 def _load_csv_matrix(path: Path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2:
-        raise FormatError(f"{path}: expected a header row and at least one data row")
-    d = len(lines[0].split(","))
-    rows = []
-    for k, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != d:
-            raise FormatError(f"{path}: row {k} has {len(parts)} fields, header has {d}")
+    _, rows = read_csv(path)
+    if not rows:
+        raise FormatError(f"{path}: expected at least one data row")
+    matrix = []
+    for line, fields in rows:
         try:
-            rows.append([float(p) for p in parts])
+            matrix.append([float(v) for v in fields])
         except ValueError as exc:
-            raise FormatError(f"{path}: row {k}: {exc}") from exc
-    return np.asarray(rows, dtype=np.float64)
+            raise FormatError(f"{path}:{line}: {exc}") from exc
+    return np.asarray(matrix, dtype=np.float64)
 
 
 def _load_fbag(path: Path) -> np.ndarray:
@@ -215,9 +209,10 @@ def _load_fbag(path: Path) -> np.ndarray:
 
 
 @contextmanager
-def atomic_writer(path, mode="w", newline=None):
-    """Open a file (UTF-8 text, or bytes for ``mode="wb"``) that replaces
-    ``path`` only once fully written; the only way otsurv writes a file.
+def atomic_writer(path, mode="w"):
+    """Open a file (UTF-8 text with no line-end translation, or bytes for
+    ``mode="wb"``) that replaces ``path`` only once fully written; the only
+    way otsurv writes a file.
 
     The parent directory is created if needed.  The data goes to a temp file
     beside ``path``, which is synced and moved over ``path`` with
@@ -227,7 +222,7 @@ def atomic_writer(path, mode="w", newline=None):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    text = {} if "b" in mode else {"encoding": "utf-8", "newline": newline}
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
         with open(tmp, mode, **text) as fh:
             yield fh
@@ -265,42 +260,60 @@ def read_json(path, error: type[Exception]) -> dict:
     return doc
 
 
+def write_csv(path, rows) -> Path:
+    """Write each of ``rows`` as one CSV line through :func:`atomic_writer`:
+    UTF-8, LF line ends, a field quoted only where it must be."""
+    with atomic_writer(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return Path(path)
+
+
+def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header and the ``(physical line, fields)`` rows of a CSV file,
+    blank lines skipped; a missing or non-UTF-8 file, no header, or a row not
+    as wide as the header raises :class:`FormatError` naming the file."""
+    path = Path(path)
+    if not path.exists():
+        raise FormatError(f"file does not exist: {path}")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8 ({exc})") from exc
+    reader = csv.reader(text.splitlines())
+    rows = [(reader.line_num, fields) for fields in reader if fields]
+    if not rows:
+        raise FormatError(f"{path}: no header row")
+    (_, header), rows = rows[0], rows[1:]
+    for line, fields in rows:
+        if len(fields) != len(header):
+            raise FormatError(f"{path}:{line}: {len(fields)} fields, "
+                              f"header has {len(header)}")
+    return header, rows
+
+
 # ---------------------------------------------------------------------------
 # Genomic profile files
 
 
 def save_genomic_profile(profile: GenomicProfile, path) -> None:
-    with atomic_writer(path) as fh:
-        fh.write("category,value\n")
-        for name, attrs in profile.categories:
-            for v in attrs:
-                fh.write(f"{name},{CSV_FLOAT_FMT % v}\n")
+    write_csv(path, [("category", "value"),
+                     *((name, CSV_FLOAT_FMT % v)
+                       for name, attrs in profile.categories for v in attrs)])
 
 
 def load_genomic_profile(path, category_spec: list[tuple[str, int]] | None = None,
                          case_id: str = "") -> GenomicProfile:
     path = Path(path)
-    if not path.exists():
-        raise FormatError(f"genomic profile does not exist: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "category,value":
+    header, rows = read_csv(path)
+    if header != ["category", "value"]:
         raise FormatError(f"{path}: expected header 'category,value'")
-    order: list[str] = []
     values: dict[str, list[float]] = {}
-    for k, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"{path}: row {k} must have exactly 2 fields")
-        name, val = parts
-        if name not in values:
-            order.append(name)
-            values[name] = []
+    for line, (name, val) in rows:
         try:
-            values[name].append(float(val))
+            values.setdefault(name, []).append(float(val))
         except ValueError as exc:
-            raise FormatError(f"{path}: row {k}: {exc}") from exc
-    cats = [(name, np.asarray(values[name])) for name in order]
+            raise FormatError(f"{path}:{line}: {exc}") from exc
+    cats = [(name, np.asarray(attrs)) for name, attrs in values.items()]
     profile = GenomicProfile(cats, case_id=case_id or path.stem)
     if category_spec is not None:
         got = [(n, a.size) for n, a in profile.categories]
@@ -416,7 +429,7 @@ def generate_synthetic_dataset(
     # near chance, small enough that the planted direction stays learnable.
     heterogeneity = 0.4
     cases: list[CaseEntry] = []
-    latents: list[tuple[str, float]] = []
+    latents = [("case_id", "latent_risk")]
     for i in range(n_cases):
         case_id = f"case_{i:04d}"
         r = rng.uniform()
@@ -450,13 +463,10 @@ def generate_synthetic_dataset(
         save_bag(InstanceBag(feats, "pathology", case_id), out / bag_rel, "binary")
         save_genomic_profile(profile, out / gen_rel)
         cases.append(CaseEntry(case_id, bag_rel, gen_rel, float(t_obs), int(censored)))
-        latents.append((case_id, r))
+        latents.append((case_id, CSV_FLOAT_FMT % r))
 
     # Diagnostic sidecar: the planted risk per case (not part of the manifest).
-    with atomic_writer(out / "latents.csv") as fh:
-        fh.write("case_id,latent_risk\n")
-        for case_id, r in latents:
-            fh.write(f"{case_id},{CSV_FLOAT_FMT % r}\n")
+    write_csv(out / "latents.csv", latents)
 
     manifest = CaseManifest(cases, d, list(zip(names, attr_dims)), root=out)
     save_manifest(manifest, out / "manifest.json")

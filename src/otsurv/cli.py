@@ -57,6 +57,14 @@ def _load_effective_config(args) -> ExperimentConfig:
     return merge_overrides(config, overrides)
 
 
+def _comma_list(item_type):
+    """Argparse type for a comma-separated list; a bad item exits 2."""
+    def parse(text: str) -> list:
+        return [item_type(item) for item in map(str.strip, text.split(",")) if item]
+    parse.__name__ = f"comma-separated {item_type.__name__}"
+    return parse
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
     """One flag per :class:`ExperimentConfig` field: ``--micro-batch`` for
     ``micro_batch``, typed by its annotation; a bool is ``--x/--no-x``."""
@@ -109,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="micro-batch size x attention mode sweep")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--m-values", default="64,128,256",
+    p.add_argument("--m-values", type=_comma_list(int), default="64,128,256",
                    help="comma-separated micro-batch sizes")
-    p.add_argument("--modes", default="umbot",
+    p.add_argument("--modes", type=_comma_list(str), default="umbot",
                    help="comma-separated attention modes")
     _add_config_flags(p)
     p.set_defaults(func=cmd_ablate)
@@ -123,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_km)
 
     p = sub.add_parser("bench", help="solver wall-clock scaling over bag sizes")
-    p.add_argument("--m-values", dest="M_values", default="2048,4096,8192",
+    p.add_argument("--m-values", dest="M_values", type=_comma_list(int),
+                   default="2048,4096,8192",
                    help="comma-separated bag sizes")
     p.add_argument("--m", type=int, default=256, help="micro-batch size")
     p.add_argument("--dim", type=int, default=16)
@@ -174,42 +183,32 @@ def cmd_ablate(args) -> int:
     config = _load_effective_config(args)
     manifest = bags.load_manifest(args.manifest)
     cases = training.load_cases(manifest)
-    m_values = [int(x) for x in args.m_values.split(",") if x]
-    modes = [x.strip() for x in args.modes.split(",") if x.strip()]
     out = _out_path(args.out)
-    training.ablation_sweep(cases, config, m_values, modes, out)
+    training.ablation_sweep(cases, config, args.m_values, args.modes, out)
     print(out / "ablation.csv")
     return 0
 
 
 def cmd_km(args) -> int:
     manifest = bags.load_manifest(args.manifest)
+    header, rows = bags.read_csv(args.risks)
+    try:
+        id_col, risk_col = header.index("case_id"), header.index("risk")
+    except ValueError as exc:
+        raise FormatError(f"{args.risks}: need case_id and risk columns") from exc
     risks_by_id: dict[str, float] = {}
-    with open(args.risks, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+    for line, fields in rows:
+        case_id, text = fields[id_col], fields[risk_col]
+        if case_id in risks_by_id:
+            raise DataError(f"{args.risks}:{line}: duplicate case id {case_id!r}")
         try:
-            id_col, risk_col = header.index("case_id"), header.index("risk")
+            risk = float(text)
         except ValueError as exc:
-            raise FormatError(f"{args.risks}: need case_id and risk columns") from exc
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) < len(header):
-                raise FormatError(f"{args.risks}:{lineno}: {len(parts)} fields, "
-                                  f"header has {len(header)}")
-            if parts[id_col] in risks_by_id:
-                raise DataError(f"{args.risks}:{lineno}: duplicate case id "
-                                f"{parts[id_col]!r}")
-            try:
-                risk = float(parts[risk_col])
-            except ValueError as exc:
-                raise FormatError(f"{args.risks}:{lineno}: risk {parts[risk_col]!r} "
-                                  f"is not a number") from exc
-            if not np.isfinite(risk):
-                raise DataError(f"{args.risks}:{lineno}: risk {parts[risk_col]!r} "
-                                f"is not finite")
-            risks_by_id[parts[id_col]] = risk
+            raise FormatError(f"{args.risks}:{line}: risk {text!r} "
+                              f"is not a number") from exc
+        if not np.isfinite(risk):
+            raise DataError(f"{args.risks}:{line}: risk {text!r} is not finite")
+        risks_by_id[case_id] = risk
     missing = [c.case_id for c in manifest.cases if c.case_id not in risks_by_id]
     if missing:
         raise DataError(f"risk file misses manifest case ids: {', '.join(missing[:5])}"
@@ -228,13 +227,10 @@ def cmd_km(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    M_values = [int(x) for x in args.M_values.split(",") if x]
-    rows = training.bench_solves(M_values, args.m, args.dim)
-    out = _out_path(args.out)
-    with bags.atomic_writer(out) as fh:
-        fh.write("M,seconds,instances_per_second\n")
-        for M, secs, ips in rows:
-            fh.write(f"{M},{secs:.6g},{ips:.6g}\n")
+    rows = training.bench_solves(args.M_values, args.m, args.dim)
+    out = bags.write_csv(_out_path(args.out),
+                         [("M", "seconds", "instances_per_second"),
+                          *((M, f"{secs:.6g}", f"{ips:.6g}") for M, secs, ips in rows)])
     print(out)
     return 0
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bags import SurvivalRecord, atomic_writer, write_json
+from .bags import SurvivalRecord, write_csv, write_json
 from .errors import DataError, MetricUndefinedError, ParameterError
 
 # Probability floor inside logs; keeps the loss finite at saturated hazards.
@@ -162,13 +162,11 @@ def write_km_outputs(curves: dict[str, KMCurve], result: LogrankResult,
     prefix = Path(out_prefix)
     paths = []
     for name, curve in curves.items():
-        path = prefix.with_name(f"{prefix.name}_km_{name}.csv")
-        with atomic_writer(path) as fh:
-            fh.write("time,at_risk,events,survival\n")
-            for t, n, d, s in zip(curve.event_times, curve.at_risk,
-                                  curve.events, curve.survival):
-                fh.write(f"{t:.9g},{n},{d},{s:.9g}\n")
-        paths.append(path)
+        paths.append(write_csv(
+            prefix.with_name(f"{prefix.name}_km_{name}.csv"),
+            [("time", "at_risk", "events", "survival"),
+             *((f"{t:.9g}", n, d, f"{s:.9g}") for t, n, d, s in zip(
+                 curve.event_times, curve.at_risk, curve.events, curve.survival))]))
     paths.append(write_json(prefix.with_name(f"{prefix.name}_logrank.json"),
                             {"statistic": result.statistic, "p_value": result.p_value,
                              "group_sizes": list(result.group_sizes)}))

@@ -12,7 +12,6 @@ curves are averaged before the risk score is taken.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import time
@@ -24,8 +23,8 @@ import numpy as np
 
 from .autodiff import Tape, Var, backward
 from .bags import (CaseManifest, GenomicProfile, SurvivalRecord, assign_bin,
-                   atomic_writer, discretize_times, load_bag,
-                   load_genomic_profile, write_json)
+                   discretize_times, load_bag, load_genomic_profile,
+                   write_csv, write_json)
 from .config import ExperimentConfig
 from .errors import DataError, NumericError, OtsurvError
 from .microbatch import OTSettings, sample_micro_batches, solve_batch
@@ -304,12 +303,10 @@ def cross_validate(cases: list[CaseData], config: ExperimentConfig,
     if out_dir is not None:
         out = Path(out_dir)
         write_json(out / "metrics.json", report)
-        with atomic_writer(out / "risks.csv", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["case_id", "risk", "time_months", "censor", "fold"])
-            for row in sorted(pooled):
-                writer.writerow([row[0], f"{row[1]:.9g}", f"{row[2]:.9g}",
-                                 row[3], row[4]])
+        write_csv(out / "risks.csv",
+                  [("case_id", "risk", "time_months", "censor", "fold"),
+                   *((case_id, f"{risk:.9g}", f"{months:.9g}", censor, fold)
+                     for case_id, risk, months, censor, fold in sorted(pooled))])
     report["pooled_risks"] = pooled
     return report
 
@@ -350,13 +347,11 @@ def ablation_sweep(cases: list[CaseData], config: ExperimentConfig,
             rows.append({"mode": mode, "m": m, "fold": -1,
                          "c_index": float("nan"), "status": f"error: {exc}"})
     if out_dir is not None:
-        with atomic_writer(Path(out_dir) / "ablation.csv", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mode", "m", "fold", "c_index", "status"])
-            for row in rows:
-                writer.writerow([row["mode"], row["m"], row["fold"],
-                                 "" if math.isnan(row["c_index"])
-                                 else f"{row['c_index']:.9g}", row["status"]])
+        write_csv(Path(out_dir) / "ablation.csv",
+                  [("mode", "m", "fold", "c_index", "status"),
+                   *((row["mode"], row["m"], row["fold"],
+                      "" if math.isnan(row["c_index"]) else f"{row['c_index']:.9g}",
+                      row["status"]) for row in rows)])
     return rows
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bags import atomic_writer, write_json
+from .bags import write_csv, write_json
 from .errors import ConstraintError, DataError, ParameterError, ShapeError, SolverError
 
 COST_METRICS = ("l2", "squared_l2", "cosine_distance")
@@ -491,9 +491,8 @@ def write_plan(plan: TransportPlan, out_prefix, solver: str = "") -> tuple[Path,
     absorbed at least once (see ``_scale``); it is not an input.
     """
     prefix = Path(out_prefix)
-    coupling_path = prefix.with_name(prefix.name + "_coupling.csv")
-    with atomic_writer(coupling_path) as fh:
-        np.savetxt(fh, plan.coupling, delimiter=",", fmt="%.12g")
+    coupling_path = write_csv(prefix.with_name(prefix.name + "_coupling.csv"),
+                              (["%.12g" % v for v in row] for row in plan.coupling))
     doc = {
         "solver": solver,
         "objective_value": plan.objective_value,

@@ -68,6 +68,17 @@ def test_csv_ragged_rows_is_format_error(tmp_path):
         load_bag(path, "csv")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("f0,f1,f2\n1,2,3\n\n\n4,5,6,7\n", "bad.csv:5: 4 fields, header has 3"),
+    ("f0,f1,f2\n\n1,2,3\n\nx,5,6\n", "bad.csv:5: could not convert"),
+], ids=["ragged", "not a number"])
+def test_csv_error_names_physical_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        load_bag(path, "csv")
+
+
 def test_binary_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "bad.fbag"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

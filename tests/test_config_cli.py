@@ -438,6 +438,101 @@ def test_cli_km_non_finite_risk_is_data_error(tmp_path, value):
     assert not list(tmp_path.glob("km_*"))
 
 
+def test_cli_km_long_row_is_format_error(tmp_path):
+    manifest, ids, text = km_inputs(tmp_path)
+    risks = tmp_path / "risks.csv"
+    risks.write_text(text.replace(f"{ids[1]},0.1", f"{ids[1]},0.1,7"))
+    res = run_cli("km", "--risks", risks, "--manifest", manifest,
+                  "--out-prefix", tmp_path / "km")
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_class"] == "FormatError"
+    assert "risks.csv:3: 3 fields, header has 2" in err["message"]
+
+
+def test_cli_km_missing_risks_is_format_error(tmp_path, capsys):
+    manifest, _, _ = km_inputs(tmp_path)
+    assert cli.main(["km", "--risks", str(tmp_path / "nope.csv"), "--manifest",
+                     str(manifest), "--out-prefix", str(tmp_path / "km")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error_class"] == "FormatError" and "nope.csv" in err["message"]
+
+
+def test_cli_km_reads_crlf_risks(tmp_path):
+    # risks.csv as earlier versions of `otsurv train` wrote it
+    manifest, _, text = km_inputs(tmp_path)
+    for name, line_end in (("lf", "\n"), ("crlf", "\r\n")):
+        risks = tmp_path / f"risks_{name}.csv"
+        risks.write_bytes(text.replace("\n", line_end).encode())
+        res = run_cli("km", "--risks", risks, "--manifest", manifest,
+                      "--out-prefix", tmp_path / name / "km")
+        assert res.returncode == 0, res.stderr
+    outputs = [{p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+               for name in ("lf", "crlf")]
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 3
+
+
+def test_cli_train_km_case_id_with_comma(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["gen-synth", "--out", str(data), "--n-cases", "16", "--m-p", "6",
+                     "--m-g", "3", "--dim", "8", "--seed", "7"]) == 0
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["cases"][0]["case_id"] = "case,0"
+    (data / "manifest.json").write_text(json.dumps(doc))
+    assert cli.main(["train", "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "run"), "--folds", "2", "--epochs", "1",
+                     "--micro-batch", "4", "--bins", "3", "--grad-accum-steps", "8"]) == 0
+    assert '"case,0"' in (tmp_path / "run" / "risks.csv").read_text()
+    assert cli.main(["km", "--risks", str(tmp_path / "run" / "risks.csv"),
+                     "--manifest", str(data / "manifest.json"),
+                     "--out-prefix", str(tmp_path / "km")]) == 0, capsys.readouterr().err
+    doc = json.loads((tmp_path / "km_logrank.json").read_text())
+    assert sum(doc["group_sizes"]) == 16
+
+
+@pytest.mark.parametrize("command", ["train", "solve", "km"])
+def test_cli_csv_input_not_utf8_exit_code(tmp_path, capsys, command):
+    manifest, _, text = km_inputs(tmp_path)
+    if command == "train":
+        bad = tmp_path / "data" / "case_0002_genomic.csv"
+        args = ["--manifest", manifest, "--out", tmp_path / "run"]
+    elif command == "solve":
+        bad = tmp_path / "s.csv"
+        write_bag_csv(bad, np.ones((3, 2)))
+        args = ["--source", bad, "--target", bad, "--out-prefix", tmp_path / "p"]
+    else:
+        bad = tmp_path / "risks.csv"
+        bad.write_text(text)
+        args = ["--risks", bad, "--manifest", manifest, "--out-prefix", tmp_path / "km"]
+    bad.write_bytes(bad.read_bytes() + b"\xff\xfe\n")
+    assert cli.main([command, *map(str, args)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error_class"] == "FormatError"
+    assert f"{bad.name}: not valid UTF-8" in err["message"]
+
+
+@pytest.mark.parametrize("args", [
+    ["ablate", "--manifest", "m", "--out", "o", "--m-values", "16,abc"],
+    ["bench", "--out", "o", "--m-values", "64,x"],
+], ids=["ablate", "bench"])
+def test_cli_bad_comma_list_item_is_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert f"argument --m-values: invalid comma-separated int value: '{args[-1]}'" \
+        in capsys.readouterr().err
+
+
+def test_cli_comma_lists_parse_to_lists():
+    parse = cli.build_parser().parse_args
+    args = parse(["ablate", "--manifest", "m", "--out", "o"])
+    assert (args.m_values, args.modes) == ([64, 128, 256], ["umbot"])
+    args = parse(["ablate", "--manifest", "m", "--out", "o", "--m-values", " 16, 32,",
+                  "--modes", "umbot, dense"])
+    assert (args.m_values, args.modes) == ([16, 32], ["umbot", "dense"])
+    assert parse(["bench", "--out", "o"]).M_values == [2048, 4096, 8192]
+
+
 def test_cli_ablate_unknown_mode_exit_code(tmp_path):
     gen = run_cli("gen-synth", "--out", tmp_path / "data", "--n-cases", 12,
                   "--m-p", 6, "--m-g", 3, "--dim", 6, "--seed", 8)

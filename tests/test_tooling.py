@@ -48,48 +48,40 @@ def test_every_tape_op_has_a_caller():
     assert [op for op in ops if not re.search(rf"\btape\.{op}\(", text)] == []
 
 
-def _file_writes(tree):
-    """(function, call) for each call in ``tree`` that may write a file
-    other than through ``atomic_writer``: an ``open`` outside it whose mode
-    is not a constant read mode, an ``np.savetxt`` not given a handle that
-    ``with atomic_writer(...)`` opened, and a ``json.dump`` outside
-    ``write_json``."""
+# The one function of src/otsurv that may make each call.
+ONLY_IN = {"open": ("atomic_writer", "read_json"), "json.dump": ("write_json",),
+           "json.load": ("read_json",), "csv.writer": ("write_csv",),
+           "np.savetxt": ("write_csv",), "csv.reader": ("read_csv",)}
+
+
+def _file_access(tree):
+    """(function, call) for each call in ``tree`` that reads or writes a
+    file other than through the one reader or writer of its format: a call
+    named in ``ONLY_IN`` outside its function, and any ``Path`` text or
+    file method that bypasses them."""
     found = []
 
-    def visit(node, where, handles):
+    def visit(node, where):
         if isinstance(node, ast.FunctionDef):
             where = node.name
-            handles = {item.optional_vars.id for w in ast.walk(node)
-                       if isinstance(w, ast.With) for item in w.items
-                       if isinstance(item.context_expr, ast.Call)
-                       and ast.unparse(item.context_expr.func).endswith("atomic_writer")
-                       and isinstance(item.optional_vars, ast.Name)}
         if isinstance(node, ast.Call):
             name = ast.unparse(node.func)
-            mode = node.args[1] if len(node.args) > 1 else next(
-                (k.value for k in node.keywords if k.arg == "mode"), None)
-            if name == "open":
-                writes = where != "atomic_writer" and mode is not None and not (
-                    isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value))
-            elif name == "np.savetxt":
-                writes = not (isinstance(node.args[0], ast.Name)
-                              and node.args[0].id in handles)
-            else:
-                writes = name == "json.dump" and where != "write_json"
-            if writes:
+            if (name in ONLY_IN and where not in ONLY_IN[name]) or name.endswith(
+                    (".read_text", ".write_text", ".write_bytes", ".open")):
                 found.append((where, ast.unparse(node)))
         for child in ast.iter_child_nodes(node):
-            visit(child, where, handles)
+            visit(child, where)
 
-    visit(tree, "<module>", set())
+    visit(tree, "<module>")
     return found
 
 
 def test_every_write_goes_through_atomic_writer():
-    # A file written any other way can be left half-written by a failure.
-    writes = {p.name: _file_writes(ast.parse(p.read_text(encoding="utf-8")))
-              for p in sorted((REPO / "src" / "otsurv").glob("*.py"))}
-    assert {name: found for name, found in writes.items() if found} == {}
+    # A file written any other way can be left half-written by a failure,
+    # and a file read any other way can escape the format's checks.
+    found = {p.name: _file_access(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted((REPO / "src" / "otsurv").glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 def test_every_perfbench_hook_resolves(monkeypatch):
