@@ -58,9 +58,12 @@ def _load_effective_config(args) -> ExperimentConfig:
 
 
 def _comma_list(item_type):
-    """Argparse type for a comma-separated list; a bad item exits 2."""
+    """Argparse type for a comma-separated list; a bad item or no item exits 2."""
     def parse(text: str) -> list:
-        return [item_type(item) for item in map(str.strip, text.split(",")) if item]
+        items = [item_type(item) for item in map(str.strip, text.split(",")) if item]
+        if not items:
+            raise ValueError(f"no items in {text!r}")
+        return items
     parse.__name__ = f"comma-separated {item_type.__name__}"
     return parse
 

@@ -88,25 +88,21 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A coupling with its diagnostics.
+    """A coupling, how its solver ended, and the problem it solved.
 
-    ``objective_value`` is the bare transport cost <P, C>;
-    ``objective_regularized`` additionally includes the entropic (and for
-    the unbalanced solver the marginal-KL) terms.  Exact solves carry dual
-    potentials and a duality gap; scaling solves carry their log scaling
-    vectors in the dual slots instead.
+    An exact solve rescales ``marginals.target`` to the source mass.  The
+    dual slots hold potentials for an exact solve and log scalings for a
+    scaling solve.  The diagnostics are computed from these fields when read.
     """
 
     coupling: np.ndarray
-    objective_value: float
-    marginal_residual: float
     iterations: int
     converged: bool
     settings: SolverSettings
-    objective_regularized: float | None = None
+    cost: CostMatrix
+    marginals: Marginals
     dual_source: np.ndarray | None = None
     dual_target: np.ndarray | None = None
-    duality_gap: float | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.coupling)) or np.any(self.coupling < 0):
@@ -116,15 +112,48 @@ class TransportPlan:
     def total_mass(self) -> float:
         return float(self.coupling.sum())
 
+    @property
+    def objective_value(self) -> float:
+        """The bare transport cost <P, C>."""
+        return float(np.sum(self.coupling * self.cost.values))
+
+    @property
+    def marginal_residual(self) -> float:
+        """The larger of the row and column marginal residuals."""
+        P, marg = self.coupling, self.marginals
+        return max(float(np.abs(P.sum(axis=1) - marg.source).max()),
+                   float(np.abs(P.sum(axis=0) - marg.target).max()))
+
+    @property
+    def objective_regularized(self) -> float | None:
+        """<P, C> + eps KL(P | a x b), plus tau (KL(P 1 | a) + KL(P' 1 | b))
+        when unbalanced; None for an exact solve."""
+        eps, tau = self.settings.epsilon, self.settings.tau
+        if eps is None:
+            return None
+        P, a, b = self.coupling, self.marginals.source, self.marginals.target
+        reg = self.objective_value + eps * _generalized_kl(P, np.outer(a, b))
+        if tau is not None:
+            reg = (reg + tau * _generalized_kl(P.sum(axis=1), a)
+                   + tau * _generalized_kl(P.sum(axis=0), b))
+        return reg
+
+    @property
+    def duality_gap(self) -> float | None:
+        """<P, C> minus the dual objective; None unless the duals are potentials."""
+        if self.settings.epsilon is not None or self.dual_source is None:
+            return None
+        a, b = self.marginals.source, self.marginals.target
+        return self.objective_value - float(a @ self.dual_source + b @ self.dual_target)
+
 
 # ---------------------------------------------------------------------------
 # Cost construction
 
 
-def build_cost(source, target, metric: str = "l2") -> CostMatrix:
-    """Pairwise cost between the rows of two bags (or raw matrices)."""
-    xs = source.features if hasattr(source, "features") else np.asarray(source, float)
-    xt = target.features if hasattr(target, "features") else np.asarray(target, float)
+def build_cost(source: np.ndarray, target: np.ndarray, metric: str = "l2") -> CostMatrix:
+    """Pairwise cost between the rows of two feature matrices."""
+    xs, xt = np.asarray(source, float), np.asarray(target, float)
     if xs.ndim != 2 or xt.ndim != 2:
         raise ShapeError("bags must be 2-D feature matrices")
     if xs.shape[1] != xt.shape[1]:
@@ -133,9 +162,7 @@ def build_cost(source, target, metric: str = "l2") -> CostMatrix:
         raise ParameterError(f"unknown metric {metric!r}, choose from {COST_METRICS}")
 
     if metric == "cosine_distance":
-        ns = np.linalg.norm(xs, axis=1)
-        nt = np.linalg.norm(xt, axis=1)
-        denom = np.outer(ns, nt)
+        denom = np.outer(np.linalg.norm(xs, axis=1), np.linalg.norm(xt, axis=1))
         sim = np.zeros((xs.shape[0], xt.shape[0]))
         nonzero = denom > 0
         dots = xs @ xt.T
@@ -166,21 +193,18 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals, max_pivots: int = 100_000
 
     Transportation simplex (MODI): northwest-corner start, then pivots on
     the most negative reduced cost with a Bland-rule fallback against
-    cycling.  The returned plan carries the dual potentials and the
-    resulting duality gap as an optimality certificate.
+    cycling.  The returned plan carries the dual potentials, whose duality
+    gap is the optimality certificate.
     """
     cost = C.values
     n, m = cost.shape
-    a = marg.source.astype(np.float64).copy()
-    b = marg.target.astype(np.float64).copy()
+    a, b = marg.source, marg.target
     if a.size != n or b.size != m:
         raise ShapeError(f"marginals ({a.size},{b.size}) do not match cost {cost.shape}")
     if abs(a.sum() - b.sum()) > 1e-9:
         raise ConstraintError(f"marginal sums differ: {a.sum()} vs {b.sum()}")
-    total = a.sum()
-    b *= total / b.sum()
+    b = b * (a.sum() / b.sum())
 
-    settings = SolverSettings(max_iters=max_pivots)
     # Northwest-corner initial basis: a staircase of n+m-1 cells.
     alloc = np.zeros((n, m))
     basis: list[tuple[int, int]] = []
@@ -235,14 +259,9 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals, max_pivots: int = 100_000
         basis[basis.index(leave)] = (ei, ej)
         pivots += 1
 
-    P = np.maximum(alloc, 0.0)
-    objective = float(np.sum(P * cost))
-    dual_objective = float(a @ u + b @ v)
-    residual = max(float(np.abs(P.sum(axis=1) - a).max()),
-                   float(np.abs(P.sum(axis=0) - b).max()))
-    return TransportPlan(P, objective, residual, pivots, True, settings,
-                         dual_source=u, dual_target=v,
-                         duality_gap=objective - dual_objective)
+    return TransportPlan(np.maximum(alloc, 0.0), pivots, True,
+                         SolverSettings(max_iters=max_pivots), C, Marginals(a, b),
+                         dual_source=u, dual_target=v)
 
 
 def _duals_from_basis(cost, basis, n, m):
@@ -314,11 +333,10 @@ _ABSORB_LO, _ABSORB_HI = 1e-100, 1e100
 
 
 def _generalized_kl(x: np.ndarray, y: np.ndarray) -> float:
-    """sum(x log(x/y) - x + y), with 0 log 0 = 0; supports y > 0 everywhere."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
+    """sum(x log(x/y) - x + y), with 0 log(0/y) = 0; needs y > 0 wherever x > 0."""
     pos = x > 0
-    val = float(np.sum(np.where(pos, x * (np.log(np.where(pos, x, 1.0)) - np.log(y)), 0.0)))
+    val = float(np.sum(np.where(pos, x * (np.log(np.where(pos, x, 1.0))
+                                          - np.log(np.where(pos, y, 1.0))), 0.0)))
     return val - float(x.sum()) + float(y.sum())
 
 
@@ -353,8 +371,8 @@ def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
     """Shared body of the two scaling solvers; ``tau=None`` is balanced.
 
     Zero-mass rows and columns are dropped before the solve and come back
-    as zero coupling with dual -inf.  ``marginal_residual`` is the larger
-    of the row and column residuals of the returned coupling.
+    as zero coupling with dual -inf.  The plan carries ``C`` and ``marg``
+    whole; it computes no diagnostic.
     """
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
@@ -365,10 +383,8 @@ def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
     if marg.source.size != C.shape[0] or marg.target.size != C.shape[1]:
         raise ShapeError(f"marginals ({marg.source.size},{marg.target.size}) "
                          f"do not match cost {C.shape}")
-    sub_a = marg.source > 0
-    sub_b = marg.target > 0
-    a = marg.source[sub_a]
-    b = marg.target[sub_b]
+    sub_a, sub_b = marg.source > 0, marg.target > 0
+    a, b = marg.source[sub_a], marg.target[sub_b]
     cost = C.values[np.ix_(sub_a, sub_b)]
     fi = 1.0 if tau is None else tau / (tau + epsilon)
     P_sub, log_u, log_v, iterations, converged, absorbed = _scale(
@@ -376,17 +392,9 @@ def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
 
     P = np.zeros(C.shape)
     P[np.ix_(sub_a, sub_b)] = P_sub
-    objective = float(np.sum(P_sub * cost))
-    reg = objective + epsilon * _generalized_kl(P_sub, np.outer(a, b))
-    if tau is not None:
-        reg = (reg + tau * _generalized_kl(P_sub.sum(axis=1), a)
-               + tau * _generalized_kl(P_sub.sum(axis=0), b))
-    residual = max(float(np.abs(P_sub.sum(axis=1) - a).max()),
-                   float(np.abs(P_sub.sum(axis=0) - b).max()))
     settings = SolverSettings(epsilon=epsilon, tau=tau, max_iters=max_iters,
                               tolerance=tol, log_domain=absorbed)
-    return TransportPlan(P, objective, residual, iterations, converged, settings,
-                         objective_regularized=reg,
+    return TransportPlan(P, iterations, converged, settings, C, marg,
                          dual_source=_embed(log_u, sub_a),
                          dual_target=_embed(log_v, sub_b))
 
@@ -493,17 +501,9 @@ def write_plan(plan: TransportPlan, out_prefix, solver: str = "") -> tuple[Path,
     prefix = Path(out_prefix)
     coupling_path = write_csv(prefix.with_name(prefix.name + "_coupling.csv"),
                               (["%.12g" % v for v in row] for row in plan.coupling))
-    doc = {
-        "solver": solver,
-        "objective_value": plan.objective_value,
-        "objective_regularized": plan.objective_regularized,
-        "marginal_residual": plan.marginal_residual,
-        "iterations": plan.iterations,
-        "converged": plan.converged,
-        "total_mass": plan.total_mass,
-        "duality_gap": plan.duality_gap,
-        "settings": asdict(plan.settings),
-        "shape": list(plan.coupling.shape),
-    }
+    fields = ("objective_value", "objective_regularized", "marginal_residual",
+              "iterations", "converged", "total_mass", "duality_gap")
+    doc = {"solver": solver, **{name: getattr(plan, name) for name in fields},
+           "settings": asdict(plan.settings), "shape": list(plan.coupling.shape)}
     json_path = write_json(prefix.with_name(prefix.name + "_plan.json"), doc)
     return coupling_path, json_path

@@ -511,16 +511,26 @@ def test_cli_csv_input_not_utf8_exit_code(tmp_path, capsys, command):
     assert f"{bad.name}: not valid UTF-8" in err["message"]
 
 
-@pytest.mark.parametrize("args", [
-    ["ablate", "--manifest", "m", "--out", "o", "--m-values", "16,abc"],
-    ["bench", "--out", "o", "--m-values", "64,x"],
-], ids=["ablate", "bench"])
-def test_cli_bad_comma_list_item_is_usage_error(args, capsys):
+ABLATE = ["ablate", "--manifest", "m", "--out", "o"]
+
+
+@pytest.mark.parametrize("args, item_type", [
+    (ABLATE + ["--m-values", "16,abc"], "int"),
+    (["bench", "--out", "o", "--m-values", "64,x"], "int"),
+    (ABLATE + ["--m-values", ""], "int"),
+    (ABLATE + ["--m-values", ","], "int"),
+    (ABLATE + ["--modes", ""], "str"),
+    (ABLATE + ["--modes", ","], "str"),
+    (["bench", "--out", "o", "--m-values", ""], "int"),
+    (["bench", "--out", "o", "--m-values", ","], "int"),
+], ids=["ablate", "bench", "ablate-m-values-empty", "ablate-m-values-comma",
+        "ablate-modes-empty", "ablate-modes-comma", "bench-empty", "bench-comma"])
+def test_cli_bad_comma_list_item_is_usage_error(args, item_type, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
     assert exc.value.code == 2
-    assert f"argument --m-values: invalid comma-separated int value: '{args[-1]}'" \
-        in capsys.readouterr().err
+    assert (f"argument {args[-2]}: invalid comma-separated {item_type} value: "
+            f"'{args[-1]}'") in capsys.readouterr().err
 
 
 def test_cli_comma_lists_parse_to_lists():

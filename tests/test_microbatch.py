@@ -22,12 +22,15 @@ from otsurv.microbatch import OTSettings, sample_micro_batches, solve_batch
 from otsurv.neural import (dense_coattention_t, encode_genomic_t, init_params,
                            wrap_params)
 from otsurv.train import CaseData, case_forward
-from otsurv.transport import SolverSettings, TransportPlan
+from otsurv.transport import (CostMatrix, SolverSettings, TransportPlan,
+                              uniform_marginals)
 
 
 def make_plan(coupling):
-    return TransportPlan(np.asarray(coupling, float), 0.0, 0.0, 1, True,
-                         SolverSettings())
+    coupling = np.asarray(coupling, float)
+    return TransportPlan(coupling, 1, True, SolverSettings(),
+                         CostMatrix(np.zeros(coupling.shape), "l2"),
+                         uniform_marginals(*coupling.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Package surface and the experiment scripts."""
+"""Package surface, file access discipline, benchmark hooks and BLAS thread
+independence."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
-import json
 import os
 import re
 import subprocess
@@ -22,14 +22,6 @@ from otsurv.neural import init_params
 from otsurv.train import CaseData, case_forward
 
 REPO = Path(__file__).resolve().parents[1]
-SCRIPTS = REPO / "scripts"
-
-
-def run_script(name, out, *extra):
-    """Run a script at toy size: 20 cases, one epoch."""
-    return subprocess.run([sys.executable, str(SCRIPTS / name), "--out", str(out),
-                           "--n-cases", "20", "--epochs", "1", *extra],
-                          capture_output=True, text=True)
 
 
 def test_every_exported_name_resolves():
@@ -106,21 +98,6 @@ def test_every_perfbench_hook_resolves(monkeypatch):
     params = init_params(8, 8, profile.attr_dims(), 3, seed=0)
     result = case_forward(params, case, 5, OTSettings(), "umbot", 0)
     assert tracing._tape_attrs(result)["tape_nodes"] > 0
-
-
-def test_end_to_end_script_smoke(tmp_path):
-    res = run_script("run_end_to_end.py", tmp_path)
-    assert res.returncode == 0, res.stderr
-    doc = json.loads((tmp_path / "km_logrank.json").read_text())
-    assert sum(doc["group_sizes"]) == 20
-
-
-def test_ablation_script_smoke(tmp_path):
-    res = run_script("run_ablation.py", tmp_path, "--m-values", "16",
-                     "--modes", "umbot,dense")
-    assert res.returncode == 0, res.stderr
-    lines = (tmp_path / "ablation.csv").read_text().strip().splitlines()
-    assert len(lines) == 1 + 2 * 5  # header + modes x folds
 
 
 def test_train_outputs_do_not_depend_on_blas_thread_count(tmp_path):

@@ -12,7 +12,7 @@ from failing_writes import fail_writes_to
 from otsurv.autodiff import Tape, backward
 from otsurv.bags import (GenomicProfile, InstanceBag, SurvivalRecord,
                          discretize_times, generate_synthetic_dataset, save_bag)
-from otsurv import train
+from otsurv import train, transport
 from otsurv.config import ExperimentConfig
 from otsurv.errors import DataError
 from otsurv.microbatch import OTSettings, solve_batch
@@ -44,6 +44,37 @@ def test_case_forward_requires_bin():
     case.record = SurvivalRecord(10.0, 0, bin=None)
     with pytest.raises(DataError):
         case_forward(make_params(), case, 5, OTSettings(), "umbot", 0)
+
+
+@pytest.mark.parametrize("mode", ["umbot", "emd"])
+def test_training_and_scoring_solves_compute_no_diagnostics(monkeypatch, mode):
+    # A plan's diagnostics are computed when read; training and scoring read
+    # only the coupling, so none of them may run on this path.
+    def refuse(*args):
+        raise AssertionError("diagnostic computed")
+
+    monkeypatch.setattr(transport, "_generalized_kl", refuse)
+    rng = np.random.default_rng(7)
+    cases = [replace(make_case(rng), case_id=f"c{k}",
+                     record=SurvivalRecord(1.0 + k, k % 2, bin=k)) for k in range(4)]
+    params = make_params()
+    solver = "emd" if mode == "emd" else "uot"
+    with monkeypatch.context() as patch:
+        for name in ("objective_value", "marginal_residual"):
+            patch.setattr(transport.TransportPlan, name, property(refuse))
+        plan = solve_batch(cases[0].pathology_raw, rng.standard_normal((3, 8)),
+                           OTSettings(solver=solver))
+        *_, couplings = case_forward(params, cases[0], 4, OTSettings(), mode, 0)
+        config = ExperimentConfig(micro_batch=4, bins=4, attention_mode=mode)
+        _, risks = evaluate(params, cases, config, 0)
+    assert len(couplings) == 3 and len(risks) == 4
+    for p in (plan, *couplings):
+        assert np.isfinite(p.objective_value) and np.isfinite(p.marginal_residual)
+        if mode == "emd":
+            assert p.objective_regularized is None
+        else:
+            with pytest.raises(AssertionError, match="diagnostic computed"):
+                p.objective_regularized
 
 
 def test_whole_bag_equivalence_bitwise():

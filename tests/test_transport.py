@@ -1,5 +1,7 @@
 """Cost matrices and the three transport solvers against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,6 +397,52 @@ def test_marginal_residual_is_worst_of_rows_and_columns():
             rows = np.abs(plan.coupling.sum(axis=1) - marg.source).max()
             cols = np.abs(plan.coupling.sum(axis=0) - marg.target).max()
             assert plan.marginal_residual == max(rows, cols)
+
+
+def _kl(x, y):
+    return math.fsum(xi * math.log(xi / yi) - xi + yi if xi > 0 else yi
+                     for xi, yi in zip(x.ravel(), y.ravel()))
+
+
+zero_masks = st.lists(st.booleans(), min_size=1, max_size=6).filter(lambda z: not all(z))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), zero_masks, zero_masks,
+       st.sampled_from(["emd", "sinkhorn", "uot"]))
+@settings(max_examples=60, deadline=None)
+def test_plan_diagnostics_are_formulas_on_coupling_and_problem(seed, zero_a, zero_b,
+                                                                solver):
+    # Marginals with zero entries: the solve drops those rows and columns,
+    # and the plan still answers for the whole problem it was given.
+    rng = np.random.default_rng(seed)
+    C = CostMatrix(rng.uniform(0.0, 1.0, size=(len(zero_a), len(zero_b))), "l2")
+    a = np.where(zero_a, 0.0, rng.uniform(0.1, 1.0, len(zero_a)))
+    b = np.where(zero_b, 0.0, rng.uniform(0.1, 1.0, len(zero_b)))
+    marg = Marginals(a / a.sum(), b / b.sum())
+    if solver == "emd":
+        plan = solve_exact_emd(C, marg)
+    elif solver == "sinkhorn":
+        plan = sinkhorn(C, marg, 0.1)
+    else:
+        plan = unbalanced_sinkhorn(C, marg, 0.1, 0.5)
+    P, a, b = plan.coupling, plan.marginals.source, plan.marginals.target
+    assert plan.cost is C
+    assert np.array_equal(a, marg.source)
+    assert np.allclose(b, marg.target, rtol=0.0, atol=1e-15)
+    objective = math.fsum((P * C.values).ravel())
+    assert plan.objective_value == pytest.approx(objective, rel=1e-12, abs=1e-15)
+    assert plan.marginal_residual == max(np.abs(P.sum(axis=1) - a).max(),
+                                         np.abs(P.sum(axis=0) - b).max())
+    if solver == "emd":
+        assert plan.objective_regularized is None
+        dual = math.fsum(a * plan.dual_source) + math.fsum(b * plan.dual_target)
+        assert plan.duality_gap == pytest.approx(objective - dual, abs=1e-12)
+        return
+    reg = objective + 0.1 * _kl(P, np.outer(a, b))
+    if solver == "uot":
+        reg += 0.5 * (_kl(P.sum(axis=1), a) + _kl(P.sum(axis=0), b))
+    assert plan.objective_regularized == pytest.approx(reg, rel=1e-12, abs=1e-15)
+    assert plan.duality_gap is None
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
