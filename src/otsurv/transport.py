@@ -9,7 +9,8 @@ Three solvers over a nonnegative cost matrix and a pair of marginals:
   relative to the product measure, ``K[u,v] = a_u b_v exp(-C[u,v]/eps)``.
 * :func:`unbalanced_sinkhorn` - marginal constraints relaxed to KL
   penalties with coefficient tau; alternating scaling updates damped by the
-  exponent ``tau / (tau + eps)``.
+  exponent ``tau / (tau + eps)``, each followed by the optimal translation
+  of the dual potentials (translation-invariant Sinkhorn).
 
 Both scaling solvers run one kernel, the balanced one with exponent 1.  It
 iterates in the plain domain; a scaling that leaves a fixed range is
@@ -359,9 +360,15 @@ def unbalanced_sinkhorn(C: CostMatrix, marg: Marginals, epsilon: float, tau: flo
 
     Minimizes <P,C> + eps KL(P | a x b) + tau (KL(P 1 | a) + KL(P' 1 | b))
     by alternating scaling updates with damped exponent tau / (tau + eps).
-    Convergence is declared when the scaling vectors stop moving (max change
-    of log u and log v below ``tol``).  tau = 0 yields the closed form
-    ``P = (a x b) exp(-C/eps)`` on the first iteration.
+    For tau > 0 each update is followed by the closed-form optimal shift of
+    the dual potentials f + lam, g - lam (Sejourne, Vialard & Peyre,
+    *Faster Unbalanced Optimal Transport: Translation invariant Sinkhorn
+    and 1-D Frank-Wolfe*, AISTATS 2022); it leaves the fixed point as it is
+    and takes about 10 iterations where the damped updates alone take about
+    75 (eps 0.05, tau 0.5).  Convergence is declared when the scaling
+    vectors stop moving (max change of log u and log v below ``tol``).
+    tau = 0 yields the closed form ``P = (a x b) exp(-C/eps)`` on the first
+    iteration.
     """
     return _scaling_solve(C, marg, epsilon, tau, max_iters, tol)
 
@@ -420,7 +427,16 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     from the potentials ``f + log u`` and ``g + log v`` instead, its result
     becomes the new f and g, K is rebuilt, and u = v = 1 (Schmitzer 2019).
     ``a_s``, ``b_s`` are the marginals rescaled so that the plain update on
-    the absorbed K is the same update.
+    the absorbed K is the same update; they equal ``a exp(-r f)`` and
+    ``b exp(-r g)`` with ``r = (1 - fi) / fi = eps / tau``.
+
+    When 0 < fi < 1 each new pair then takes the optimal dual translation
+    ``f + t, g - t`` in closed form (Sejourne, Vialard & Peyre, AISTATS
+    2022): ``u e^t, v e^-t`` with ``t = (log A - log B) / (2 r)``,
+    ``A = sum a_s u^-r`` and ``B = sum b_s v^-r``.  Without it the mode
+    ``f + t, g - t`` contracts only by fi^2 per iteration.  A sum that is
+    0, inf or NaN makes t NaN or infinite, which takes the pair out of
+    range, so an absorption step replaces it.
 
     Stops on the row-marginal residual when ``row_residual``, else on the
     change in log scaling.  Returns the sub-coupling, the log scalings
@@ -434,6 +450,8 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     f = np.zeros_like(a)
     g = np.zeros_like(b)
     a_s, b_s = a, b
+    translate = 0.0 < fi < 1.0
+    r = (1.0 - fi) / fi if translate else 0.0
     K = a[:, None] * b[None, :] * np.exp(G + f[:, None] + g[None, :])
     KT = K.T
     # u and v are views into one buffer w, so a single range check and a
@@ -454,6 +472,13 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
             np.dot(KT, u_new, out=Ku)
             np.divide(b_s, Ku, out=v_new)
             np.power(v_new, fi, out=v_new)
+            if translate:
+                # Kv and Ku are free until the next iteration.
+                A = np.dot(a_s, np.power(u_new, -r, out=Kv))
+                B = np.dot(b_s, np.power(v_new, -r, out=Ku))
+                t = (np.log(A) - np.log(B)) / (2.0 * r)
+                np.multiply(u_new, np.exp(t), out=u_new)
+                np.multiply(v_new, np.exp(-t), out=v_new)
             # False for any 0, inf or NaN as well.
             if (_ABSORB_LO < np.minimum.reduce(w_new)
                     and np.maximum.reduce(w_new) < _ABSORB_HI):

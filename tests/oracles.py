@@ -134,8 +134,12 @@ def plain_scaling(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
 
     ``u = (a / K v)^fi, v = (b / K'u)^fi`` on ``K = (a x b) exp(-C/eps)``
     with ``fi = tau / (tau + eps)``, or ``fi = 1`` (balanced) when tau is
-    None.  Stops on the row residual when balanced, else on the largest
-    change of log u and log v.  Returns (coupling, log u, log v, iterations).
+    None.  For tau > 0 each pair then takes the optimal translation of the
+    dual potentials ``eps log u + lam``, ``eps log v - lam`` (Sejourne,
+    Vialard & Peyre, AISTATS 2022): ``lam = (tau/2) (log <a, u^-r> -
+    log <b, v^-r>)`` with ``r = eps / tau``, written ``(1 - fi) / fi``.
+    Stops on the row residual when balanced, else on the largest change of
+    log u and log v.  Returns (coupling, log u, log v, iterations).
     """
     fi = 1.0 if tau is None else tau / (tau + epsilon)
     K = np.outer(a, b) * np.exp(-cost / epsilon)
@@ -144,6 +148,12 @@ def plain_scaling(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
     for it in range(1, max_iters + 1):
         u_next = (a / (K @ v)) ** fi
         v_next = (b / (K.T @ u_next)) ** fi
+        if tau is not None and tau > 0:
+            r = (1.0 - fi) / fi
+            lam_over_eps = (np.log(np.dot(a, u_next ** -r))
+                            - np.log(np.dot(b, v_next ** -r))) / (2.0 * r)
+            u_next = u_next * np.exp(lam_over_eps)
+            v_next = v_next * np.exp(-lam_over_eps)
         if tau is None:
             change = None
         else:

@@ -307,15 +307,21 @@ def test_uot_mass_bounded_by_one():
         assert np.all(plan.coupling >= 0)
 
 
-def test_uot_fixed_point_of_scaling_update():
-    rng = np.random.default_rng(13)
-    C, marg = random_instance(rng, 4, 4)
-    eps, tau, tol = 0.05, 0.5, 1e-8
-    plan = unbalanced_sinkhorn(C, marg, epsilon=eps, tau=tau, tol=tol,
-                               max_iters=100000)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([0.02, 0.1, 0.5, 5.0, 1e6]))
+@settings(max_examples=40, deadline=None)
+def test_uot_fixed_point_of_scaling_update(seed, tau):
+    # The solver moves the duals along f + t, g - t after every update; the
+    # plan it stops on must still be a fixed point of the plain damped
+    # update, from tau <= eps to the balanced limit.  The default tol keeps
+    # the rounding of t at tau 1e6 (about 1e-9) far below it.
+    rng = np.random.default_rng(seed)
+    C, marg = random_instance(rng, 5, 4)
+    eps, tol = 0.1, 1e-6
+    plan = unbalanced_sinkhorn(C, marg, eps, tau, tol=tol, max_iters=100000)
     assert plan.converged
-    # re-apply one scaling update from the converged scaling vectors: they
-    # must move by less than the stop threshold
+    # re-apply one untranslated scaling update from the converged scaling
+    # vectors: they must move by less than the stop threshold
     fi = tau / (tau + eps)
     K = np.outer(marg.source, marg.target) * np.exp(-C.values / eps)
     u = np.exp(plan.dual_source)
@@ -324,16 +330,39 @@ def test_uot_fixed_point_of_scaling_update():
     v2 = (marg.target / (K.T @ u2)) ** fi
     assert np.abs(np.log(u2) - np.log(u)).max() < tol
     assert np.abs(np.log(v2) - np.log(v)).max() < tol
+    if tau == 1e6:
+        balanced = sinkhorn(C, marg, eps, tol=1e-10, max_iters=100000)
+        assert np.abs(balanced.coupling - plan.coupling).max() <= 1e-4
+
+
+def test_uot_iteration_budget_on_hot_path_problems():
+    # A count, not a timing: the translation removes the mode that the
+    # damping fi = 0.909 contracts by fi^2 per iteration, which alone took
+    # about 76 iterations per solve.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = 48 if seed < 10 else 128
+        C = normalize_cost(build_cost(rng.normal(size=(n, 64)), rng.normal(size=(6, 64))))
+        plan = unbalanced_sinkhorn(C, uniform_marginals(n, 6), 0.05, 0.5)
+        assert plan.converged and not plan.settings.log_domain
+        assert plan.iterations <= 15, (seed, plan.iterations)
 
 
 def test_uot_absorbed_duals_are_log_domain_fixed_point():
     # Costs up to 1000 at eps 0.5 force absorption; the returned log
     # scalings must satisfy one log-domain update to within the stop tol.
+    # In the fixed 2 x 2 case a scaling underflows to 0 and the other
+    # overflows, so a translation sum is 0 or inf and must send the pair
+    # to absorption rather than raise.
     rng = np.random.default_rng(14)
     eps, tau, tol = 0.5, 2.0, 1e-9
+    problems = []
     for _ in range(5):
         _, marg = random_instance(rng, 5, 4)
-        C = CostMatrix(rng.uniform(0.0, 1000.0, size=(5, 4)), "l2")
+        problems.append((CostMatrix(rng.uniform(0.0, 1000.0, size=(5, 4)), "l2"), marg))
+    problems.append((CostMatrix(np.array([[800.0, 1200.0], [1400.0, 600.0]]), "l2"),
+                     uniform_marginals(2, 2)))
+    for C, marg in problems:
         plan = unbalanced_sinkhorn(C, marg, eps, tau, tol=tol, max_iters=100000)
         assert plan.settings.log_domain
         assert plan.converged
