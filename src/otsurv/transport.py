@@ -436,7 +436,10 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     ``A = sum a_s u^-r`` and ``B = sum b_s v^-r``.  Without it the mode
     ``f + t, g - t`` contracts only by fi^2 per iteration.  A sum that is
     0, inf or NaN makes t NaN or infinite, which takes the pair out of
-    range, so an absorption step replaces it.
+    range, so an absorption step replaces it.  The absorption step takes
+    the same translation in log space, ``t = (LSE(log a - r f) - LSE(log b
+    - r g)) / (2 r)``, so the rebuilt K starts from translated potentials
+    and the next plain step does not leave the range on account of t.
 
     Stops on the row-marginal residual when ``row_residual``, else on the
     change in log scaling.  Returns the sub-coupling, the log scalings
@@ -497,6 +500,11 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
                 psi = g + np.log(v)
                 f = -fi * _logsumexp(lb[None, :] + G + psi[None, :], axis=1)
                 g = -fi * _logsumexp(la[:, None] + G + f[:, None], axis=0)
+                if translate:
+                    t = (_logsumexp(la - r * f, axis=0)
+                         - _logsumexp(lb - r * g, axis=0)) / (2.0 * r)
+                    f += t
+                    g -= t
                 stop = max(float(np.abs(f - phi).max()), float(np.abs(g - psi).max()))
                 K = a[:, None] * b[None, :] * np.exp(G + f[:, None] + g[None, :])
                 KT = K.T

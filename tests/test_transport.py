@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from otsurv import transport
 from otsurv.errors import ConstraintError, DataError, ParameterError, ShapeError
 from otsurv.transport import (CostMatrix, Marginals, build_cost, normalize_cost,
                               sinkhorn, solve_exact_emd, unbalanced_sinkhorn,
@@ -30,6 +31,12 @@ def random_instance(rng, n, m, rational=False):
         b = rng.uniform(0.1, 1.0, size=m)
         b /= b.sum()
     return C, Marginals(a, b)
+
+
+def unnormalized_cost(rng, n):
+    # n patches against 6 genomic tokens, as on the hot path, but with the
+    # raw squared distances (about 128) that normalize_cost would scale down.
+    return build_cost(rng.normal(size=(n, 64)), rng.normal(size=(6, 64)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +314,40 @@ def test_uot_mass_bounded_by_one():
         assert np.all(plan.coupling >= 0)
 
 
+def test_uot_fixed_point_of_scaling_update():
+    rng = np.random.default_rng(13)
+    C, marg = random_instance(rng, 4, 4)
+    eps, tau, tol = 0.05, 0.5, 1e-8
+    plan = unbalanced_sinkhorn(C, marg, epsilon=eps, tau=tau, tol=tol,
+                               max_iters=100000)
+    assert plan.converged
+    # re-apply one scaling update from the converged scaling vectors: they
+    # must move by less than the stop threshold
+    fi = tau / (tau + eps)
+    K = np.outer(marg.source, marg.target) * np.exp(-C.values / eps)
+    u = np.exp(plan.dual_source)
+    v = np.exp(plan.dual_target)
+    u2 = (marg.source / (K @ v)) ** fi
+    v2 = (marg.target / (K.T @ u2)) ** fi
+    assert np.abs(np.log(u2) - np.log(u)).max() < tol
+    assert np.abs(np.log(v2) - np.log(v)).max() < tol
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.sampled_from([0.02, 0.1, 0.5, 5.0, 1e6]))
 @settings(max_examples=40, deadline=None)
-def test_uot_fixed_point_of_scaling_update(seed, tau):
+def test_uot_translated_plan_is_fixed_point_of_plain_update(seed, tau):
     # The solver moves the duals along f + t, g - t after every update; the
     # plan it stops on must still be a fixed point of the plain damped
-    # update, from tau <= eps to the balanced limit.  The default tol keeps
-    # the rounding of t at tau 1e6 (about 1e-9) far below it.
+    # update, from tau <= eps to the balanced limit.  At tau 1e6, t divides
+    # a difference of logs by 2 eps / tau and carries about 1e-9 of
+    # rounding, so the stop tol there is the default 1e-6.
     rng = np.random.default_rng(seed)
     C, marg = random_instance(rng, 5, 4)
-    eps, tol = 0.1, 1e-6
+    eps = 0.1
+    tol = 1e-6 if tau == 1e6 else 1e-8
     plan = unbalanced_sinkhorn(C, marg, eps, tau, tol=tol, max_iters=100000)
     assert plan.converged
-    # re-apply one untranslated scaling update from the converged scaling
-    # vectors: they must move by less than the stop threshold
     fi = tau / (tau + eps)
     K = np.outer(marg.source, marg.target) * np.exp(-C.values / eps)
     u = np.exp(plan.dual_source)
@@ -346,6 +372,34 @@ def test_uot_iteration_budget_on_hot_path_problems():
         plan = unbalanced_sinkhorn(C, uniform_marginals(n, 6), 0.05, 0.5)
         assert plan.converged and not plan.settings.log_domain
         assert plan.iterations <= 15, (seed, plan.iterations)
+
+
+@pytest.mark.parametrize("C, eps, tau, iters_before, absorptions_before", [
+    (CostMatrix(np.array([[800.0, 1200.0], [1400.0, 600.0]]), "l2"), 0.5, 20.0, 495, 4),
+    (unnormalized_cost(np.random.default_rng(0), 48), 0.002, 0.5, 2117, 13),
+])
+def test_uot_absorbing_solve_takes_no_more_log_domain_steps(monkeypatch, C, eps, tau,
+                                                            iters_before,
+                                                            absorptions_before):
+    # tau >> eps on costs that force absorption.  The translation t grows
+    # with tau / (2 eps), so unless the absorption step translates too, the
+    # next plain step leaves the range again and nearly every iteration
+    # becomes a log-domain step.  The ceilings are what the solver took
+    # before it translated at all.
+    absorptions = []
+    plain_logsumexp = transport._logsumexp
+
+    def counting(x, axis):
+        if axis == 1:  # the f update, once per absorption
+            absorptions.append(x.shape)
+        return plain_logsumexp(x, axis)
+
+    monkeypatch.setattr(transport, "_logsumexp", counting)
+    plan = unbalanced_sinkhorn(C, uniform_marginals(*C.shape), eps, tau,
+                               max_iters=100000)
+    assert plan.converged and plan.settings.log_domain
+    assert plan.iterations <= iters_before
+    assert 1 <= len(absorptions) <= absorptions_before
 
 
 def test_uot_absorbed_duals_are_log_domain_fixed_point():
