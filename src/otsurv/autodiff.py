@@ -3,8 +3,17 @@
 Every differentiable value is a :class:`Var` created through :class:`Tape`
 ops; the tape holds the creation order, which is a valid topological order
 for the backward sweep.  All values are float64 ndarrays (scalars have
-shape ()).  Matrices are the only first-class citizens: row vectors are
-(1, d) arrays.
+shape ()).  Values are matrices (row vectors are (1, d) arrays) or stacks
+of them, ``(B, n, d)``: the micro-batches of one shape, which ``linear``,
+``matmul``, ``attention``, ``add``, ``mean_rows``, ``concat_cols`` and
+``sigmoid`` process slice by slice.  A stack may meet an unstacked operand
+(a parameter, the pooled genomic row), which then stands for every slice.
+
+Backward adds a stack's contribution to an unstacked operand one slice at
+a time, last slice first, and a bias sums its rows within each slice
+before that.  A stack's slices are the micro-batches in order, so that is
+the order in which a sweep over per-micro-batch chains adds them: a
+stacked pass gives the per-micro-batch gradients bit for bit.
 
 Ops implement exactly the vector-Jacobian products the survival pipeline
 needs; gradients are verified against central finite differences in the
@@ -19,14 +28,24 @@ from .errors import ShapeError, StateError
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
+    """Sum a gradient back down to the shape it was broadcast from.
+
+    A stack's gradient for an operand of lower rank keeps its stack axis:
+    the sums run within each slice, and backward adds the slices.
+    """
     g = grad
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    lead = 1 if g.ndim == 3 and len(shape) < 3 else 0
+    while g.ndim - lead > len(shape):
+        g = g.sum(axis=lead)
     for ax, size in enumerate(shape):
-        if size == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
+        if size == 1 and g.shape[lead + ax] != 1:
+            g = g.sum(axis=lead + ax, keepdims=True)
     return g
+
+
+def _t(x: np.ndarray) -> np.ndarray:
+    """Transpose each matrix of a stack (a plain transpose for a matrix)."""
+    return x.swapaxes(-1, -2)
 
 
 class Var:
@@ -69,12 +88,12 @@ class Tape:
     # -- linear algebra ----------------------------------------------------
 
     def matmul(self, a: Var, b: Var) -> Var:
-        if a.value.shape[-1] != b.value.shape[0]:
+        if a.value.shape[-1] != b.value.shape[-2]:
             raise ShapeError(f"matmul shapes {a.shape} @ {b.shape}")
         return self._emit(
             a.value @ b.value,
-            ((a, lambda g, b=b: g @ b.value.T),
-             (b, lambda g, a=a: a.value.T @ g)),
+            ((a, lambda g, b=b: g @ _t(b.value)),
+             (b, lambda g, a=a: _t(a.value) @ g)),
         )
 
     def linear(self, x: Var, w: Var, b: Var) -> Var:
@@ -84,7 +103,7 @@ class Tape:
         return self._emit(
             x.value @ w.value + b.value,
             ((x, lambda g, w=w: g @ w.value.T),
-             (w, lambda g, x=x: x.value.T @ g),
+             (w, lambda g, x=x: _t(x.value) @ g),
              (b, lambda g, s=b.value.shape: _unbroadcast(g, s))),
         )
 
@@ -108,12 +127,6 @@ class Tape:
     def sub_from(self, c: float, a: Var) -> Var:
         """c - a for a plain float c."""
         return self._emit(c - a.value, ((a, lambda g: -g),))
-
-    def add_n(self, terms: list[Var]) -> Var:
-        total = terms[0].value
-        for t in terms[1:]:
-            total = total + t.value
-        return self._emit(total, tuple((t, lambda g: g) for t in terms))
 
     # -- nonlinearities ----------------------------------------------------
 
@@ -142,20 +155,24 @@ class Tape:
     # -- shape ops ----------------------------------------------------------
 
     def mean_rows(self, a: Var) -> Var:
-        n = a.value.shape[0]
+        n = a.value.shape[-2]
         return self._emit(
-            a.value.mean(axis=0, keepdims=True),
+            a.value.mean(axis=-2, keepdims=True),
             ((a, lambda g, n=n, shape=a.value.shape: np.broadcast_to(g / n, shape).copy()),),
         )
 
     def concat_cols(self, parts: list[Var]) -> Var:
-        widths = [p.value.shape[1] for p in parts]
+        """Column-wise concatenation; an unstacked part joins every slice of a stack."""
+        rows = np.broadcast_shapes(*(p.value.shape[:-1] for p in parts))
+        widths = [p.value.shape[-1] for p in parts]
         offsets = np.cumsum([0] + widths)
         backrefs = tuple(
-            (p, lambda g, k0=offsets[k], k1=offsets[k + 1]: g[:, k0:k1])
+            (p, lambda g, k0=offsets[k], k1=offsets[k + 1]: g[..., k0:k1])
             for k, p in enumerate(parts)
         )
-        return self._emit(np.concatenate([p.value for p in parts], axis=1), backrefs)
+        return self._emit(np.concatenate([np.broadcast_to(p.value, (*rows, w))
+                                          for p, w in zip(parts, widths)], axis=-1),
+                          backrefs)
 
     def concat_rows(self, parts: list[Var]) -> Var:
         heights = [p.value.shape[0] for p in parts]
@@ -182,28 +199,29 @@ class Tape:
         Column block h of ``q``, ``k`` and ``v`` belongs to head h, which
         computes ``softmax(scale * q_h @ k_h.T) @ v_h`` over its rows; the
         heads' outputs are concatenated column-wise, shape (n_q, v width).
-        Query and key row counts may differ.
+        Query and key row counts may differ.  Any operand may be a stack;
+        an unstacked query then attends within every slice.
 
-        The heads run as C-contiguous ``(H, n, dh)`` stacks, so every
+        The heads run as C-contiguous ``(..., H, n, dh)`` stacks, so every
         ``matmul`` hands each head's 2-D operands to BLAS gemm with the
         same layout and transpose flags as separate per-head products: the
         value and gradients are bitwise those of the per-head chain.  The
         first VJP call computes all three gradients; the others reuse them.
         """
-        (_, d), (n_k, d_k), (n_v, d_v) = q.shape, k.shape, v.shape
+        d, (n_k, d_k), (n_v, d_v) = q.shape[-1], k.shape[-2:], v.shape[-2:]
         if d != d_k or n_v != n_k or d % n_heads or d_v % n_heads:
             raise ShapeError(f"attention shapes q {q.shape}, k {k.shape}, v {v.shape} "
                              f"with {n_heads} heads")
 
-        def split(x):  # (n, H * dh) -> C-contiguous (H, n, dh)
+        def split(x):  # (..., n, H * dh) -> C-contiguous (..., H, n, dh)
             return np.ascontiguousarray(
-                x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2))
+                x.reshape(*x.shape[:-1], n_heads, -1).swapaxes(-2, -3))
 
-        def merge(x):  # (H, n, dh) -> (n, H * dh)
-            return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+        def merge(x):  # (..., H, n, dh) -> (..., n, H * dh)
+            return x.swapaxes(-2, -3).reshape(*x.shape[:-3], x.shape[-2], -1)
 
         sq, sk, sv = split(q.value), split(k.value), split(v.value)
-        logits = (sq @ sk.transpose(0, 2, 1)) * scale
+        logits = (sq @ _t(sk)) * scale
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         s = e / e.sum(axis=-1, keepdims=True)
         grads = []
@@ -211,15 +229,79 @@ class Tape:
         def vjp(g, i):
             if not grads:
                 g_out = split(g)
-                g_s = g_out @ sv.transpose(0, 2, 1)
+                g_s = g_out @ _t(sv)
                 g_logits = s * (g_s - np.sum(g_s * s, axis=-1, keepdims=True)) * scale
                 grads.extend((merge(g_logits @ sk),
-                              merge((sq.transpose(0, 2, 1) @ g_logits).transpose(0, 2, 1)),
-                              merge(s.transpose(0, 2, 1) @ g_out)))
+                              merge(_t(_t(sq) @ g_logits)),
+                              merge(_t(s) @ g_out)))
             return grads[i]
 
         return self._emit(merge(s @ sv),
                           tuple((x, lambda g, i=i: vjp(g, i)) for i, x in enumerate((q, k, v))))
+
+    # -- survival ---------------------------------------------------------------
+
+    def discrete_nll(self, hazards: list[Var], weights, t: int, censored: bool,
+                     floor: float) -> Var:
+        """Weighted discrete-time survival NLL over hazard rows, as one node.
+
+        ``hazards`` holds rows of shape (..., 1, T); row r, in order, takes
+        weight ``weights[r]``.  A censored row at bin t costs ``-w log
+        max(S_t, floor)``; an event costs ``-w (log max(S_{t-1}, floor) +
+        log max(h_t, floor))``, without the first log when t = 0.  ``S_z``
+        is the running product of the factors ``max(1 - h_j, floor)``,
+        j <= z.  The node's value is the rows' terms added in order.
+
+        Value and gradient are bitwise those of the per-row chain of
+        ``pick``, ``sub_from``, ``clamp_min``, ``mul``, ``log``, ``scale``
+        and ``add`` ops: the running products are cumprods over the same
+        factors in the same order, and the VJP takes the chain's products
+        and quotients in the chain's order.
+        """
+        T = hazards[0].value.shape[-1]
+        h = np.concatenate([p.value.reshape(-1, T) for p in hazards])
+        w = np.asarray(weights, dtype=np.float64)
+        if h.shape[0] != w.size or not 0 <= t < T:
+            raise ShapeError(f"discrete_nll: {h.shape[0]} hazard rows of {T} bins, "
+                             f"{w.size} weights, bin {t}")
+        n_f = t + 1 if censored else t  # factors in the survival product
+        s = 1.0 - h[:, :n_f]
+        f = np.maximum(s, floor)
+        prefix = np.cumprod(f, axis=1)
+        if n_f:
+            surv = np.maximum(prefix[:, -1], floor)
+            log_s = np.log(surv)
+        if censored:
+            terms = log_s * -w
+        else:
+            h_t = np.maximum(h[:, t], floor)
+            terms = (np.log(h_t) if t == 0 else log_s + np.log(h_t)) * -w
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        grads = []
+
+        def vjp(g, i):
+            if not grads:
+                g_term = g * -w
+                out = np.zeros(h.shape)
+                if n_f:
+                    g_prefix = g_term / surv * (prefix[:, -1] > floor)
+                    # g_prefix_{z-1} = g_prefix_z * f_z, from z = n_f - 1 down
+                    g_prefix = np.cumprod(np.concatenate(
+                        [g_prefix[:, None], f[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+                    g_f = g_prefix.copy()
+                    g_f[:, 1:] *= prefix[:, :-1]
+                    out[:, :n_f] = -(g_f * (s > floor))
+                if not censored:
+                    out[:, t] = g_term / h_t * (h[:, t] > floor)
+                offsets = np.cumsum([0] + [p.value.size // T for p in hazards])
+                grads.extend(out[k0:k1].reshape(p.value.shape)
+                             for p, k0, k1 in zip(hazards, offsets, offsets[1:]))
+            return grads[i]
+
+        return self._emit(total, tuple((p, lambda g, i=i: vjp(g, i))
+                                       for i, p in enumerate(hazards)))
 
 
 def backward(tape: Tape, root: Var) -> None:
@@ -239,4 +321,8 @@ def backward(tape: Tape, root: Var) -> None:
             contrib = vjp(node.grad)
             if parent.grad is None:
                 parent.grad = np.zeros(parent.value.shape)
-            parent.grad = parent.grad + contrib
+            if contrib.ndim > parent.value.ndim:  # a stack into an unstacked operand
+                for part in contrib[::-1]:
+                    parent.grad = parent.grad + part
+            else:
+                parent.grad = parent.grad + contrib

@@ -123,8 +123,9 @@ def encode_genomic_t(tape: Tape, pv: dict[str, Var], profile: GenomicProfile) ->
 
 def attention_pool_t(tape: Tape, pv: dict[str, Var], side: str, tokens: Var,
                      n_heads: int) -> Var:
-    """Multi-head self-attention with a residual, then mean pooling."""
-    dh = tokens.value.shape[1] // n_heads
+    """Multi-head self-attention with a residual, then mean pooling; a
+    stack of token sets pools each slice, shape (B, 1, d)."""
+    dh = tokens.value.shape[-1] // n_heads
     q, k, v = (tape.linear(tokens, pv[f"{side}.w{x}"], pv[f"{side}.b{x}"])
                for x in "qkv")
     heads = tape.attention(q, k, v, n_heads, 1.0 / math.sqrt(dh))
@@ -141,7 +142,8 @@ def dense_coattention_t(tape: Tape, queries: Var, keys: Var, values: Var,
 
 
 def hazard_t(tape: Tape, pv: dict[str, Var], pooled_p: Var, pooled_g: Var) -> Var:
-    """sigmoid(linear(concat)) over the discrete time bins; shape (1, T)."""
+    """sigmoid(linear(concat)) over the discrete time bins; shape (1, T), or
+    (B, 1, T) for a stack of pooled rows."""
     joint = tape.concat_cols([pooled_p, pooled_g])
     return tape.sigmoid(tape.linear(joint, pv["hazard.w"], pv["hazard.b"]))
 

@@ -2,12 +2,14 @@
 micro-batches, k-fold cross-validation, ablation sweeps, and the solver
 benchmark.
 
-Per micro-batch the flow is: project the frozen patch features, encode the
-genomic categories, solve the transport problem on current feature values,
-then treat the coupling as a constant while the loss gradient flows through
-projection, encoders, aggregators, and hazard head.  Per-batch loss terms
-are weighted by batch_size / M_p.  At inference the per-batch survival
-curves are averaged before the risk score is taken.
+Per case the flow is: encode the genomic categories, then, for each stack
+of same-sized micro-batches (the full ones, then a ragged last one),
+project the frozen patch features, solve one transport problem per
+micro-batch on current feature values, and treat the couplings as
+constants while the loss gradient flows through projection, encoders,
+aggregators, and hazard head.  Per-batch loss terms are weighted by
+batch_size / M_p and form one fused NLL node.  At inference the per-batch
+survival curves are averaged before the risk score is taken.
 """
 
 from __future__ import annotations
@@ -83,27 +85,24 @@ def load_cases(manifest: CaseManifest) -> list[CaseData]:
 # Per-case forward
 
 
-def _nll_terms(tape: Tape, hazard_row: Var, record: SurvivalRecord, weight: float) -> Var:
-    """Tape version of the discrete NLL for one record; floors inside logs."""
-    t = record.bin
+def _nll_terms(tape: Tape, hazards: list[Var], record: SurvivalRecord,
+               weights) -> Var:
+    """The discrete NLL of one record as one tape node: ``hazards`` holds
+    the hazard rows (one per micro-batch, in order), ``weights`` their
+    weights; floors inside logs."""
+    return tape.discrete_nll(hazards, weights, record.bin, record.censor == 1,
+                             PROB_EPS)
 
-    def survival_prefix(upto: int) -> Var | None:
-        prefix = None  # running product of clamped (1 - h[z])
-        for z in range(upto + 1):
-            factor = tape.clamp_min(tape.sub_from(1.0, tape.pick(hazard_row, 0, z)),
-                                    PROB_EPS)
-            prefix = factor if prefix is None else tape.mul(prefix, factor)
-        return prefix
 
-    if record.censor == 1:
-        s_t = survival_prefix(t)
-        return tape.scale(tape.log(tape.clamp_min(s_t, PROB_EPS)), -weight)
-    log_h = tape.log(tape.clamp_min(tape.pick(hazard_row, 0, t), PROB_EPS))
-    s_prev = survival_prefix(t - 1)
-    if s_prev is None:
-        return tape.scale(log_h, -weight)
-    return tape.scale(tape.add(tape.log(tape.clamp_min(s_prev, PROB_EPS)), log_h),
-                      -weight)
+def _shape_groups(batches: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Consecutive micro-batches of one size: the full ones, then a ragged last."""
+    groups: list[list[np.ndarray]] = []
+    for idx in batches:
+        if groups and len(groups[-1][0]) == len(idx):
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    return groups
 
 
 def case_forward(params: ModelParams, case: CaseData, m: int,
@@ -111,6 +110,9 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
                  fixed_couplings: list[TransportPlan] | None = None):
     """Full tape for one case: loss Var, wrapped params, per-batch hazards.
 
+    The micro-batches of one size run as one ``(B, n, d)`` stack through
+    projection, co-attention, pooling and hazard head; each still gets its
+    own transport solve, and the couplings are returned per micro-batch.
     ``fixed_couplings`` bypasses the transport solves (used by the
     finite-difference gradient check, which must differentiate the loss at
     frozen couplings).  A solve that stops without converging is logged as
@@ -127,35 +129,36 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
     b_g = encode_genomic_t(tape, pv, case.profile)
     pooled_g = attention_pool_t(tape, pv, "attn_g", b_g, params.n_heads)
     batches = sample_micro_batches(M_p, m, seed)
+    settings = replace(ot_settings, solver="emd" if mode == "emd" else "uot")
 
-    loss_terms = []
-    hazards = []
+    hazard_stacks = []
     couplings: list[TransportPlan] = []
-    for k, idx in enumerate(batches):
-        batch = tape.const(case.pathology_raw[idx])
-        projected = project_t(tape, pv, batch)
+    for group in _shape_groups(batches):
+        projected = project_t(tape, pv, tape.const(case.pathology_raw[np.stack(group)]))
         if mode == "dense":
             selected = dense_coattention_t(tape, b_g, projected, projected,
                                            math.sqrt(params.dim))
         else:
-            if fixed_couplings is not None:
-                tplan = fixed_couplings[k]
-            else:
-                solver = "emd" if mode == "emd" else "uot"
-                tplan = solve_batch(projected.value, b_g.value,
-                                    replace(ot_settings, solver=solver))
-                if not tplan.converged:
-                    log.warning("case %s batch %d: solver stopped at %d iterations "
-                                "without converging", case.case_id, k,
-                                tplan.iterations)
-            couplings.append(tplan)
-            selected = tape.matmul(tape.const(tplan.coupling.T), projected)
+            for batch in projected.value:
+                k = len(couplings)
+                if fixed_couplings is not None:
+                    tplan = fixed_couplings[k]
+                else:
+                    tplan = solve_batch(batch, b_g.value, settings)
+                    if not tplan.converged:
+                        log.warning("case %s batch %d: solver stopped at %d iterations "
+                                    "without converging", case.case_id, k,
+                                    tplan.iterations)
+                couplings.append(tplan)
+            # Each slice of the transposed stack is the transpose of a
+            # C-contiguous coupling, as a per-batch ``coupling.T`` is.
+            stacked = np.stack([p.coupling for p in couplings[-len(group):]])
+            selected = tape.matmul(tape.const(stacked.transpose(0, 2, 1)), projected)
         pooled_p = attention_pool_t(tape, pv, "attn_p", selected, params.n_heads)
-        hazard_row = hazard_t(tape, pv, pooled_p, pooled_g)
-        hazards.append(hazard_row.value[0].copy())
-        loss_terms.append(_nll_terms(tape, hazard_row, case.record,
-                                     len(idx) / M_p))
-    loss = loss_terms[0] if len(loss_terms) == 1 else tape.add_n(loss_terms)
+        hazard_stacks.append(hazard_t(tape, pv, pooled_p, pooled_g))
+    loss = _nll_terms(tape, hazard_stacks, case.record,
+                      [len(idx) / M_p for idx in batches])
+    hazards = [row for stack in hazard_stacks for row in stack.value[:, 0].copy()]
     return tape, pv, loss, hazards, couplings
 
 

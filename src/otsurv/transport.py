@@ -35,6 +35,15 @@ COST_METRICS = ("l2", "squared_l2", "cosine_distance")
 _RC_TOL = 1e-12
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built from fields known to
+    pass its ``__post_init__`` checks, without running them again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Pairwise ground costs between source and target instances."""
@@ -75,7 +84,10 @@ class Marginals:
 
 
 def uniform_marginals(n_source: int, n_target: int) -> Marginals:
-    return Marginals(np.full(n_source, 1.0 / n_source), np.full(n_target, 1.0 / n_target))
+    if n_source < 1 or n_target < 1:
+        raise DataError(f"uniform marginals need sizes >= 1, got {n_source} and {n_target}")
+    return _unchecked(Marginals, source=np.full(n_source, 1.0 / n_source),
+                      target=np.full(n_target, 1.0 / n_target))
 
 
 @dataclass(frozen=True)
@@ -181,7 +193,8 @@ def normalize_cost(C: CostMatrix) -> CostMatrix:
     peak = float(C.values.max(initial=0.0))
     if peak <= 0:
         return C
-    return CostMatrix(C.values / peak, C.metric)
+    # Finite, nonnegative entries over their positive maximum stay so.
+    return _unchecked(CostMatrix, values=C.values / peak, metric=C.metric)
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +404,25 @@ def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
         raise ShapeError(f"marginals ({marg.source.size},{marg.target.size}) "
                          f"do not match cost {C.shape}")
     sub_a, sub_b = marg.source > 0, marg.target > 0
-    a, b = marg.source[sub_a], marg.target[sub_b]
-    cost = C.values[np.ix_(sub_a, sub_b)]
+    # Uniform marginals, as training uses, drop nothing: solve on C as it is.
+    dropped = not (sub_a.all() and sub_b.all())
+    if dropped:
+        a, b = marg.source[sub_a], marg.target[sub_b]
+        cost = C.values[np.ix_(sub_a, sub_b)]
+    else:
+        a, b, cost = marg.source, marg.target, C.values
     fi = 1.0 if tau is None else tau / (tau + epsilon)
-    P_sub, log_u, log_v, iterations, converged, absorbed = _scale(
+    P, log_u, log_v, iterations, converged, absorbed = _scale(
         cost, a, b, epsilon, fi, max_iters, tol, row_residual=tau is None)
 
-    P = np.zeros(C.shape)
-    P[np.ix_(sub_a, sub_b)] = P_sub
+    if dropped:
+        P_sub, P = P, np.zeros(C.shape)
+        P[np.ix_(sub_a, sub_b)] = P_sub
+        log_u, log_v = _embed(log_u, sub_a), _embed(log_v, sub_b)
     settings = SolverSettings(epsilon=epsilon, tau=tau, max_iters=max_iters,
                               tolerance=tol, log_domain=absorbed)
     return TransportPlan(P, iterations, converged, settings, C, marg,
-                         dual_source=_embed(log_u, sub_a),
-                         dual_target=_embed(log_v, sub_b))
+                         dual_source=log_u, dual_target=log_v)
 
 
 def _embed(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -2,15 +2,25 @@
 
 Each oracle is deliberately implemented from scratch (or on top of scipy,
 which the package itself does not use) so that it shares no code path with
-the implementation it validates.
+the implementation it validates.  The exception is
+:func:`per_batch_case_forward`, which rebuilds the per-case forward from the
+package's own blocks one micro-batch at a time, to pin the stacked forward
+to that arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linprog
+
+from otsurv.autodiff import Tape
+from otsurv.microbatch import sample_micro_batches, solve_batch
+from otsurv.neural import (attention_pool_t, dense_coattention_t,
+                           encode_genomic_t, hazard_t, project_t, wrap_params)
+from otsurv.survival import PROB_EPS
 
 
 def lp_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -196,3 +206,59 @@ def per_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int
         dk[:, cols] = (qh.T @ g_logits).T
         dv[:, vcols] = s.T @ gh
     return out, dq, dk, dv
+
+
+def nll_chain(tape, row, record, weight):
+    """The discrete NLL of one (1, T) hazard row as a chain of scalar tape
+    ops: ``pick``, ``sub_from`` and ``clamp_min`` per survival factor, their
+    running product by ``mul``, then ``clamp_min``, ``log``, ``add`` and
+    ``scale`` by ``-weight``; floors at ``PROB_EPS`` inside the logs."""
+    t = record.bin
+
+    def survival_prefix(upto):
+        prefix = None
+        for z in range(upto + 1):
+            factor = tape.clamp_min(tape.sub_from(1.0, tape.pick(row, 0, z)), PROB_EPS)
+            prefix = factor if prefix is None else tape.mul(prefix, factor)
+        return prefix
+
+    if record.censor == 1:
+        return tape.scale(tape.log(tape.clamp_min(survival_prefix(t), PROB_EPS)), -weight)
+    log_h = tape.log(tape.clamp_min(tape.pick(row, 0, t), PROB_EPS))
+    s_prev = survival_prefix(t - 1)
+    if s_prev is None:
+        return tape.scale(log_h, -weight)
+    return tape.scale(tape.add(tape.log(tape.clamp_min(s_prev, PROB_EPS)), log_h),
+                      -weight)
+
+
+def per_batch_case_forward(params, case, m, ot_settings, mode, seed,
+                           fixed_couplings=None):
+    """``train.case_forward`` as a loop over micro-batches, each a chain of
+    2-D tape ops: project, co-attend (through the transposed coupling of its
+    own solve, or by dense attention), pool, hazard head, and
+    :func:`nll_chain` weighted by its share of the bag; the terms are added
+    in batch order.  Returns (tape, wrapped params, loss, hazards, plans)."""
+    tape = Tape()
+    pv = wrap_params(tape, params)
+    b_g = encode_genomic_t(tape, pv, case.profile)
+    pooled_g = attention_pool_t(tape, pv, "attn_g", b_g, params.n_heads)
+    M_p = case.pathology_raw.shape[0]
+    settings = replace(ot_settings, solver="emd" if mode == "emd" else "uot")
+    loss, hazards, couplings = None, [], []
+    for k, idx in enumerate(sample_micro_batches(M_p, m, seed)):
+        projected = project_t(tape, pv, tape.const(case.pathology_raw[idx]))
+        if mode == "dense":
+            selected = dense_coattention_t(tape, b_g, projected, projected,
+                                           math.sqrt(params.dim))
+        else:
+            plan = (fixed_couplings[k] if fixed_couplings is not None
+                    else solve_batch(projected.value, b_g.value, settings))
+            couplings.append(plan)
+            selected = tape.matmul(tape.const(plan.coupling.T), projected)
+        pooled_p = attention_pool_t(tape, pv, "attn_p", selected, params.n_heads)
+        row = hazard_t(tape, pv, pooled_p, pooled_g)
+        hazards.append(row.value[0].copy())
+        term = nll_chain(tape, row, case.record, len(idx) / M_p)
+        loss = term if loss is None else tape.add(loss, term)
+    return tape, pv, loss, hazards, couplings

@@ -118,8 +118,8 @@ def selected_features(monkeypatch, params, case, m, settings=None, mode="umbot",
     pool = train.attention_pool_t
 
     def spy(tape, pv, side, tokens, n_heads):
-        if side == "attn_p":
-            seen.append(tokens.value.copy())
+        if side == "attn_p":  # a (B, M_g, d) stack: one slice per micro-batch
+            seen.extend(tokens.value.copy())
         return pool(tape, pv, side, tokens, n_heads)
 
     monkeypatch.setattr(train, "attention_pool_t", spy)

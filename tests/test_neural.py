@@ -368,6 +368,62 @@ def test_gradcheck_attention(n_heads):
     assert _gradcheck_op(op, arrays) <= 1e-6
 
 
+def _gradcheck_stacked(op, arrays, n_coords=10, seed=0):
+    """Worst relative error of the tape gradients of sum(c * op(...)), for a
+    fixed random c, against central differences.  The tape has no reduction
+    over a stack's slices, so the scalar node is emitted here; backward adds
+    its stacked gradients into the unstacked operands."""
+    shape = op(Tape(), *(Tape().const(a) for a in arrays.values())).shape
+    c = np.random.default_rng(seed + 1).standard_normal(shape)
+
+    def loss(tape, inputs):
+        out = op(tape, *inputs)
+        return tape._emit(np.sum(out.value * c), ((out, lambda g: g * c),))
+
+    def loss_at():
+        tape = Tape()
+        return float(loss(tape, [tape.const(a) for a in arrays.values()]).value)
+
+    tape = Tape()
+    leaves = [tape.leaf(a.copy()) for a in arrays.values()]
+    backward(tape, loss(tape, leaves))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for name, leaf in zip(arrays, leaves):
+        assert leaf.grad.shape == arrays[name].shape
+        for _ in range(n_coords):
+            idx = tuple(rng.integers(0, s) for s in arrays[name].shape)
+            fd = central_difference_grad(loss_at, arrays, name, idx)
+            ga = float(leaf.grad[idx])
+            worst = max(worst, abs(fd - ga) / max(abs(fd), abs(ga), 1e-8))
+    return worst
+
+
+STACKED_OPS = {
+    # name: (op, operand shapes); B = 3 slices, unstacked operands broadcast
+    "linear": (Tape.linear, [(3, 5, 8), (8, 4), (4,)]),
+    "linear_row_bias": (Tape.linear, [(3, 5, 8), (8, 4), (1, 4)]),
+    "matmul": (Tape.matmul, [(3, 4, 5), (3, 5, 6)]),
+    "matmul_unstacked_left": (Tape.matmul, [(4, 5), (3, 5, 6)]),
+    "attention": (lambda tape, q, k, v: tape.attention(q, k, v, 2, 0.5),
+                  [(3, 4, 8), (3, 5, 8), (3, 5, 8)]),
+    "attention_unstacked_query": (lambda tape, q, k, v: tape.attention(q, k, v, 2, 0.5),
+                                  [(4, 8), (3, 5, 8), (3, 5, 8)]),
+    "add": (Tape.add, [(3, 4, 5), (3, 4, 5)]),
+    "mean_rows": (Tape.mean_rows, [(3, 4, 5)]),
+    "concat_cols": (lambda tape, a, b: tape.concat_cols([a, b]), [(3, 1, 4), (1, 3)]),
+    "sigmoid": (Tape.sigmoid, [(3, 2, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_OPS))
+def test_gradcheck_stacked_op(name):
+    op, shapes = STACKED_OPS[name]
+    rng = np.random.default_rng(18)
+    arrays = {f"x{i}": rng.standard_normal(shape) for i, shape in enumerate(shapes)}
+    assert _gradcheck_stacked(op, arrays) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Fused ops: bitwise equal to the chains of single ops they replace
 

@@ -18,7 +18,8 @@ from otsurv.survival import (PROB_EPS, c_index, chi2_sf_1df, km_estimate,
 from otsurv.train import CaseData, _nll_terms, case_forward, case_risk
 
 from failing_writes import fail_writes_to, files_under
-from oracles import chi2_sf_1df_oracle, km_survival_oracle, pairwise_c_index
+from oracles import (chi2_sf_1df_oracle, km_survival_oracle, nll_chain,
+                     pairwise_c_index)
 
 
 def rec(t, c, b=None):
@@ -72,7 +73,7 @@ def test_survival_nonincreasing_in_unit_interval(hazards):
 def nll(hazards, record, weight=1.0):
     tape = Tape()
     row = tape.const(np.atleast_2d(np.asarray(hazards, float)))
-    return float(_nll_terms(tape, row, record, weight).value)
+    return float(_nll_terms(tape, [row], record, [weight]).value)
 
 
 def test_nll_perfect_prediction_near_zero():
@@ -129,10 +130,54 @@ def test_nll_gradient_sign_wrt_correct_bin_hazard():
     # raising the hazard of the observed event bin lowers the loss
     tape = Tape()
     row = tape.leaf(np.array([[0.2, 0.3, 0.4, 0.5]]))
-    backward(tape, _nll_terms(tape, row, rec(4.0, 0, b=2), 1.0))
+    backward(tape, _nll_terms(tape, [row], rec(4.0, 0, b=2), [1.0]))
     assert row.grad[0, 2] < 0
     assert np.all(row.grad[0, :2] > 0)  # and surviving earlier bins raises it
     assert row.grad[0, 3] == 0
+
+
+# Hazards at which a floor of the NLL is active or just inactive.
+EDGE_HAZARDS = [0.0, 1.0, PROB_EPS, 1.0 - PROB_EPS, 0.5 * PROB_EPS, 1.0 - 0.5 * PROB_EPS,
+                1.0 - 1e-4]
+
+
+@given(n_rows=st.integers(1, 9), split=st.integers(0, 9), n_bins=st.integers(1, 6),
+       bin_frac=st.floats(0.0, 0.999), censor=st.integers(0, 1),
+       edge_share=st.sampled_from([0.0, 0.3, 1.0]), outer=st.sampled_from([1.0, 0.37, -2.5]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_fused_nll_equals_op_chain_bitwise(n_rows, split, n_bins, bin_frac, censor,
+                                           edge_share, outer, seed):
+    """The fused node against the per-row chain of pick, sub_from,
+    clamp_min, mul, log, scale and add: value and gradient byte for byte,
+    with saturated hazards where the floors are active, rows split over two
+    stacks, and a non-unit cotangent."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(size=(n_rows, n_bins))
+    edge = rng.uniform(size=h.shape) < edge_share
+    h[edge] = rng.choice(EDGE_HAZARDS, size=int(edge.sum()))
+    weights = rng.uniform(0.01, 1.0, size=n_rows)
+    record = rec(5.0, censor, int(bin_frac * n_bins))
+
+    tape = Tape()
+    split = min(split, n_rows)
+    stacks = [tape.leaf(part[:, None, :]) for part in (h[:split], h[split:]) if len(part)]
+    fused = tape.scale(_nll_terms(tape, stacks, record, weights), outer)
+    backward(tape, fused)
+    fused_grad = np.concatenate([s.grad.reshape(-1, n_bins) for s in stacks])
+
+    tape = Tape()
+    rows = [tape.leaf(row[None, :]) for row in h]
+    chain = None
+    for row, w in zip(rows, weights):
+        term = nll_chain(tape, row, record, float(w))
+        chain = term if chain is None else tape.add(chain, term)
+    chain = tape.scale(chain, outer)
+    backward(tape, chain)
+    chain_grad = np.concatenate([row.grad for row in rows])
+
+    assert fused.value.tobytes() == chain.value.tobytes()
+    assert fused_grad.tobytes() == chain_grad.tobytes()
 
 
 def one_case(bin_=1):

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from failing_writes import fail_writes_to
+from oracles import per_batch_case_forward
 from otsurv.autodiff import Tape, backward
 from otsurv.bags import (GenomicProfile, InstanceBag, SurvivalRecord,
                          discretize_times, generate_synthetic_dataset, save_bag)
@@ -16,8 +19,9 @@ from otsurv import train, transport
 from otsurv.config import ExperimentConfig
 from otsurv.errors import DataError
 from otsurv.microbatch import OTSettings, solve_batch
-from otsurv.neural import (attention_pool_t, encode_genomic_t, hazard_t,
-                           init_params, load_checkpoint, project_t, wrap_params)
+from otsurv.neural import (attention_pool_t, encode_genomic_t, extract_grads,
+                           hazard_t, init_params, load_checkpoint, project_t,
+                           wrap_params)
 from otsurv.survival import PROB_EPS
 from otsurv.train import (CaseData, ablation_sweep, case_forward,
                           case_loss_and_grads, case_risk, cross_validate,
@@ -227,6 +231,64 @@ def test_dense_mode_gradient_flows_through_attention():
     _, grads_dense = case_loss_and_grads(params, case, 5, OTSettings(), "dense", 4)
     assert np.any(grads_dense["enc.0.w1"] != 0)
     assert np.any(grads_dense["proj.w"] != 0)
+
+
+# ---------------------------------------------------------------------------
+# Stacked micro-batches
+
+
+def _forward_bytes(forward, params, case, m, mode, seed):
+    tape, pv, loss, hazards, couplings = forward(
+        params, case, m, OTSettings(epsilon=0.1, tau=0.5), mode, seed)
+    backward(tape, loss)
+    return (loss.value.tobytes(), [h.tobytes() for h in hazards],
+            {name: g.tobytes() for name, g in extract_grads(pv).items()},
+            [p.coupling.tobytes() for p in couplings])
+
+
+@given(M_p=st.integers(1, 40), m=st.integers(1, 48),
+       mode=st.sampled_from(["umbot", "dense", "emd"]), bin_=st.integers(0, 3),
+       censor=st.integers(0, 1),
+       hazard_shift=st.sampled_from([0.0, 30.0, -30.0, 800.0, -800.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(M_p=40, m=16, mode="umbot", bin_=0, censor=0, hazard_shift=0.0, seed=1)
+@example(M_p=40, m=16, mode="dense", bin_=3, censor=1, hazard_shift=800.0, seed=2)
+@example(M_p=40, m=16, mode="emd", bin_=2, censor=0, hazard_shift=-800.0, seed=3)
+@example(M_p=32, m=8, mode="umbot", bin_=0, censor=1, hazard_shift=0.0, seed=4)
+@example(M_p=10, m=48, mode="dense", bin_=1, censor=0, hazard_shift=-30.0, seed=5)
+@settings(max_examples=60, deadline=None)
+def test_stacked_case_forward_equals_per_batch_loop_bitwise(M_p, m, mode, bin_, censor,
+                                                            hazard_shift, seed):
+    """Byte for byte: loss, every hazard row, every parameter gradient
+    (signed zeros included) and the couplings.  A shift of +-800 saturates
+    the hazards to exactly 1 or 0, so the NLL's floors are active."""
+    rng = np.random.default_rng(seed)
+    case = make_case(rng, M_p=M_p, bin_=bin_, censor=censor)
+    params = make_params(seed=seed % 1000)
+    params.arrays["hazard.b"] += hazard_shift
+    assert (_forward_bytes(case_forward, params, case, m, mode, seed)
+            == _forward_bytes(per_batch_case_forward, params, case, m, mode, seed))
+
+
+def _six_category_case(M_p, bin_, censor):
+    rng = np.random.default_rng(8)
+    profile = GenomicProfile([(f"c{j}", rng.standard_normal(4)) for j in range(6)], "x")
+    return CaseData("x", rng.standard_normal((M_p, 8)), profile,
+                    SurvivalRecord(10.0, censor, bin=bin_))
+
+
+def test_tape_nodes_per_case_do_not_grow_with_micro_batches():
+    # A count, not a timing: the stacked forward builds one chain per shape
+    # group and one NLL node, whatever the record.  The per-batch loop built
+    # about 250 nodes for the large case and 86 to 100 for the small one.
+    params = init_params(8, 8, [4] * 6, 4, seed=0)
+    for bin_, censor in [(0, 0), (3, 0), (0, 1), (3, 1)]:
+        large = case_forward(params, _six_category_case(1000, bin_, censor), 128,
+                             OTSettings(), "umbot", 0)
+        small = case_forward(params, _six_category_case(48, bin_, censor), 256,
+                             OTSettings(), "umbot", 0)
+        assert len(large[0].nodes) <= 100
+        assert len(small[0].nodes) < 86
 
 
 # ---------------------------------------------------------------------------

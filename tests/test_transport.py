@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 from otsurv import transport
 from otsurv.errors import ConstraintError, DataError, ParameterError, ShapeError
+from otsurv.microbatch import OTSettings, solve_batch
 from otsurv.transport import (CostMatrix, Marginals, build_cost, normalize_cost,
                               sinkhorn, solve_exact_emd, unbalanced_sinkhorn,
                               uniform_marginals, write_plan)
@@ -104,6 +105,27 @@ def test_normalize_cost_unit_peak():
 def test_marginals_must_sum_to_one():
     with pytest.raises(DataError):
         Marginals(np.array([0.5, 0.4]), np.array([0.5, 0.5]))
+
+
+def test_solve_batch_checks_its_cost_once_and_still_rejects_non_finite():
+    # build_cost checks the features' cost; normalize_cost and
+    # uniform_marginals build values that pass the checks by construction.
+    rng = np.random.default_rng(0)
+    x, g = rng.standard_normal((7, 4)), rng.standard_normal((3, 4))
+    for bad in (np.nan, np.inf):
+        x_bad = x.copy()
+        x_bad[2, 1] = bad
+        with pytest.raises(DataError), np.errstate(invalid="ignore"):
+            solve_batch(x_bad, g, OTSettings())
+    C = build_cost(x, g)
+    N = normalize_cost(C)
+    assert N.values.tobytes() == CostMatrix(C.values / C.values.max(), "l2").values.tobytes()
+    marg = uniform_marginals(7, 3)
+    checked = Marginals(np.full(7, 1 / 7), np.full(3, 1 / 3))
+    assert marg.source.tobytes() == checked.source.tobytes()
+    assert marg.target.tobytes() == checked.target.tobytes()
+    with pytest.raises(DataError):
+        uniform_marginals(0, 3)
 
 
 # ---------------------------------------------------------------------------
