@@ -22,6 +22,9 @@ test suite.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import mul
+
 import numpy as np
 
 from .errors import ShapeError, StateError
@@ -163,16 +166,18 @@ class Tape:
 
     def concat_cols(self, parts: list[Var]) -> Var:
         """Column-wise concatenation; an unstacked part joins every slice of a stack."""
-        rows = np.broadcast_shapes(*(p.value.shape[:-1] for p in parts))
-        widths = [p.value.shape[-1] for p in parts]
-        offsets = np.cumsum([0] + widths)
+        rows = max((p.value.shape[:-1] for p in parts), key=len)
+        offsets = [0]
+        for p in parts:
+            offsets.append(offsets[-1] + p.value.shape[-1])
+        out = np.empty((*rows, offsets[-1]))
+        for p, k0, k1 in zip(parts, offsets, offsets[1:]):
+            out[..., k0:k1] = p.value
         backrefs = tuple(
-            (p, lambda g, k0=offsets[k], k1=offsets[k + 1]: g[..., k0:k1])
-            for k, p in enumerate(parts)
+            (p, lambda g, k0=k0, k1=k1: g[..., k0:k1])
+            for p, k0, k1 in zip(parts, offsets, offsets[1:])
         )
-        return self._emit(np.concatenate([np.broadcast_to(p.value, (*rows, w))
-                                          for p, w in zip(parts, widths)], axis=-1),
-                          backrefs)
+        return self._emit(out, backrefs)
 
     def concat_rows(self, parts: list[Var]) -> Var:
         heights = [p.value.shape[0] for p in parts]
@@ -254,28 +259,31 @@ class Tape:
 
         Value and gradient are bitwise those of the per-row chain of
         ``pick``, ``sub_from``, ``clamp_min``, ``mul``, ``log``, ``scale``
-        and ``add`` ops: the running products are cumprods over the same
-        factors in the same order, and the VJP takes the chain's products
-        and quotients in the chain's order.
+        and ``add`` ops: the running products multiply the same factors in
+        the same order, and the VJP takes the chain's products and quotients
+        in the chain's order.  A row holds a few bins, so the arithmetic is
+        on Python floats, the same IEEE doubles; the logs are numpy's.
         """
         T = hazards[0].value.shape[-1]
-        h = np.concatenate([p.value.reshape(-1, T) for p in hazards])
-        w = np.asarray(weights, dtype=np.float64)
-        if h.shape[0] != w.size or not 0 <= t < T:
-            raise ShapeError(f"discrete_nll: {h.shape[0]} hazard rows of {T} bins, "
-                             f"{w.size} weights, bin {t}")
+        parts = [p.value.reshape(-1, T).tolist() for p in hazards]
+        h = [row for part in parts for row in part]
+        if len(h) != len(weights) or not 0 <= t < T:
+            raise ShapeError(f"discrete_nll: {len(h)} hazard rows of {T} bins, "
+                             f"{len(weights)} weights, bin {t}")
         n_f = t + 1 if censored else t  # factors in the survival product
-        s = 1.0 - h[:, :n_f]
-        f = np.maximum(s, floor)
-        prefix = np.cumprod(f, axis=1)
-        if n_f:
-            surv = np.maximum(prefix[:, -1], floor)
-            log_s = np.log(surv)
+        s = [[1.0 - x for x in row[:n_f]] for row in h]
+        f = [[max(x, floor) for x in row] for row in s]
+        prefix = [list(accumulate(row, mul)) for row in f]
+        surv = [max(row[-1], floor) for row in prefix] if n_f else []
+        h_t = [] if censored else [max(row[t], floor) for row in h]
+        logs = np.log(surv + h_t).tolist()
+        log_s, log_h = logs[:len(surv)], logs[len(surv):]
         if censored:
-            terms = log_s * -w
+            terms = [ls * -w for ls, w in zip(log_s, weights)]
+        elif t == 0:
+            terms = [lh * -w for lh, w in zip(log_h, weights)]
         else:
-            h_t = np.maximum(h[:, t], floor)
-            terms = (np.log(h_t) if t == 0 else log_s + np.log(h_t)) * -w
+            terms = [(ls + lh) * -w for ls, lh, w in zip(log_s, log_h, weights)]
         total = terms[0]
         for term in terms[1:]:
             total = total + term
@@ -283,21 +291,23 @@ class Tape:
 
         def vjp(g, i):
             if not grads:
-                g_term = g * -w
-                out = np.zeros(h.shape)
-                if n_f:
-                    g_prefix = g_term / surv * (prefix[:, -1] > floor)
-                    # g_prefix_{z-1} = g_prefix_z * f_z, from z = n_f - 1 down
-                    g_prefix = np.cumprod(np.concatenate(
-                        [g_prefix[:, None], f[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-                    g_f = g_prefix.copy()
-                    g_f[:, 1:] *= prefix[:, :-1]
-                    out[:, :n_f] = -(g_f * (s > floor))
-                if not censored:
-                    out[:, t] = g_term / h_t * (h[:, t] > floor)
-                offsets = np.cumsum([0] + [p.value.size // T for p in hazards])
-                grads.extend(out[k0:k1].reshape(p.value.shape)
-                             for p, k0, k1 in zip(hazards, offsets, offsets[1:]))
+                out = [[0.0] * T for _ in h]
+                for r, w in enumerate(weights):
+                    g_term = float(g) * -w
+                    if n_f:
+                        # S_{z-1}'s gradient is S_z's times f_z; f_z's is S_z's
+                        # times S_{z-1}.
+                        g_s = g_term / surv[r] * (prefix[r][-1] > floor)
+                        for z in range(n_f - 1, 0, -1):
+                            out[r][z] = -(g_s * prefix[r][z - 1] * (s[r][z] > floor))
+                            g_s = g_s * f[r][z]
+                        out[r][0] = -(g_s * (s[r][0] > floor))
+                    if not censored:
+                        out[r][t] = g_term / h_t[r] * (h[r][t] > floor)
+                k0 = 0
+                for p, part in zip(hazards, parts):
+                    grads.append(np.array(out[k0:k0 + len(part)]).reshape(p.value.shape))
+                    k0 += len(part)
             return grads[i]
 
         return self._emit(total, tuple((p, lambda g, i=i: vjp(g, i))
@@ -313,16 +323,19 @@ def backward(tape: Tape, root: Var) -> None:
     tape.consumed = True
     root.grad = np.ones(())
     for node in reversed(tape.nodes):
-        if node.grad is None:
+        g = node.grad
+        if g is None:
             continue
         for parent, vjp in node.backrefs:
             if parent.backrefs is None:  # a const: its gradient is never read
                 continue
-            contrib = vjp(node.grad)
-            if parent.grad is None:
-                parent.grad = np.zeros(parent.value.shape)
-            if contrib.ndim > parent.value.ndim:  # a stack into an unstacked operand
-                for part in contrib[::-1]:
-                    parent.grad = parent.grad + part
+            contrib = vjp(g)
+            total = parent.grad
+            if total is None:
+                total = np.zeros(parent.value.shape)
+            if contrib.ndim > total.ndim:  # a stack into an unstacked operand
+                for part in reversed(contrib):
+                    total = total + part
             else:
-                parent.grad = parent.grad + contrib
+                total = total + contrib
+            parent.grad = total

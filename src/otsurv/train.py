@@ -129,16 +129,16 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
     b_g = encode_genomic_t(tape, pv, case.profile)
     pooled_g = attention_pool_t(tape, pv, "attn_g", b_g, params.n_heads)
     batches = sample_micro_batches(M_p, m, seed)
-    settings = replace(ot_settings, solver="emd" if mode == "emd" else "uot")
 
     hazard_stacks = []
     couplings: list[TransportPlan] = []
     for group in _shape_groups(batches):
-        projected = project_t(tape, pv, tape.const(case.pathology_raw[np.stack(group)]))
+        projected = project_t(tape, pv, tape.const(case.pathology_raw[np.array(group)]))
         if mode == "dense":
             selected = dense_coattention_t(tape, b_g, projected, projected,
                                            math.sqrt(params.dim))
         else:
+            settings = replace(ot_settings, solver="emd" if mode == "emd" else "uot")
             for batch in projected.value:
                 k = len(couplings)
                 if fixed_couplings is not None:
