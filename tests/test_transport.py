@@ -107,9 +107,10 @@ def test_marginals_must_sum_to_one():
         Marginals(np.array([0.5, 0.4]), np.array([0.5, 0.5]))
 
 
-def test_solve_batch_checks_its_cost_once_and_still_rejects_non_finite():
+def test_unchecked_cost_and_marginals_equal_checked_ones():
     # build_cost checks the features' cost; normalize_cost and
-    # uniform_marginals build values that pass the checks by construction.
+    # uniform_marginals build values that pass the checks by construction,
+    # so they skip them.  A non-finite feature still fails the solve.
     rng = np.random.default_rng(0)
     x, g = rng.standard_normal((7, 4)), rng.standard_normal((3, 4))
     for bad in (np.nan, np.inf):
