@@ -198,14 +198,15 @@ class Tape:
 
     # -- attention ------------------------------------------------------------
 
-    def attention(self, q: Var, k: Var, v: Var, n_heads: int, scale: float) -> Var:
+    def attention(self, q: Var, k: Var, v: Var, n_heads: int) -> Var:
         """Multi-head softmax attention as one node.
 
         Column block h of ``q``, ``k`` and ``v`` belongs to head h, which
-        computes ``softmax(scale * q_h @ k_h.T) @ v_h`` over its rows; the
-        heads' outputs are concatenated column-wise, shape (n_q, v width).
-        Query and key row counts may differ.  Any operand may be a stack;
-        an unstacked query then attends within every slice.
+        computes ``softmax(q_h @ k_h.T / sqrt(dh)) @ v_h`` over its rows,
+        with ``dh`` the head width; the heads' outputs are concatenated
+        column-wise, shape (n_q, v width).  Query and key row counts may
+        differ.  Any operand may be a stack; an unstacked query then attends
+        within every slice.
 
         The heads run as C-contiguous ``(..., H, n, dh)`` stacks, so every
         ``matmul`` hands each head's 2-D operands to BLAS gemm with the
@@ -217,6 +218,7 @@ class Tape:
         if d != d_k or n_v != n_k or d % n_heads or d_v % n_heads:
             raise ShapeError(f"attention shapes q {q.shape}, k {k.shape}, v {v.shape} "
                              f"with {n_heads} heads")
+        scale = 1.0 / np.sqrt(d // n_heads)
 
         def split(x):  # (..., n, H * dh) -> C-contiguous (..., H, n, dh)
             return np.ascontiguousarray(

@@ -2,7 +2,8 @@
 
 A "bag" is an M x d matrix of instance feature vectors: patch embeddings for
 the pathology side, per-category embeddings for the genomic side.  Two file
-formats are supported for bags:
+formats are supported for bags; :func:`save_bag` picks one by the path's
+suffix, ``.csv`` or ``.fbag``, and :func:`load_bag` by the file's first bytes:
 
 * CSV: header row ``f0,f1,...``, one instance per row, 9 significant digits.
 * binary "FBAG": magic ``FBAG``, row count and column count as unsigned
@@ -34,7 +35,7 @@ FBAG_MAGIC = b"FBAG"
 
 CSV_FLOAT_FMT = "%.9g"
 
-DEFAULT_CATEGORY_NAMES = (
+CATEGORY_NAMES = (
     "tumor_suppression",
     "oncogenesis",
     "protein_kinases",
@@ -46,10 +47,9 @@ DEFAULT_CATEGORY_NAMES = (
 
 @dataclass(frozen=True)
 class InstanceBag:
-    """An M x d matrix of instance features plus provenance metadata."""
+    """An M x d matrix of instance features and the case it belongs to."""
 
     features: np.ndarray
-    modality: str  # "pathology" | "genomic"
     case_id: str
 
     def __post_init__(self):
@@ -58,8 +58,6 @@ class InstanceBag:
             raise DataError(f"bag must be a 2-D matrix with M,d >= 1, got shape {feats.shape}")
         if not np.all(np.isfinite(feats)):
             raise DataError(f"bag {self.case_id!r} contains non-finite entries")
-        if self.modality not in ("pathology", "genomic"):
-            raise ParameterError(f"unknown modality {self.modality!r}")
         object.__setattr__(self, "features", feats)
 
     @property
@@ -145,41 +143,38 @@ class CaseManifest:
 # Bag file formats
 
 
-def save_bag(bag: InstanceBag, path, fmt: str = "binary") -> None:
-    """Write a bag to disk in CSV or FBAG binary form.
+def save_bag(bag: InstanceBag, path) -> None:
+    """Write a bag as CSV to a ``.csv`` path and as FBAG to a ``.fbag`` path.
 
     Binary payloads are 32-bit floats; matrices are cast on write, so binary
     is exact only for float32-representable values (all generated datasets
     qualify by construction).
     """
-    if fmt == "csv":
+    suffix = Path(path).suffix
+    if suffix == ".csv":
         write_csv(path, [[f"f{j}" for j in range(bag.dim)],
                          *([CSV_FLOAT_FMT % v for v in row] for row in bag.features)])
-    elif fmt == "binary":
+    elif suffix == ".fbag":
         m, d = bag.features.shape
         with atomic_writer(path, "wb") as fh:
             fh.write(FBAG_MAGIC)
             fh.write(struct.pack("<II", m, d))
             fh.write(np.ascontiguousarray(bag.features, dtype="<f4").tobytes())
     else:
-        raise ParameterError(f"unknown bag format {fmt!r}")
+        raise ParameterError(f"bag path {path} must end in .csv or .fbag")
 
 
-def load_bag(path, fmt: str = "binary", modality: str = "pathology",
-             case_id: str = "") -> InstanceBag:
-    """Load a bag from disk; validates shape and finiteness."""
+def load_bag(path, case_id: str = "") -> InstanceBag:
+    """Load a bag from disk, as FBAG if the file starts with the FBAG magic
+    and as CSV otherwise; validates shape and finiteness."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"bag file does not exist: {path}")
-    if fmt == "csv":
-        feats = _load_csv_matrix(path)
-    elif fmt == "binary":
-        feats = _load_fbag(path)
-    else:
-        raise ParameterError(f"unknown bag format {fmt!r}")
+    raw = path.read_bytes()
+    feats = _load_fbag(path, raw) if raw[:4] == FBAG_MAGIC else _load_csv_matrix(path)
     if not np.all(np.isfinite(feats)):
         raise DataError(f"bag file {path} contains NaN/Inf entries")
-    return InstanceBag(feats, modality=modality, case_id=case_id or path.stem)
+    return InstanceBag(feats, case_id=case_id or path.stem)
 
 
 def _load_csv_matrix(path: Path) -> np.ndarray:
@@ -195,10 +190,9 @@ def _load_csv_matrix(path: Path) -> np.ndarray:
     return np.asarray(matrix, dtype=np.float64)
 
 
-def _load_fbag(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < 12 or raw[:4] != FBAG_MAGIC:
-        raise FormatError(f"{path}: missing FBAG magic")
+def _load_fbag(path: Path, raw: bytes) -> np.ndarray:
+    if len(raw) < 12:
+        raise FormatError(f"{path}: FBAG header is {len(raw)} bytes, expected 12")
     m, d = struct.unpack("<II", raw[4:12])
     expected = 12 + 4 * m * d
     if m < 1 or d < 1 or len(raw) != expected:
@@ -380,25 +374,27 @@ def generate_synthetic_dataset(
     censor_rate: float,
     seed: int,
     output_dir,
-    category_names: tuple[str, ...] | None = None,
 ) -> CaseManifest:
     """Generate a planted-structure multimodal dataset and write it to disk.
 
-    Per case a latent risk r ~ U(0,1) is drawn.  M_g prototype directions are
-    fixed per dataset; a case's prototype for category j is that direction
-    scaled by (0.5 + 2.5 r) plus a case-level heterogeneity offset, so the
-    magnitude along the planted direction encodes risk while an untrained
-    readout sees mostly heterogeneity.  The raw genomic attributes carry the
-    same structure in attribute space.  The pathology bag holds
-    ceil(signal_fraction * M_p) instances sampled at prototypes (plus
-    noise_scale-scaled jitter) and background noise instances.  Event time
-    decreases in r; censored cases get a time drawn uniformly below their
-    event time.  Byte-identical output for a fixed seed.
+    The M_g categories take the names of ``CATEGORY_NAMES``, then
+    ``category_<j>``.  Per case a latent risk r ~ U(0,1) is drawn.  M_g
+    prototype directions are fixed per dataset; a case's prototype for
+    category j is that direction scaled by (0.5 + 2.5 r) plus a case-level
+    heterogeneity offset, so the magnitude along the planted direction
+    encodes risk while an untrained readout sees mostly heterogeneity.  The
+    raw genomic attributes carry the same structure in attribute space.
+    The pathology bag holds ceil(signal_fraction * M_p) instances sampled at
+    prototypes (plus noise_scale-scaled jitter) and background noise
+    instances.  Event time decreases in r; censored cases get a time drawn
+    uniformly below their event time.  Byte-identical output for a fixed seed.
     """
     if n_cases < 10:
         raise ParameterError(f"n_cases must be >= 10, got {n_cases}")
     if not (M_p >= M_g >= 2):
         raise ParameterError(f"need M_p >= M_g >= 2, got M_p={M_p}, M_g={M_g}")
+    if d < 1:
+        raise ParameterError(f"d must be >= 1, got {d}")
     if not (0.0 < signal_fraction < 1.0):
         raise ParameterError(f"signal_fraction must be in (0,1), got {signal_fraction}")
     if not (0.0 <= censor_rate < 1.0):
@@ -406,10 +402,8 @@ def generate_synthetic_dataset(
     if noise_scale < 0:
         raise ParameterError(f"noise_scale must be >= 0, got {noise_scale}")
 
-    names = list(category_names or DEFAULT_CATEGORY_NAMES)
-    if len(names) < M_g:
-        names = names + [f"category_{j}" for j in range(len(names), M_g)]
-    names = names[:M_g]
+    names = [*CATEGORY_NAMES,
+             *(f"category_{j}" for j in range(len(CATEGORY_NAMES), M_g))][:M_g]
     attr_dims = [8 + 2 * (j % 4) for j in range(M_g)]
 
     out = Path(output_dir)
@@ -460,7 +454,7 @@ def generate_synthetic_dataset(
 
         bag_rel = f"{case_id}_path.fbag"
         gen_rel = f"{case_id}_genomic.csv"
-        save_bag(InstanceBag(feats, "pathology", case_id), out / bag_rel, "binary")
+        save_bag(InstanceBag(feats, case_id), out / bag_rel)
         save_genomic_profile(profile, out / gen_rel)
         cases.append(CaseEntry(case_id, bag_rel, gen_rel, float(t_obs), int(censored)))
         latents.append((case_id, CSV_FLOAT_FMT % r))

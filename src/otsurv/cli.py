@@ -23,7 +23,7 @@ from . import bags, survival, train as training
 from .config import CHOICES, ExperimentConfig, load_config, merge_overrides
 from .errors import (ConfigError, ConstraintError, DataError, FormatError,
                      NumericError, OtsurvError, ParameterError, SolverError)
-from .microbatch import OTSettings, solve_batch
+from .microbatch import SOLVERS, OTSettings, solve_batch
 from .transport import COST_METRICS, write_plan
 
 EXIT_PARSE = 2
@@ -99,14 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_synth)
 
-    p = sub.add_parser("solve", help="stand-alone transport solve on two bag CSVs")
-    p.add_argument("--source", required=True, help="source bag CSV")
-    p.add_argument("--target", required=True, help="target bag CSV")
-    p.add_argument("--solver", choices=("emd", "sinkhorn", "uot"), default="uot")
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--metric", choices=COST_METRICS, default="l2")
-    p.add_argument("--normalize-cost", dest="normalize_cost", default=True,
+    p = sub.add_parser("solve", help="stand-alone transport solve on two bag files")
+    p.add_argument("--source", required=True, help="source bag, CSV or FBAG")
+    p.add_argument("--target", required=True, help="target bag, CSV or FBAG")
+    p.add_argument("--solver", choices=tuple(SOLVERS), default=OTSettings.solver)
+    p.add_argument("--epsilon", type=float, default=OTSettings.epsilon)
+    p.add_argument("--tau", type=float, default=OTSettings.tau)
+    p.add_argument("--metric", choices=COST_METRICS, default=OTSettings.metric)
+    p.add_argument("--normalize-cost", dest="normalize_cost", default=OTSettings.normalize,
                    action=argparse.BooleanOptionalAction)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_solve)
@@ -155,8 +155,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    source = bags.load_bag(args.source, "csv", "pathology")
-    target = bags.load_bag(args.target, "csv", "genomic")
+    source, target = bags.load_bag(args.source), bags.load_bag(args.target)
     settings = OTSettings(epsilon=args.epsilon, tau=args.tau, metric=args.metric,
                           normalize=args.normalize_cost, solver=args.solver)
     plan = solve_batch(source.features, target.features, settings)

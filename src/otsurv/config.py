@@ -1,9 +1,9 @@
 """Experiment configuration: dataclass, JSON file round-trip, CLI overrides.
 
 Defaults follow the training protocol the pipeline is built around:
-micro-batch 256, marginal-penalty coefficient 0.5, entropic coefficient
-0.05, 20 epochs at Adam lr 2e-4 with weight decay 1e-5, batch size 1 with
-32 gradient-accumulation steps, 5-fold cross-validation, 4 survival bins.
+micro-batch 256, the transport defaults of :class:`OTSettings`, 20 epochs
+at Adam lr 2e-4 with weight decay 1e-5, batch size 1 with 32
+gradient-accumulation steps, 5-fold cross-validation, 4 survival bins.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .bags import read_json
 from .errors import ConfigError
+from .microbatch import OTSettings
 from .transport import COST_METRICS
 
 # The fields that take one of a fixed set of values.
@@ -28,16 +29,16 @@ class ExperimentConfig:
     seed: int = 0
     folds: int = 5
     micro_batch: int = 256
-    epsilon: float = 0.05
-    tau: float = 0.5
+    epsilon: float = OTSettings.epsilon
+    tau: float = OTSettings.tau
     epochs: int = 20
     lr: float = 2e-4
     weight_decay: float = 1e-5
     grad_accum_steps: int = 32
     bins: int = 4
     attention_mode: str = "umbot"
-    cost_metric: str = "l2"
-    normalize_cost: bool = True
+    cost_metric: str = OTSettings.metric
+    normalize_cost: bool = OTSettings.normalize
 
     def __post_init__(self):
         for f in dataclasses.fields(self):

@@ -13,22 +13,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .transport import (TransportPlan, build_cost, normalize_cost,
-                        solve_exact_emd, sinkhorn, unbalanced_sinkhorn,
-                        uniform_marginals)
+from .transport import (MAX_ITERS, TOLERANCE, TransportPlan, build_cost,
+                        normalize_cost, solve_exact_emd, sinkhorn,
+                        unbalanced_sinkhorn, uniform_marginals)
+
+# Each solver by name, called on a cost, its marginals and an
+# :class:`OTSettings`; the first is the default.
+SOLVERS = {
+    "uot": lambda C, marg, s: unbalanced_sinkhorn(C, marg, s.epsilon, s.tau,
+                                                  s.max_iters, s.tolerance),
+    "sinkhorn": lambda C, marg, s: sinkhorn(C, marg, s.epsilon, s.max_iters, s.tolerance),
+    "emd": lambda C, marg, s: solve_exact_emd(C, marg),
+}
 
 
 @dataclass(frozen=True)
 class OTSettings:
-    """Transport settings for the micro-batched pipeline."""
+    """Transport settings for the micro-batched pipeline; their defaults' one home."""
 
     epsilon: float = 0.05
     tau: float = 0.5
-    max_iters: int = 1000
-    tolerance: float = 1e-6
+    max_iters: int = MAX_ITERS
+    tolerance: float = TOLERANCE
     metric: str = "l2"
     normalize: bool = True
-    solver: str = "uot"  # "uot" | "sinkhorn" | "emd"
+    solver: str = next(iter(SOLVERS))
 
 
 def sample_micro_batches(M_p: int, m: int, seed: int) -> list[np.ndarray]:
@@ -55,12 +64,6 @@ def solve_batch(batch_features: np.ndarray, genomic_features: np.ndarray,
     if settings.normalize:
         C = normalize_cost(C)
     marg = uniform_marginals(batch_features.shape[0], genomic_features.shape[0])
-    if settings.solver == "uot":
-        return unbalanced_sinkhorn(C, marg, settings.epsilon, settings.tau,
-                                   settings.max_iters, settings.tolerance)
-    if settings.solver == "sinkhorn":
-        return sinkhorn(C, marg, settings.epsilon, settings.max_iters,
-                        settings.tolerance)
-    if settings.solver == "emd":
-        return solve_exact_emd(C, marg)
-    raise ParameterError(f"unknown solver {settings.solver!r}")
+    if settings.solver not in SOLVERS:
+        raise ParameterError(f"unknown solver {settings.solver!r}")
+    return SOLVERS[settings.solver](C, marg, settings)

@@ -23,6 +23,10 @@ from .errors import FormatError, ParameterError
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
 
+# Adam's moment decay rates and denominator floor.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 def param_names(n_encoders: int) -> list[str]:
     """Every parameter name, in the one order that :meth:`ModelParams.tensors`,
@@ -57,8 +61,8 @@ class ModelParams:
     """All trainable tensors by name, in :func:`param_names` order; biases are 1-D."""
 
     arrays: dict[str, np.ndarray]
-    n_heads: int = 4
-    seed: int = 0
+    n_heads: int
+    seed: int
 
     def tensors(self):
         """The (name, array) pairs; the arrays are the live ones."""
@@ -125,20 +129,17 @@ def attention_pool_t(tape: Tape, pv: dict[str, Var], side: str, tokens: Var,
                      n_heads: int) -> Var:
     """Multi-head self-attention with a residual, then mean pooling; a
     stack of token sets pools each slice, shape (B, 1, d)."""
-    dh = tokens.value.shape[-1] // n_heads
     q, k, v = (tape.linear(tokens, pv[f"{side}.w{x}"], pv[f"{side}.b{x}"])
                for x in "qkv")
-    heads = tape.attention(q, k, v, n_heads, 1.0 / math.sqrt(dh))
+    heads = tape.attention(q, k, v, n_heads)
     mixed = tape.linear(heads, pv[f"{side}.wo"], pv[f"{side}.bo"])
     return tape.mean_rows(tape.add(tokens, mixed))
 
 
-def dense_coattention_t(tape: Tape, queries: Var, keys: Var, values: Var,
-                        scale: float) -> Var:
-    """Differentiable softmax co-attention (the dense comparison arm)."""
-    if scale <= 0:
-        raise ParameterError(f"scale must be > 0, got {scale}")
-    return tape.attention(queries, keys, values, 1, 1.0 / scale)
+def dense_coattention_t(tape: Tape, queries: Var, tokens: Var) -> Var:
+    """Single-head softmax co-attention of the queries over the tokens, as
+    keys and as values (the dense comparison arm)."""
+    return tape.attention(queries, tokens, tokens, 1)
 
 
 def hazard_t(tape: Tape, pv: dict[str, Var], pooled_p: Var, pooled_g: Var) -> Var:
@@ -165,26 +166,25 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
-              lr: float = 2e-4, betas: tuple[float, float] = (0.9, 0.999),
-              eps: float = 1e-8, weight_decay: float = 1e-5) -> None:
-    """One Adam update in place; missing grads are treated as zero updates.
+              lr: float, weight_decay: float) -> None:
+    """One Adam update in place, with betas ``ADAM_BETAS`` and eps
+    ``ADAM_EPS``.  ``grads`` needs every tensor's gradient: a missing one
+    raises ``KeyError`` before anything is updated.
 
     Weight decay is the classic L2-in-gradient form.
     """
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
+    updates = [(name, tensor, grads[name]) for name, tensor in params.tensors()]
     state.step += 1
     t = state.step
-    for name, tensor in params.tensors():
-        if name not in grads:
-            continue
-        g = grads[name]
+    for name, tensor, g in updates:
         if weight_decay:
             g = g + weight_decay * tensor
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / (1 - b1**t)
         v_hat = state.v[name] / (1 - b2**t)
-        tensor -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        tensor -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def extract_grads(pv: dict[str, Var]) -> dict[str, np.ndarray]:

@@ -23,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, Var, backward
+from .autodiff import Tape, backward
 from .bags import (CaseManifest, GenomicProfile, SurvivalRecord, assign_bin,
                    discretize_times, load_bag, load_genomic_profile,
                    write_csv, write_json)
 from .config import ExperimentConfig
-from .errors import DataError, NumericError, OtsurvError
-from .microbatch import OTSettings, sample_micro_batches, solve_batch
+from .errors import DataError, NumericError, OtsurvError, ParameterError
+from .microbatch import SOLVERS, OTSettings, sample_micro_batches, solve_batch
 from .neural import (AdamState, ModelParams, adam_step, accumulate,
                      attention_pool_t, dense_coattention_t, encode_genomic_t,
                      extract_grads, hazard_t, init_params, project_t,
@@ -69,8 +69,7 @@ class FoldResult:
 def load_cases(manifest: CaseManifest) -> list[CaseData]:
     cases = []
     for entry in manifest.cases:
-        bag = load_bag(manifest.resolve(entry.pathology_feature_path), "binary",
-                       "pathology", entry.case_id)
+        bag = load_bag(manifest.resolve(entry.pathology_feature_path), entry.case_id)
         if bag.dim != manifest.feature_dim:
             raise DataError(f"{entry.case_id}: pathology dim {bag.dim} != manifest "
                             f"feature_dim {manifest.feature_dim}")
@@ -83,15 +82,6 @@ def load_cases(manifest: CaseManifest) -> list[CaseData]:
 
 # ---------------------------------------------------------------------------
 # Per-case forward
-
-
-def _nll_terms(tape: Tape, hazards: list[Var], record: SurvivalRecord,
-               weights) -> Var:
-    """The discrete NLL of one record as one tape node: ``hazards`` holds
-    the hazard rows (one per micro-batch, in order), ``weights`` their
-    weights; floors inside logs."""
-    return tape.discrete_nll(hazards, weights, record.bin, record.censor == 1,
-                             PROB_EPS)
 
 
 def _shape_groups(batches: list[np.ndarray]) -> list[list[np.ndarray]]:
@@ -135,10 +125,11 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
     for group in _shape_groups(batches):
         projected = project_t(tape, pv, tape.const(case.pathology_raw[np.array(group)]))
         if mode == "dense":
-            selected = dense_coattention_t(tape, b_g, projected, projected,
-                                           math.sqrt(params.dim))
+            selected = dense_coattention_t(tape, b_g, projected)
         else:
-            settings = replace(ot_settings, solver="emd" if mode == "emd" else "uot")
+            # The emd mode runs the emd solver; umbot runs the default one.
+            settings = replace(ot_settings,
+                               solver=mode if mode in SOLVERS else OTSettings.solver)
             for batch in projected.value:
                 k = len(couplings)
                 if fixed_couplings is not None:
@@ -156,8 +147,8 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
             selected = tape.matmul(tape.const(stacked.transpose(0, 2, 1)), projected)
         pooled_p = attention_pool_t(tape, pv, "attn_p", selected, params.n_heads)
         hazard_stacks.append(hazard_t(tape, pv, pooled_p, pooled_g))
-    loss = _nll_terms(tape, hazard_stacks, case.record,
-                      [len(idx) / M_p for idx in batches])
+    loss = tape.discrete_nll(hazard_stacks, [len(idx) / M_p for idx in batches],
+                             t, case.record.censor == 1, PROB_EPS)
     hazards = [row for stack in hazard_stacks for row in stack.value[:, 0].copy()]
     return tape, pv, loss, hazards, couplings
 
@@ -362,19 +353,24 @@ def ablation_sweep(cases: list[CaseData], config: ExperimentConfig,
 # Solver benchmark
 
 
-def bench_solves(M_values: list[int], m: int, d: int, M_g: int = 6,
-                 seed: int = 0, repeats: int = 3, settings: OTSettings | None = None
+BENCH_M_G, BENCH_SEED = 6, 0  # the benchmark's genomic bag size and seed
+
+
+def bench_solves(M_values: list[int], m: int, d: int, repeats: int = 3
                  ) -> list[tuple[int, float, float]]:
-    """Wall-clock of the micro-batched transport solves at growing bag sizes."""
-    settings = settings or OTSettings()
+    """Wall-clock of the micro-batched solves at default :class:`OTSettings`
+    against a ``BENCH_M_G`` x d genomic bag, at growing bag sizes."""
+    if d < 1 or any(M < 1 for M in M_values):
+        raise ParameterError(f"need d >= 1 and every M >= 1, got d={d}, M={M_values}")
+    settings = OTSettings()
     rows = []
     for M in M_values:
-        rng = np.random.default_rng(derive_seed(seed, M))
+        rng = np.random.default_rng(derive_seed(BENCH_SEED, M))
         bag = rng.standard_normal((M, d))
-        genomic = rng.standard_normal((M_g, d))
+        genomic = rng.standard_normal((BENCH_M_G, d))
         best = np.inf
         for _ in range(repeats):
-            batches = sample_micro_batches(M, m, seed)
+            batches = sample_micro_batches(M, m, BENCH_SEED)
             t0 = time.perf_counter()
             for idx in batches:
                 solve_batch(bag[idx], genomic, settings)

@@ -31,8 +31,12 @@ from .errors import ConstraintError, DataError, ParameterError, ShapeError, Solv
 
 COST_METRICS = ("l2", "squared_l2", "cosine_distance")
 
-# Relative reduced-cost threshold for simplex optimality.
+# The scaling solvers' default iteration cap and stop tolerance.
+MAX_ITERS, TOLERANCE = 1000, 1e-6
+
+# Relative reduced-cost threshold for simplex optimality, and the pivot cap.
 _RC_TOL = 1e-12
+_MAX_PIVOTS = 100_000
 
 
 def _unchecked(cls, **fields):
@@ -94,8 +98,8 @@ def uniform_marginals(n_source: int, n_target: int) -> Marginals:
 class SolverSettings:
     epsilon: float | None = None
     tau: float | None = None
-    max_iters: int = 1000
-    tolerance: float = 1e-6
+    max_iters: int = MAX_ITERS
+    tolerance: float = TOLERANCE
     log_domain: bool = False  # recorded: the scaling solve absorbed at least once
 
 
@@ -164,7 +168,7 @@ class TransportPlan:
 # Cost construction
 
 
-def build_cost(source: np.ndarray, target: np.ndarray, metric: str = "l2") -> CostMatrix:
+def build_cost(source: np.ndarray, target: np.ndarray, metric: str) -> CostMatrix:
     """Pairwise cost between the rows of two feature matrices."""
     xs, xt = np.asarray(source, float), np.asarray(target, float)
     if xs.ndim != 2 or xt.ndim != 2:
@@ -201,8 +205,7 @@ def normalize_cost(C: CostMatrix) -> CostMatrix:
 # Exact transportation problem
 
 
-def solve_exact_emd(C: CostMatrix, marg: Marginals, max_pivots: int = 100_000
-                    ) -> TransportPlan:
+def solve_exact_emd(C: CostMatrix, marg: Marginals) -> TransportPlan:
     """Solve min <P,C> over couplings with the given marginals, exactly.
 
     Transportation simplex (MODI): northwest-corner start, then pivots on
@@ -258,8 +261,8 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals, max_pivots: int = 100_000
             if neg.size == 0:
                 break
             ei, ej = int(neg[0, 0]), int(neg[0, 1])
-        if pivots >= max_pivots:
-            raise SolverError(f"transportation simplex exceeded {max_pivots} pivots")
+        if pivots >= _MAX_PIVOTS:
+            raise SolverError(f"transportation simplex exceeded {_MAX_PIVOTS} pivots")
         cycle = _pivot_cycle(basis, (ei, ej), n)
         minus = cycle[1::2]
         theta_idx = min(range(len(minus)), key=lambda k: alloc[minus[k]])
@@ -274,7 +277,7 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals, max_pivots: int = 100_000
         pivots += 1
 
     return TransportPlan(np.maximum(alloc, 0.0), pivots, True,
-                         SolverSettings(max_iters=max_pivots), C, Marginals(a, b),
+                         SolverSettings(max_iters=_MAX_PIVOTS), C, Marginals(a, b),
                          dual_source=u, dual_target=v)
 
 
@@ -355,7 +358,7 @@ def _generalized_kl(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def sinkhorn(C: CostMatrix, marg: Marginals, epsilon: float,
-             max_iters: int = 1000, tol: float = 1e-6) -> TransportPlan:
+             max_iters: int = MAX_ITERS, tol: float = TOLERANCE) -> TransportPlan:
     """Balanced entropic transport by Sinkhorn-Knopp matrix scaling.
 
     The coupling has the form diag(u) K diag(v) with the kernel taken
@@ -368,7 +371,8 @@ def sinkhorn(C: CostMatrix, marg: Marginals, epsilon: float,
 
 
 def unbalanced_sinkhorn(C: CostMatrix, marg: Marginals, epsilon: float, tau: float,
-                        max_iters: int = 1000, tol: float = 1e-6) -> TransportPlan:
+                        max_iters: int = MAX_ITERS, tol: float = TOLERANCE
+                        ) -> TransportPlan:
     """Entropic transport with KL-relaxed marginals.
 
     Minimizes <P,C> + eps KL(P | a x b) + tau (KL(P 1 | a) + KL(P' 1 | b))

@@ -249,8 +249,7 @@ def per_batch_case_forward(params, case, m, ot_settings, mode, seed,
     for k, idx in enumerate(sample_micro_batches(M_p, m, seed)):
         projected = project_t(tape, pv, tape.const(case.pathology_raw[idx]))
         if mode == "dense":
-            selected = dense_coattention_t(tape, b_g, projected, projected,
-                                           math.sqrt(params.dim))
+            selected = dense_coattention_t(tape, b_g, projected)
         else:
             plan = (fixed_couplings[k] if fixed_couplings is not None
                     else solve_batch(projected.value, b_g.value, settings))

@@ -23,19 +23,19 @@ from otsurv.train import load_cases
 
 def test_bag_validation_rejects_nan():
     with pytest.raises(DataError):
-        InstanceBag(np.array([[1.0, np.nan]]), "pathology", "x")
+        InstanceBag(np.array([[1.0, np.nan]]), "x")
 
 
 def test_bag_validation_rejects_empty():
     with pytest.raises(DataError):
-        InstanceBag(np.zeros((0, 3)), "pathology", "x")
+        InstanceBag(np.zeros((0, 3)), "x")
 
 
 def test_csv_zero_bag_roundtrip(tmp_path):
-    bag = InstanceBag(np.zeros((2, 3)), "pathology", "z")
+    bag = InstanceBag(np.zeros((2, 3)), "z")
     path = tmp_path / "z.csv"
-    save_bag(bag, path, "csv")
-    loaded = load_bag(path, "csv")
+    save_bag(bag, path)
+    loaded = load_bag(path)
     assert loaded.features.shape == (2, 3)
     assert np.all(loaded.features == 0.0)
 
@@ -43,21 +43,21 @@ def test_csv_zero_bag_roundtrip(tmp_path):
 def test_binary_roundtrip_bit_identical(tmp_path):
     rng = np.random.default_rng(0)
     feats = rng.standard_normal((7, 5)).astype(np.float32).astype(np.float64)
-    bag = InstanceBag(feats, "pathology", "b")
+    bag = InstanceBag(feats, "b")
     path = tmp_path / "b.fbag"
-    save_bag(bag, path, "binary")
-    loaded = load_bag(path, "binary")
+    save_bag(bag, path)
+    loaded = load_bag(path)
     assert np.array_equal(loaded.features, feats)
     # and the file itself is stable under a second round trip
-    save_bag(loaded, tmp_path / "b2.fbag", "binary")
+    save_bag(loaded, tmp_path / "b2.fbag")
     assert (tmp_path / "b.fbag").read_bytes() == (tmp_path / "b2.fbag").read_bytes()
 
 
 def test_csv_roundtrip_9_digits(tmp_path):
     rng = np.random.default_rng(1)
     feats = rng.standard_normal((4, 3)) * 100
-    save_bag(InstanceBag(feats, "pathology", "c"), tmp_path / "c.csv", "csv")
-    loaded = load_bag(tmp_path / "c.csv", "csv")
+    save_bag(InstanceBag(feats, "c"), tmp_path / "c.csv")
+    loaded = load_bag(tmp_path / "c.csv")
     assert np.allclose(loaded.features, feats, rtol=1e-6, atol=0)
 
 
@@ -65,7 +65,7 @@ def test_csv_ragged_rows_is_format_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,f2\n1,2,3\n4,5,6,7\n")
     with pytest.raises(FormatError):
-        load_bag(path, "csv")
+        load_bag(path)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -76,30 +76,48 @@ def test_csv_error_names_physical_line(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(FormatError, match=message):
-        load_bag(path, "csv")
+        load_bag(path)
 
 
 def test_binary_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "bad.fbag"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(FormatError):
-        load_bag(path, "binary")
+        load_bag(path)
     good = tmp_path / "short.fbag"
-    save_bag(InstanceBag(np.ones((3, 2)), "pathology", "s"), good, "binary")
+    save_bag(InstanceBag(np.ones((3, 2)), "s"), good)
     good.write_bytes(good.read_bytes()[:-4])
     with pytest.raises(FormatError):
-        load_bag(good, "binary")
+        load_bag(good)
 
 
 def test_binary_nan_payload_is_data_error(tmp_path):
     feats = np.ones((2, 2), dtype=np.float32)
     path = tmp_path / "nan.fbag"
-    save_bag(InstanceBag(feats.astype(float), "pathology", "n"), path, "binary")
+    save_bag(InstanceBag(feats.astype(float), "n"), path)
     raw = bytearray(path.read_bytes())
     raw[12:16] = np.float32("nan").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError):
-        load_bag(path, "binary")
+        load_bag(path)
+
+
+def test_load_bag_reads_the_format_off_the_magic_not_the_name(tmp_path):
+    feats = np.arange(6.0).reshape(3, 2)
+    save_bag(InstanceBag(feats, "a"), tmp_path / "a.fbag")
+    save_bag(InstanceBag(feats, "b"), tmp_path / "b.csv")
+    (tmp_path / "a.fbag").rename(tmp_path / "fbag_named.csv")
+    (tmp_path / "b.csv").rename(tmp_path / "csv_named.fbag")
+    for name in ("fbag_named.csv", "csv_named.fbag"):
+        loaded = load_bag(tmp_path / name, case_id="c")
+        assert np.array_equal(loaded.features, feats)
+        assert loaded.case_id == "c"
+
+
+def test_save_bag_rejects_a_suffix_of_neither_format(tmp_path):
+    with pytest.raises(ParameterError, match="must end in .csv or .fbag"):
+        save_bag(InstanceBag(np.ones((2, 2)), "x"), tmp_path / "x.bin")
+    assert files_under(tmp_path) == {}
 
 
 def test_genomic_profile_roundtrip(tmp_path):
@@ -156,7 +174,7 @@ def test_generator_zero_noise_signal_instances_hit_prototypes(tmp_path):
                                      censor_rate=0.0, seed=3,
                                      output_dir=tmp_path)
     # 5 signal instances from 2 prototypes: feature rows must repeat exactly.
-    bag = load_bag(man.resolve(man.cases[0].pathology_feature_path), "binary")
+    bag = load_bag(man.resolve(man.cases[0].pathology_feature_path))
     uniq = np.unique(bag.features, axis=0)
     # 2 prototypes + 5 background rows = at most 7 distinct rows
     assert uniq.shape[0] <= 7
@@ -203,6 +221,13 @@ def test_generator_parameter_validation(tmp_path):
         generate_synthetic_dataset(12, 8, 3, 4, 1.5, 0.1, 0.1, 0, tmp_path)
     with pytest.raises(ParameterError):
         generate_synthetic_dataset(12, 8, 3, 4, 0.5, 0.1, 1.0, 0, tmp_path)
+
+
+def test_generator_rejects_dim_below_one(tmp_path):
+    for d in (0, -2):
+        with pytest.raises(ParameterError, match="d must be >= 1"):
+            generate_synthetic_dataset(12, 8, 3, d, 0.5, 0.1, 0.1, 0, tmp_path)
+    assert files_under(tmp_path) == {}
 
 
 def test_manifest_roundtrip_and_validation(tmp_path):

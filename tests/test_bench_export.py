@@ -3,10 +3,11 @@
 import time
 
 import numpy as np
+import pytest
 
 from otsurv.bags import generate_synthetic_dataset
 from otsurv.config import ExperimentConfig
-from otsurv.microbatch import OTSettings
+from otsurv.errors import ParameterError
 from otsurv.train import ablation_sweep, bench_solves, load_cases
 from otsurv.transport import build_cost, solve_exact_emd, uniform_marginals
 
@@ -19,13 +20,18 @@ def test_bench_rows_and_linear_growth():
         assert ips == M / secs
 
 
+def test_bench_rejects_dim_or_bag_size_below_one():
+    for M_values, d in (([64], 0), ([64], -1), ([64, 0], 8), ([-5], 8)):
+        with pytest.raises(ParameterError, match="need d >= 1 and every M >= 1"):
+            bench_solves(M_values, m=32, d=d)
+
+
 def test_whole_bag_exact_solve_slower_per_instance_than_microbatched():
     """The m = M exact solve pays superlinear cost per instance; the
     micro-batched entropic path stays flat, so at larger M the micro-batched
     per-instance rate wins."""
     rng = np.random.default_rng(0)
     genomic = rng.standard_normal((6, 8))
-    settings = OTSettings(epsilon=0.05, tau=0.5)
 
     def emd_per_instance(M):
         bag = rng.standard_normal((M, 8))
@@ -39,7 +45,7 @@ def test_whole_bag_exact_solve_slower_per_instance_than_microbatched():
         return best / M
 
     emd_rate = emd_per_instance(512)
-    rows = bench_solves([4096], m=128, d=8, repeats=3, settings=settings)
+    rows = bench_solves([4096], m=128, d=8, repeats=3)
     microbatched_rate = rows[0][1] / rows[0][0]
     assert microbatched_rate < emd_rate
 

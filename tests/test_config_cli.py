@@ -12,7 +12,9 @@ import pytest
 from failing_writes import fail_writes_to, files_under
 from otsurv import cli
 from otsurv.config import CHOICES, ExperimentConfig, load_config, merge_overrides
+from otsurv.bags import load_bag
 from otsurv.errors import ConfigError
+from otsurv.microbatch import OTSettings, solve_batch
 
 CLI = [sys.executable, "-m", "otsurv.cli"]
 
@@ -196,6 +198,35 @@ def test_cli_solve_emd_objective_matches_json(tmp_path):
     want = lp_transport(C, np.full(4, 0.25), np.full(3, 1 / 3))
     assert doc["objective_value"] == pytest.approx(want, abs=1e-9)
     assert np.sum(coupling * C) == pytest.approx(want, abs=1e-8)
+
+
+def test_cli_solve_reads_fbag_bags(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(["gen-synth", "--out", str(data), "--n-cases", "10", "--m-p", "7",
+                     "--m-g", "3", "--dim", "5", "--seed", "4"]) == 0
+    source, target = data / "case_0000_path.fbag", data / "case_0001_path.fbag"
+    assert cli.main(["solve", "--source", str(source), "--target", str(target),
+                     "--out-prefix", str(tmp_path / "plan")]) == 0
+    coupling = np.loadtxt(tmp_path / "plan_coupling.csv", delimiter=",")
+    plan = solve_batch(load_bag(source).features, load_bag(target).features, OTSettings())
+    assert coupling.shape == (7, 7)
+    assert np.allclose(coupling, plan.coupling, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("args", [
+    ["bench", "--dim", "-1", "--m-values", "64"],
+    ["bench", "--dim", "0", "--m-values", "64"],
+    ["bench", "--m-values", "64,-5"],
+    ["gen-synth", "--dim", "-2"],
+    ["gen-synth", "--dim", "0"],
+], ids=["bench-dim-negative", "bench-dim-zero", "bench-m-negative",
+        "gen-synth-dim-negative", "gen-synth-dim-zero"])
+def test_cli_size_below_one_is_parameter_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error_class"] == "ParameterError"
+    assert not out.exists()
 
 
 def test_cli_solve_missing_file_exit_code(tmp_path):

@@ -173,47 +173,36 @@ def test_coattend_shape_mismatch():
 # Dense co-attention (the tape block training uses)
 
 
-def dense(q, k, v, scale):
+def dense(q, tokens):
     tape = Tape()
-    return dense_coattention_t(tape, tape.const(q), tape.const(k), tape.const(v),
-                               scale).value
+    return dense_coattention_t(tape, tape.const(q), tape.const(tokens)).value
 
 
 def test_dense_softmax_saturation_picks_matching_key():
-    d = 4
     q = np.array([[10.0, 0, 0, 0]])
-    keys = np.vstack([q[0], -q[0], np.zeros(d)])
-    values = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0]])
-    out = dense(q, keys, values, scale=0.01)
-    assert np.allclose(out[0], values[0], atol=1e-8)
+    tokens = np.vstack([q[0], -q[0], np.zeros(4)])
+    # logits 50, -50 and 0 at scale 1/sqrt(4)
+    out = dense(q, tokens)
+    assert np.allclose(out[0], tokens[0], atol=1e-8)
 
 
 def test_dense_uniform_logits_average_values():
     rng = np.random.default_rng(3)
-    values = rng.standard_normal((5, 4))
-    q = np.zeros((2, 4))
-    keys = rng.standard_normal((5, 4))
-    out = dense(q, keys, values, scale=2.0)
-    assert np.allclose(out, np.tile(values.mean(axis=0), (2, 1)), atol=1e-12)
+    tokens = rng.standard_normal((5, 4))
+    out = dense(np.zeros((2, 4)), tokens)
+    assert np.allclose(out, np.tile(tokens.mean(axis=0), (2, 1)), atol=1e-12)
 
 
 def test_dense_matches_softmax_matmul_oracle():
     rng = np.random.default_rng(4)
     q = rng.standard_normal((3, 4))
-    k = rng.standard_normal((5, 4))
-    v = rng.standard_normal((5, 4))
-    scale = math.sqrt(4)
-    out = dense(q, k, v, scale)
-    logits = q @ k.T / scale
+    tokens = rng.standard_normal((5, 4))
+    out = dense(q, tokens)
+    logits = q @ tokens.T / math.sqrt(4)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
-    assert np.allclose(out, w @ v, atol=1e-10)
+    assert np.allclose(out, w @ tokens, atol=1e-10)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_dense_rejects_bad_scale():
-    with pytest.raises(ParameterError):
-        dense(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,7 @@ def test_gradcheck_dense_coattention():
     def loss(tape, pv):
         q = encode_genomic_t(tape, pv, rand_profile(np.random.default_rng(9)))
         kv = tape.const(keys)
-        out = dense_coattention_t(tape, q, kv, kv, math.sqrt(8))
+        out = dense_coattention_t(tape, q, kv)
         return total(tape, tape.mul(out, out))
 
     names = ["enc.0.w1", "enc.1.w2"]
@@ -363,7 +363,7 @@ def test_gradcheck_attention(n_heads):
               "v": rng.standard_normal((5, 8))}
 
     def op(tape, q, k, v):
-        return tape.attention(q, k, v, n_heads, 0.5)
+        return tape.attention(q, k, v, n_heads)
 
     assert _gradcheck_op(op, arrays) <= 1e-6
 
@@ -405,9 +405,9 @@ STACKED_OPS = {
     "linear_row_bias": (Tape.linear, [(3, 5, 8), (8, 4), (1, 4)]),
     "matmul": (Tape.matmul, [(3, 4, 5), (3, 5, 6)]),
     "matmul_unstacked_left": (Tape.matmul, [(4, 5), (3, 5, 6)]),
-    "attention": (lambda tape, q, k, v: tape.attention(q, k, v, 2, 0.5),
+    "attention": (lambda tape, q, k, v: tape.attention(q, k, v, 2),
                   [(3, 4, 8), (3, 5, 8), (3, 5, 8)]),
-    "attention_unstacked_query": (lambda tape, q, k, v: tape.attention(q, k, v, 2, 0.5),
+    "attention_unstacked_query": (lambda tape, q, k, v: tape.attention(q, k, v, 2),
                                   [(4, 8), (3, 5, 8), (3, 5, 8)]),
     "add": (Tape.add, [(3, 4, 5), (3, 4, 5)]),
     "mean_rows": (Tape.mean_rows, [(3, 4, 5)]),
@@ -439,7 +439,7 @@ def test_attention_bitwise_equals_per_head_oracle(n_heads, n_q, n_k, spread, see
     q, k, v, g = (spread * rng.standard_normal((n, 64)) for n in (n_q, n_k, n_k, n_q))
     scale = 1.0 / math.sqrt(64 // n_heads)
     tape = Tape()
-    out = tape.attention(tape.leaf(q), tape.leaf(k), tape.leaf(v), n_heads, scale)
+    out = tape.attention(tape.leaf(q), tape.leaf(k), tape.leaf(v), n_heads)
     want_out, *want_grads = per_head_attention(q, k, v, n_heads, scale, g)
     assert out.shape == want_out.shape
     assert out.value.tobytes() == want_out.tobytes()
@@ -455,9 +455,9 @@ def test_attention_shape_mismatch_is_shape_error():
     tape = Tape()
     q, k = tape.const(np.ones((3, 8))), tape.const(np.ones((5, 6)))
     with pytest.raises(ShapeError):
-        tape.attention(q, k, k, 2, 1.0)
+        tape.attention(q, k, k, 2)
     with pytest.raises(ShapeError):
-        tape.attention(q, q, q, 3, 1.0)
+        tape.attention(q, q, q, 3)
 
 
 @given(st.sampled_from([1, 6, 48, 104]), st.sampled_from([8, 64, 128]),
@@ -588,6 +588,20 @@ def test_adam_weight_decay_pulls_toward_zero():
     assert norm_after < norm_before
 
 
+def test_adam_missing_gradient_raises_before_any_update():
+    params = tiny_params(seed=34)
+    state = AdamState.for_params(params)
+    grads = {n: np.ones_like(t) for n, t in params.tensors()}
+    del grads["hazard.b"]
+    before = {n: t.copy() for n, t in params.tensors()}
+    with pytest.raises(KeyError, match="hazard.b"):
+        adam_step(params, grads, state, lr=1e-3, weight_decay=0.0)
+    assert state.step == 0
+    for n, t in params.tensors():
+        assert np.array_equal(t, before[n])
+        assert np.all(state.m[n] == 0) and np.all(state.v[n] == 0)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 
@@ -687,7 +701,7 @@ def test_checkpoint_tensor_shape_breaking_layout_is_format_error(tmp_path, name,
     params = tiny_params(seed=47)
     arrays = dict(params.arrays)
     arrays[name] = np.zeros(shape)
-    save_checkpoint(neural.ModelParams(arrays, n_heads=4), tmp_path)
+    save_checkpoint(neural.ModelParams(arrays, n_heads=4, seed=0), tmp_path)
     with pytest.raises(FormatError, match=f"checkpoint.json.*{name}"):
         load_checkpoint(tmp_path)
 

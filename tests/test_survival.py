@@ -15,7 +15,7 @@ from otsurv.neural import init_params
 from otsurv.survival import (PROB_EPS, c_index, chi2_sf_1df, km_estimate,
                              logrank, median_split, survival_from_hazard,
                              write_km_outputs)
-from otsurv.train import CaseData, _nll_terms, case_forward, case_risk
+from otsurv.train import CaseData, case_forward, case_risk
 
 from failing_writes import fail_writes_to, files_under
 from oracles import (chi2_sf_1df_oracle, km_survival_oracle, nll_chain,
@@ -73,7 +73,8 @@ def test_survival_nonincreasing_in_unit_interval(hazards):
 def nll(hazards, record, weight=1.0):
     tape = Tape()
     row = tape.const(np.atleast_2d(np.asarray(hazards, float)))
-    return float(_nll_terms(tape, [row], record, [weight]).value)
+    return float(tape.discrete_nll([row], [weight], record.bin, record.censor == 1,
+                                   PROB_EPS).value)
 
 
 def test_nll_perfect_prediction_near_zero():
@@ -130,7 +131,7 @@ def test_nll_gradient_sign_wrt_correct_bin_hazard():
     # raising the hazard of the observed event bin lowers the loss
     tape = Tape()
     row = tape.leaf(np.array([[0.2, 0.3, 0.4, 0.5]]))
-    backward(tape, _nll_terms(tape, [row], rec(4.0, 0, b=2), [1.0]))
+    backward(tape, tape.discrete_nll([row], [1.0], 2, False, PROB_EPS))
     assert row.grad[0, 2] < 0
     assert np.all(row.grad[0, :2] > 0)  # and surviving earlier bins raises it
     assert row.grad[0, 3] == 0
@@ -162,7 +163,8 @@ def test_fused_nll_equals_op_chain_bitwise(n_rows, split, n_bins, bin_frac, cens
     tape = Tape()
     split = min(split, n_rows)
     stacks = [tape.leaf(part[:, None, :]) for part in (h[:split], h[split:]) if len(part)]
-    fused = tape.scale(_nll_terms(tape, stacks, record, weights), outer)
+    fused = tape.scale(tape.discrete_nll(stacks, weights, record.bin, record.censor == 1,
+                                         PROB_EPS), outer)
     backward(tape, fused)
     fused_grad = np.concatenate([s.grad.reshape(-1, n_bins) for s in stacks])
 

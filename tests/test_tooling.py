@@ -19,6 +19,7 @@ from otsurv.bags import GenomicProfile, SurvivalRecord
 from otsurv.cli import main as otsurv_main
 from otsurv.microbatch import OTSettings, solve_batch
 from otsurv.neural import init_params
+from otsurv import train
 from otsurv.train import CaseData, case_forward
 
 REPO = Path(__file__).resolve().parents[1]
@@ -98,6 +99,25 @@ def test_every_perfbench_hook_resolves(monkeypatch):
     params = init_params(8, 8, profile.attr_dims(), 3, seed=0)
     result = case_forward(params, case, 5, OTSettings(), "umbot", 0)
     assert tracing._tape_attrs(result)["tape_nodes"] > 0
+
+    # The span names and case ids come off the arguments of the program's own
+    # calls: a signature edit that moves ``case`` or ``side`` must fail here,
+    # not only merge spans in a traced run.
+    calls = {"case_forward": [], "attention_pool_t": []}
+
+    def spy(name, real):
+        def record(*args, **kwargs):
+            calls[name].append((args, kwargs))
+            return real(*args, **kwargs)
+        return record
+
+    for name in calls:
+        monkeypatch.setattr(train, name, spy(name, getattr(train, name)))
+    train.case_loss_and_grads(params, case, 5, OTSettings(), "umbot", 0)
+    train.case_risk(params, case, 5, OTSettings(), "dense", 0)
+    assert [tracing._case_id(*call) for call in calls["case_forward"]] == ["x", "x"]
+    assert ({tracing._pool_side(*call) for call in calls["attention_pool_t"]}
+            == {"neural.attn_pool_p", "neural.attn_pool_g"})
 
 
 def test_train_outputs_do_not_depend_on_blas_thread_count(tmp_path):

@@ -336,7 +336,7 @@ def test_load_cases_rejects_bag_dim_not_feature_dim(tmp_path):
         n_cases=10, M_p=6, M_g=3, d=5, signal_fraction=0.4, noise_scale=0.2,
         censor_rate=0.2, seed=2, output_dir=tmp_path)
     entry = manifest.cases[3]
-    save_bag(InstanceBag(np.ones((6, 4)), "pathology", entry.case_id),
+    save_bag(InstanceBag(np.ones((6, 4)), entry.case_id),
              manifest.resolve(entry.pathology_feature_path))
     with pytest.raises(DataError, match=f"{entry.case_id}: pathology dim 4 != "
                                         f"manifest feature_dim 5"):

@@ -37,7 +37,7 @@ def random_instance(rng, n, m, rational=False):
 def unnormalized_cost(rng, n):
     # n patches against 6 genomic tokens, as on the hot path, but with the
     # raw squared distances (about 128) that normalize_cost would scale down.
-    return build_cost(rng.normal(size=(n, 64)), rng.normal(size=(6, 64)))
+    return build_cost(rng.normal(size=(n, 64)), rng.normal(size=(6, 64)), "l2")
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_cost_cosine_zero_vector_distance_one():
 
 def test_cost_dimension_mismatch():
     with pytest.raises(ShapeError):
-        build_cost(np.ones((2, 3)), np.ones((2, 4)))
+        build_cost(np.ones((2, 3)), np.ones((2, 4)), "l2")
 
 
 def test_cost_rejects_negative_and_nan():
@@ -118,7 +118,7 @@ def test_unchecked_cost_and_marginals_equal_checked_ones():
         x_bad[2, 1] = bad
         with pytest.raises(DataError), np.errstate(invalid="ignore"):
             solve_batch(x_bad, g, OTSettings())
-    C = build_cost(x, g)
+    C = build_cost(x, g, "l2")
     N = normalize_cost(C)
     assert N.values.tobytes() == CostMatrix(C.values / C.values.max(), "l2").values.tobytes()
     marg = uniform_marginals(7, 3)
@@ -391,7 +391,8 @@ def test_uot_iteration_budget_on_hot_path_problems():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = 48 if seed < 10 else 128
-        C = normalize_cost(build_cost(rng.normal(size=(n, 64)), rng.normal(size=(6, 64))))
+        C = normalize_cost(build_cost(rng.normal(size=(n, 64)),
+                                      rng.normal(size=(6, 64)), "l2"))
         plan = unbalanced_sinkhorn(C, uniform_marginals(n, 6), 0.05, 0.5)
         assert plan.converged and not plan.settings.log_domain
         assert plan.iterations <= 15, (seed, plan.iterations)
@@ -460,7 +461,8 @@ def test_scaling_solvers_match_plain_oracle_bitwise(seed, n, tau):
     # tokens at eps 0.05.  With no absorption, the kernel does the textbook
     # arithmetic, so every bit of the plan must match the oracle.
     rng = np.random.default_rng(seed)
-    C = normalize_cost(build_cost(rng.normal(size=(n, 64)), rng.normal(size=(6, 64))))
+    C = normalize_cost(build_cost(rng.normal(size=(n, 64)),
+                                  rng.normal(size=(6, 64)), "l2"))
     marg = uniform_marginals(n, 6)
     if tau is None:
         plan = sinkhorn(C, marg, 0.05)
