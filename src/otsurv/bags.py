@@ -166,12 +166,22 @@ def save_bag(bag: InstanceBag, path) -> None:
 
 def load_bag(path, case_id: str = "") -> InstanceBag:
     """Load a bag from disk, as FBAG if the file starts with the FBAG magic
-    and as CSV otherwise; validates shape and finiteness."""
+    and as CSV otherwise; validates shape and finiteness.  A ``.fbag`` file
+    that is neither names the missing magic in its :class:`FormatError`."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"bag file does not exist: {path}")
     raw = path.read_bytes()
-    feats = _load_fbag(path, raw) if raw[:4] == FBAG_MAGIC else _load_csv_matrix(path)
+    if raw[:4] == FBAG_MAGIC:
+        feats = _load_fbag(path, raw)
+    else:
+        try:
+            feats = _load_csv_matrix(path)
+        except FormatError as exc:
+            if path.suffix != ".fbag":
+                raise
+            raise FormatError(f"{path}: no FBAG magic {FBAG_MAGIC!r} (starts with "
+                              f"{raw[:4]!r}) and not a CSV bag: {exc}") from exc
     if not np.all(np.isfinite(feats)):
         raise DataError(f"bag file {path} contains NaN/Inf entries")
     return InstanceBag(feats, case_id=case_id or path.stem)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 from .bags import read_json
 from .errors import ConfigError
-from .microbatch import OTSettings
+from .microbatch import ATTENTION_MODES, OTSettings
 from .transport import COST_METRICS
 
 # The fields that take one of a fixed set of values.
-CHOICES = {"attention_mode": ("umbot", "emd", "dense"), "cost_metric": COST_METRICS}
+CHOICES = {"attention_mode": tuple(ATTENTION_MODES), "cost_metric": COST_METRICS}
 
 # Annotation -> accepted types.  A bool is an int to Python, but a value of
 # true in an int or float field is a mistake, so only a bool field takes one.

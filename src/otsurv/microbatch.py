@@ -13,18 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .transport import (MAX_ITERS, TOLERANCE, TransportPlan, build_cost,
-                        normalize_cost, solve_exact_emd, sinkhorn,
-                        unbalanced_sinkhorn, uniform_marginals)
+from .transport import (TransportPlan, build_cost, normalize_cost,
+                        solve_exact_emd, sinkhorn, unbalanced_sinkhorn,
+                        uniform_marginals)
 
 # Each solver by name, called on a cost, its marginals and an
-# :class:`OTSettings`; the first is the default.
+# :class:`OTSettings`; the first is the default.  The scaling solvers run to
+# ``transport.MAX_ITERS`` at ``transport.TOLERANCE``.
 SOLVERS = {
-    "uot": lambda C, marg, s: unbalanced_sinkhorn(C, marg, s.epsilon, s.tau,
-                                                  s.max_iters, s.tolerance),
-    "sinkhorn": lambda C, marg, s: sinkhorn(C, marg, s.epsilon, s.max_iters, s.tolerance),
+    "uot": lambda C, marg, s: unbalanced_sinkhorn(C, marg, s.epsilon, s.tau),
+    "sinkhorn": lambda C, marg, s: sinkhorn(C, marg, s.epsilon),
     "emd": lambda C, marg, s: solve_exact_emd(C, marg),
 }
+
+# Each attention mode by name, with the solver its couplings come from;
+# ``dense`` attends without transport.
+ATTENTION_MODES = {"umbot": "uot", "emd": "emd", "dense": None}
 
 
 @dataclass(frozen=True)
@@ -33,8 +37,6 @@ class OTSettings:
 
     epsilon: float = 0.05
     tau: float = 0.5
-    max_iters: int = MAX_ITERS
-    tolerance: float = TOLERANCE
     metric: str = "l2"
     normalize: bool = True
     solver: str = next(iter(SOLVERS))

@@ -73,6 +73,16 @@ def c_index(risks, records: list[SurvivalRecord]) -> float:
     return float(concordant / comparable)
 
 
+def _risk_table(times: np.ndarray, events: np.ndarray, at: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Numbers at risk (time >= t) and of events (time == t) at each time t of ``at``."""
+    at_risk = times.size - np.searchsorted(np.sort(times), at, side="left")
+    event_times = np.sort(times[events])
+    deaths = (np.searchsorted(event_times, at, side="right")
+              - np.searchsorted(event_times, at, side="left"))
+    return at_risk, deaths
+
+
 def km_estimate(records: list[SurvivalRecord]) -> KMCurve:
     """Product-limit estimator; deaths precede censorings at equal times."""
     if not records:
@@ -80,16 +90,8 @@ def km_estimate(records: list[SurvivalRecord]) -> KMCurve:
     times = np.asarray([r.time_months for r in records])
     events = np.asarray([r.censor == 0 for r in records])
     event_times = np.unique(times[events])
-    at_risk = np.empty(event_times.size, dtype=np.int64)
-    deaths = np.empty(event_times.size, dtype=np.int64)
-    surv = np.empty(event_times.size)
-    s = 1.0
-    for k, t in enumerate(event_times):
-        at_risk[k] = int(np.sum(times >= t))
-        deaths[k] = int(np.sum(events & (times == t)))
-        s *= 1.0 - deaths[k] / at_risk[k]
-        surv[k] = s
-    return KMCurve(event_times, at_risk, deaths, surv)
+    at_risk, deaths = _risk_table(times, events, event_times)
+    return KMCurve(event_times, at_risk, deaths, np.cumprod(1.0 - deaths / at_risk))
 
 
 def chi2_sf_1df(x: float) -> float:
@@ -104,6 +106,11 @@ def chi2_sf_1df(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
+def _running_sum(terms: np.ndarray) -> float:
+    """0.0 plus each term in turn, as a loop adds them (``np.sum`` adds pairwise)."""
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
 def logrank(records_a: list[SurvivalRecord], records_b: list[SurvivalRecord]
             ) -> LogrankResult:
     """Two-group log-rank test with chi-square(1) p-value."""
@@ -114,20 +121,13 @@ def logrank(records_a: list[SurvivalRecord], records_b: list[SurvivalRecord]
     tb = np.asarray([r.time_months for r in records_b])
     eb = np.asarray([r.censor == 0 for r in records_b])
     event_times = np.unique(np.concatenate([ta[ea], tb[eb]]))
-    observed_minus_expected = 0.0
-    variance = 0.0
-    for t in event_times:
-        na = int(np.sum(ta >= t))
-        nb = int(np.sum(tb >= t))
-        da = int(np.sum(ea & (ta == t)))
-        db = int(np.sum(eb & (tb == t)))
-        n = na + nb
-        d = da + db
-        if n < 1 or d < 1:
-            continue
-        observed_minus_expected += da - d * na / n
-        if n > 1:
-            variance += d * (na / n) * (nb / n) * (n - d) / (n - 1)
+    na, da = _risk_table(ta, ea, event_times)
+    nb, db = _risk_table(tb, eb, event_times)
+    n, d = na + nb, da + db
+    # Every pooled event time has d >= 1, so n >= 1; where n = 1, n - d = 0
+    # and the variance term is 0 whatever its divisor.
+    observed_minus_expected = _running_sum(da - d * na / n)
+    variance = _running_sum(d * (na / n) * (nb / n) * (n - d) / np.maximum(n - 1, 1))
     if variance <= 0:
         return LogrankResult(0.0, 1.0, (len(records_a), len(records_b)))
     stat = observed_minus_expected**2 / variance

@@ -19,6 +19,7 @@ import math
 import time
 from copy import deepcopy
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ from .bags import (CaseManifest, GenomicProfile, SurvivalRecord, assign_bin,
                    write_csv, write_json)
 from .config import ExperimentConfig
 from .errors import DataError, NumericError, OtsurvError, ParameterError
-from .microbatch import SOLVERS, OTSettings, sample_micro_batches, solve_batch
+from .microbatch import (ATTENTION_MODES, OTSettings, sample_micro_batches,
+                         solve_batch)
 from .neural import (AdamState, ModelParams, adam_step, accumulate,
                      attention_pool_t, dense_coattention_t, encode_genomic_t,
                      extract_grads, hazard_t, init_params, project_t,
@@ -84,17 +86,6 @@ def load_cases(manifest: CaseManifest) -> list[CaseData]:
 # Per-case forward
 
 
-def _shape_groups(batches: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """Consecutive micro-batches of one size: the full ones, then a ragged last."""
-    groups: list[list[np.ndarray]] = []
-    for idx in batches:
-        if groups and len(groups[-1][0]) == len(idx):
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return groups
-
-
 def case_forward(params: ModelParams, case: CaseData, m: int,
                  ot_settings: OTSettings, mode: str, seed: int,
                  fixed_couplings: list[TransportPlan] | None = None):
@@ -106,8 +97,15 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
     ``fixed_couplings`` bypasses the transport solves (used by the
     finite-difference gradient check, which must differentiate the loss at
     frozen couplings).  A solve that stops without converging is logged as
-    a warning and its plan is used as is.
+    a warning and its plan is used as is.  ``mode`` is a key of
+    :data:`~otsurv.microbatch.ATTENTION_MODES`.
     """
+    if mode not in ATTENTION_MODES:
+        raise ParameterError(f"unknown attention mode {mode!r}, "
+                             f"choose from {tuple(ATTENTION_MODES)}")
+    solver = ATTENTION_MODES[mode]
+    if solver is not None:
+        ot_settings = replace(ot_settings, solver=solver)
     t = case.record.bin
     if t is None:
         raise DataError(f"{case.case_id}: record has no bin; discretize first")
@@ -122,20 +120,19 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
 
     hazard_stacks = []
     couplings: list[TransportPlan] = []
-    for group in _shape_groups(batches):
+    # Consecutive micro-batches of one size: the full ones, then a ragged last.
+    for _, run in groupby(batches, key=len):
+        group = list(run)
         projected = project_t(tape, pv, tape.const(case.pathology_raw[np.array(group)]))
-        if mode == "dense":
+        if solver is None:
             selected = dense_coattention_t(tape, b_g, projected)
         else:
-            # The emd mode runs the emd solver; umbot runs the default one.
-            settings = replace(ot_settings,
-                               solver=mode if mode in SOLVERS else OTSettings.solver)
             for batch in projected.value:
                 k = len(couplings)
                 if fixed_couplings is not None:
                     tplan = fixed_couplings[k]
                 else:
-                    tplan = solve_batch(batch, b_g.value, settings)
+                    tplan = solve_batch(batch, b_g.value, ot_settings)
                     if not tplan.converged:
                         log.warning("case %s batch %d: solver stopped at %d iterations "
                                     "without converging", case.case_id, k,
@@ -235,34 +232,25 @@ def train_fold(cases: list[CaseData], train_idx, val_idx,
     for epoch in range(config.epochs):
         epoch_seed = derive_seed(config.seed, fold, epoch)
         order = np.random.default_rng(epoch_seed).permutation(len(train_cases))
-        grads: dict[str, np.ndarray] = {}
-        pending = 0
         total_loss = 0.0
-        for k in order:
-            case = train_cases[k]
-            loss, case_grads = case_loss_and_grads(
-                params, case, config.micro_batch, settings,
-                config.attention_mode, derive_seed(epoch_seed, int(k)))
-            accumulate(grads, case_grads)
-            total_loss += loss
-            pending += 1
-            if pending == config.grad_accum_steps:
-                _apply_step(params, grads, adam, config, pending)
-                grads, pending = {}, 0
-        if pending:
-            _apply_step(params, grads, adam, config, pending)
+        # One Adam step on the mean gradient of each window of cases.
+        for s in range(0, len(order), config.grad_accum_steps):
+            window = order[s:s + config.grad_accum_steps]
+            grads: dict[str, np.ndarray] = {}
+            for k in window:
+                loss, case_grads = case_loss_and_grads(
+                    params, train_cases[k], config.micro_batch, settings,
+                    config.attention_mode, derive_seed(epoch_seed, int(k)))
+                accumulate(grads, case_grads)
+                total_loss += loss
+            adam_step(params, {n: g / len(window) for n, g in grads.items()}, adam,
+                      lr=config.lr, weight_decay=config.weight_decay)
         epoch_losses.append(total_loss / len(train_cases))
         ci, risks = evaluate(params, val_cases, config, fold)
         if ci > best_ci:
             best_ci, best_risks, best_params, best_epoch = ci, risks, deepcopy(params), epoch
 
     return FoldResult(fold, best_ci, best_risks, epoch_losses, best_epoch), best_params
-
-
-def _apply_step(params, grads, adam, config, count):
-    mean_grads = {n: g / count for n, g in grads.items()}
-    adam_step(params, mean_grads, adam, lr=config.lr,
-              weight_decay=config.weight_decay)
 
 
 def cross_validate(cases: list[CaseData], config: ExperimentConfig,
@@ -359,21 +347,27 @@ BENCH_M_G, BENCH_SEED = 6, 0  # the benchmark's genomic bag size and seed
 def bench_solves(M_values: list[int], m: int, d: int, repeats: int = 3
                  ) -> list[tuple[int, float, float]]:
     """Wall-clock of the micro-batched solves at default :class:`OTSettings`
-    against a ``BENCH_M_G`` x d genomic bag, at growing bag sizes."""
+    against a ``BENCH_M_G`` x d genomic bag, at growing bag sizes.
+
+    Every bag is built first; each repeat then times the sizes in turn, so a
+    slow stretch of the host falls on all of them, and the best repeat of
+    each size is kept.
+    """
     if d < 1 or any(M < 1 for M in M_values):
         raise ParameterError(f"need d >= 1 and every M >= 1, got d={d}, M={M_values}")
     settings = OTSettings()
-    rows = []
+    problems = []
     for M in M_values:
         rng = np.random.default_rng(derive_seed(BENCH_SEED, M))
         bag = rng.standard_normal((M, d))
         genomic = rng.standard_normal((BENCH_M_G, d))
-        best = np.inf
-        for _ in range(repeats):
-            batches = sample_micro_batches(M, m, BENCH_SEED)
+        problems.append(([bag[idx] for idx in sample_micro_batches(M, m, BENCH_SEED)],
+                         genomic))
+    best = [np.inf] * len(M_values)
+    for _ in range(repeats):
+        for k, (batches, genomic) in enumerate(problems):
             t0 = time.perf_counter()
-            for idx in batches:
-                solve_batch(bag[idx], genomic, settings)
-            best = min(best, time.perf_counter() - t0)
-        rows.append((M, best, M / best))
-    return rows
+            for batch in batches:
+                solve_batch(batch, genomic, settings)
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return [(M, secs, M / secs) for M, secs in zip(M_values, best)]

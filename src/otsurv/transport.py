@@ -248,7 +248,7 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals) -> TransportPlan:
     pivots = 0
     bland_after = 50 * (n + m) * max(n, m)
     while True:
-        u, v = _duals_from_basis(cost, basis, n, m)
+        u, v, parent, depth = _basis_tree(cost, basis, n, m)
         reduced = cost - u[:, None] - v[None, :]
         if pivots < bland_after:
             flat = int(np.argmin(reduced))
@@ -263,7 +263,7 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals) -> TransportPlan:
             ei, ej = int(neg[0, 0]), int(neg[0, 1])
         if pivots >= _MAX_PIVOTS:
             raise SolverError(f"transportation simplex exceeded {_MAX_PIVOTS} pivots")
-        cycle = _pivot_cycle(basis, (ei, ej), n)
+        cycle = _pivot_cycle(parent, depth, (ei, ej), n)
         minus = cycle[1::2]
         theta_idx = min(range(len(minus)), key=lambda k: alloc[minus[k]])
         leave = minus[theta_idx]
@@ -281,63 +281,51 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals) -> TransportPlan:
                          dual_source=u, dual_target=v)
 
 
-def _duals_from_basis(cost, basis, n, m):
-    """Potentials with u[0] = 0 from the spanning tree of basis cells."""
-    by_row = [[] for _ in range(n)]
-    by_col = [[] for _ in range(m)]
-    for (i, j) in basis:
-        by_row[i].append(j)
-        by_col[j].append(i)
-    u = np.full(n, np.nan)
-    v = np.full(m, np.nan)
-    u[0] = 0.0
-    stack = [("r", 0)]
+def _basis_tree(cost, basis, n, m):
+    """One walk of the spanning tree of basis cells, rooted at row 0.
+
+    Nodes are the rows 0..n-1 and the columns n..n+m-1.  Returns the
+    potentials u, v with u[0] = 0 and ``u[i] + v[j] = cost[i, j]`` on every
+    basis cell, each node's parent link (parent node, joining cell), and
+    each node's depth.
+    """
+    adj = [[] for _ in range(n + m)]
+    for cell in basis:
+        i, j = cell
+        adj[i].append((n + j, cell))
+        adj[n + j].append((i, cell))
+    pot = [0.0] * (n + m)
+    parent = [None] * (n + m)
+    parent[0] = (-1, None)
+    depth = [0] * (n + m)
+    stack = [0]
     while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in by_row[k]:
-                if np.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in by_col[k]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, k] - v[k]
-                    stack.append(("r", i))
-    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
-        raise SolverError("basis does not span the transportation graph")
-    return u, v
-
-
-def _pivot_cycle(basis, entering, n):
-    """Cells of the unique cycle the entering cell closes, entering first."""
-    ei, ej = entering
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for (i, j) in basis:
-        adj.setdefault(i, []).append((n + j, (i, j)))
-        adj.setdefault(n + j, []).append((i, (i, j)))
-    # Path from the entering row node to the entering column node.
-    start, goal = ei, n + ej
-    parent: dict[int, tuple[int, tuple[int, int]]] = {start: (-1, (-1, -1))}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        for nxt, cell in adj.get(node, ()):
-            if nxt not in parent:
+        node = stack.pop()
+        for nxt, cell in adj[node]:
+            if parent[nxt] is None:
                 parent[nxt] = (node, cell)
-                queue.append(nxt)
-    if goal not in parent:
-        raise SolverError("entering cell closes no cycle; basis is corrupt")
-    path_cells = []
-    node = goal
-    while node != start:
-        prev, cell = parent[node]
-        path_cells.append(cell)
-        node = prev
-    # Entering cell then the tree path back: signs alternate +,-,+,...
-    return [entering] + path_cells
+                depth[nxt] = depth[node] + 1
+                pot[nxt] = cost[cell] - pot[node]
+                stack.append(nxt)
+    if None in parent:
+        raise SolverError("basis does not span the transportation graph")
+    return np.array(pot[:n]), np.array(pot[n:]), parent, depth
+
+
+def _pivot_cycle(parent, depth, entering, n):
+    """Cells of the unique cycle the entering cell closes, entering first,
+    then the tree path from its column node back to its row node."""
+    row, col = entering[0], n + entering[1]
+    from_col, from_row = [], []
+    while row != col:
+        if depth[col] >= depth[row]:
+            col, cell = parent[col]
+            from_col.append(cell)
+        else:
+            row, cell = parent[row]
+            from_row.append(cell)
+    # Signs alternate along the cycle: +, -, +, ...
+    return [entering] + from_col + from_row[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,29 @@ def km_survival_oracle(times, events):
     return out
 
 
+def logrank_oracle(times_a, events_a, times_b, events_b):
+    """Two-group log-rank (statistic, p-value) by a loop over the pooled event
+    times, recounting both risk sets at each; p = erfc(sqrt(stat / 2))."""
+    ta, ea = np.asarray(times_a, float), np.asarray(events_a, bool)
+    tb, eb = np.asarray(times_b, float), np.asarray(events_b, bool)
+    observed_minus_expected = 0.0
+    variance = 0.0
+    for t in np.unique(np.concatenate([ta[ea], tb[eb]])):
+        na = int(np.sum(ta >= t))
+        nb = int(np.sum(tb >= t))
+        da = int(np.sum(ea & (ta == t)))
+        db = int(np.sum(eb & (tb == t)))
+        n = na + nb
+        d = da + db
+        observed_minus_expected += da - d * na / n
+        if n > 1:
+            variance += d * (na / n) * (nb / n) * (n - d) / (n - 1)
+    if variance <= 0:
+        return 0.0, 1.0
+    stat = observed_minus_expected**2 / variance
+    return stat, math.erfc(math.sqrt(stat / 2.0))
+
+
 def plain_scaling(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float,
                   tau: float | None, max_iters: int, tol: float):
     """Textbook plain-domain scaling for entropic transport, no stabilisation.

@@ -82,7 +82,7 @@ def test_csv_error_names_physical_line(tmp_path, text, message):
 def test_binary_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "bad.fbag"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="no FBAG magic b'FBAG' \\(starts with b'NOPE'\\)"):
         load_bag(path)
     good = tmp_path / "short.fbag"
     save_bag(InstanceBag(np.ones((3, 2)), "s"), good)

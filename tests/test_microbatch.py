@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otsurv import train
+from otsurv import microbatch, train, transport
+from otsurv.config import CHOICES
 from otsurv.autodiff import Tape
 from otsurv.bags import GenomicProfile, SurvivalRecord
 from otsurv.errors import ParameterError, ShapeError
-from otsurv.microbatch import OTSettings, sample_micro_batches, solve_batch
+from otsurv.microbatch import (ATTENTION_MODES, OTSettings, sample_micro_batches,
+                               solve_batch)
 from otsurv.neural import (dense_coattention_t, encode_genomic_t, init_params,
                            wrap_params)
 from otsurv.train import CaseData, case_forward
@@ -257,13 +259,29 @@ def test_run_case_dim_mismatch():
         case_forward(params, case, 3, OTSettings(), "umbot", 0)
 
 
-def test_run_case_nonconverged_solve_warns_but_completes(caplog):
+def test_attention_modes_are_one_table():
+    assert CHOICES["attention_mode"] == tuple(ATTENTION_MODES) == ("umbot", "emd", "dense")
+    assert ATTENTION_MODES["dense"] is None
+    assert all(ATTENTION_MODES[mode] in microbatch.SOLVERS for mode in ("umbot", "emd"))
+
+
+@pytest.mark.parametrize("mode", ["bogus", "sinkhorn", "uot"])
+def test_case_forward_rejects_a_mode_outside_the_table(mode):
+    # A solver name is not a mode: "sinkhorn" used to run the balanced solver.
+    case = make_case(np.random.default_rng(9), M_p=12, M_g=3)
+    with pytest.raises(ParameterError, match="unknown attention mode"):
+        case_forward(identity_params(case), case, 6, OTSettings(), mode, 6)
+
+
+def test_run_case_nonconverged_solve_warns_but_completes(caplog, monkeypatch):
     rng = np.random.default_rng(9)
     case = make_case(rng, M_p=12, M_g=3)
     params = identity_params(case)
-    settings = OTSettings(max_iters=2)
+    monkeypatch.setattr(microbatch, "unbalanced_sinkhorn",
+                        lambda C, marg, eps, tau: transport.unbalanced_sinkhorn(
+                            C, marg, eps, tau, max_iters=2))
     with caplog.at_level("WARNING"):
-        _, _, loss, hazards, couplings = case_forward(params, case, 6, settings,
+        _, _, loss, hazards, couplings = case_forward(params, case, 6, OTSettings(),
                                                       "umbot", 6)
     assert len(hazards) == 2
     assert np.isfinite(loss.value)

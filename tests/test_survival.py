@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otsurv.autodiff import Tape, backward
@@ -18,8 +18,8 @@ from otsurv.survival import (PROB_EPS, c_index, chi2_sf_1df, km_estimate,
 from otsurv.train import CaseData, case_forward, case_risk
 
 from failing_writes import fail_writes_to, files_under
-from oracles import (chi2_sf_1df_oracle, km_survival_oracle, nll_chain,
-                     pairwise_c_index)
+from oracles import (chi2_sf_1df_oracle, km_survival_oracle, logrank_oracle,
+                     nll_chain, pairwise_c_index)
 
 
 def rec(t, c, b=None):
@@ -378,6 +378,30 @@ def test_logrank_symmetry():
     r2 = logrank(b, a)
     assert r1.statistic == pytest.approx(r2.statistic, rel=1e-12)
     assert r1.p_value == pytest.approx(r2.p_value, rel=1e-12)
+
+
+# A group of (time, event) records: few distinct times, so ties are common.
+cohorts = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.5]),
+                             st.booleans()), min_size=1, max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cohorts, cohorts)
+@example([(1.0, True)], [(2.0, False)])
+@example([(1.0, False), (1.0, False)], [(1.0, True), (1.0, False), (2.0, True)])
+@example([(3.0, False)], [(3.0, False)])
+def test_km_and_logrank_equal_their_loop_oracles_exactly(group_a, group_b):
+    """One-record groups, all-censored groups and tied times included."""
+    records_a = [rec(t, 0 if e else 1) for t, e in group_a]
+    records_b = [rec(t, 0 if e else 1) for t, e in group_b]
+    times_a, events_a = zip(*group_a)
+    curve = km_estimate(records_a)
+    want = km_survival_oracle(times_a, events_a)
+    assert curve.event_times.tolist() == [t for t, _ in want]
+    assert curve.survival.tolist() == [s for _, s in want]
+    result = logrank(records_a, records_b)
+    assert (result.statistic, result.p_value) == logrank_oracle(
+        times_a, events_a, *zip(*group_b))
 
 
 def test_logrank_no_events_degenerate():

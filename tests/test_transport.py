@@ -194,6 +194,21 @@ def test_emd_complementary_slackness():
         assert np.all(slack >= -1e-8)
 
 
+def test_emd_certificate_on_tied_integer_costs():
+    # Uniform 48x6 marginals, as the hot path's emd mode solves, on costs
+    # with many ties: degenerate pivots and tied leaving cells.  Integer
+    # costs make the potentials and reduced costs exact integers.
+    rng = np.random.default_rng(16)
+    for levels in (2, 3, 5):
+        C = CostMatrix(rng.integers(0, levels, size=(48, 6)).astype(float), "l2")
+        plan = solve_exact_emd(C, uniform_marginals(48, 6))
+        reduced = C.values - plan.dual_source[:, None] - plan.dual_target[None, :]
+        assert reduced.min() >= 0.0
+        assert abs(plan.duality_gap) <= 1e-12
+        assert plan.objective_value == pytest.approx(
+            lp_transport(C.values, plan.marginals.source, plan.marginals.target), abs=1e-12)
+
+
 def test_emd_marginals_satisfied():
     rng = np.random.default_rng(9)
     C, marg = random_instance(rng, 6, 3)
