@@ -47,13 +47,20 @@ CATEGORY_NAMES = (
 
 @dataclass(frozen=True)
 class InstanceBag:
-    """An M x d matrix of instance features and the case it belongs to."""
+    """An M x d matrix of instance features and the case it belongs to.
+
+    ``features`` keeps a float32 or float64 matrix at its own precision and
+    widens any other type to float64, so an FBAG bag stays float32 (4 bytes
+    per value) and a CSV bag float64; arithmetic widens where it starts.
+    """
 
     features: np.ndarray
     case_id: str
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = np.asarray(self.features)
+        if feats.dtype not in (np.float32, np.float64):
+            feats = feats.astype(np.float64)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise DataError(f"bag must be a 2-D matrix with M,d >= 1, got shape {feats.shape}")
         if not np.all(np.isfinite(feats)):
@@ -146,9 +153,9 @@ class CaseManifest:
 def save_bag(bag: InstanceBag, path) -> None:
     """Write a bag as CSV to a ``.csv`` path and as FBAG to a ``.fbag`` path.
 
-    Binary payloads are 32-bit floats; matrices are cast on write, so binary
-    is exact only for float32-representable values (all generated datasets
-    qualify by construction).
+    Binary payloads are 32-bit floats.  A float32 bag, as :func:`load_bag`
+    returns for an FBAG file, is written back byte for byte; a float64 bag is
+    rounded to the nearest float32 on write (as the generated datasets are).
     """
     suffix = Path(path).suffix
     if suffix == ".csv":
@@ -167,7 +174,11 @@ def save_bag(bag: InstanceBag, path) -> None:
 def load_bag(path, case_id: str = "") -> InstanceBag:
     """Load a bag from disk, as FBAG if the file starts with the FBAG magic
     and as CSV otherwise; validates shape and finiteness.  A ``.fbag`` file
-    that is neither names the missing magic in its :class:`FormatError`."""
+    that is neither names the missing magic in its :class:`FormatError`.
+
+    The features keep the file's precision: an FBAG bag is a read-only
+    float32 view of the file's bytes, a CSV bag float64 (9 significant
+    digits are not float32-exact)."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"bag file does not exist: {path}")
@@ -182,9 +193,10 @@ def load_bag(path, case_id: str = "") -> InstanceBag:
                 raise
             raise FormatError(f"{path}: no FBAG magic {FBAG_MAGIC!r} (starts with "
                               f"{raw[:4]!r}) and not a CSV bag: {exc}") from exc
-    if not np.all(np.isfinite(feats)):
-        raise DataError(f"bag file {path} contains NaN/Inf entries")
-    return InstanceBag(feats, case_id=case_id or path.stem)
+    try:
+        return InstanceBag(feats, case_id=case_id or path.stem)
+    except DataError as exc:
+        raise DataError(f"bag file {path}: {exc}") from exc
 
 
 def _load_csv_matrix(path: Path) -> np.ndarray:
@@ -208,8 +220,7 @@ def _load_fbag(path: Path, raw: bytes) -> np.ndarray:
     if m < 1 or d < 1 or len(raw) != expected:
         raise FormatError(f"{path}: header says {m}x{d} but file has {len(raw)} bytes "
                           f"(expected {expected})")
-    data = np.frombuffer(raw, dtype="<f4", offset=12)
-    return data.reshape(m, d).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f4", offset=12).reshape(m, d)
 
 
 @contextmanager

@@ -191,6 +191,10 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _first_ids(ids: list[str]) -> str:
+    return ", ".join(ids[:5]) + (" ..." if len(ids) > 5 else "")
+
+
 def cmd_km(args) -> int:
     manifest = bags.load_manifest(args.manifest)
     header, rows = bags.read_csv(args.risks)
@@ -213,8 +217,11 @@ def cmd_km(args) -> int:
         risks_by_id[case_id] = risk
     missing = [c.case_id for c in manifest.cases if c.case_id not in risks_by_id]
     if missing:
-        raise DataError(f"risk file misses manifest case ids: {', '.join(missing[:5])}"
-                        + (" ..." if len(missing) > 5 else ""))
+        raise DataError(f"risk file misses manifest case ids: {_first_ids(missing)}")
+    manifest_ids = {c.case_id for c in manifest.cases}
+    unknown = [case_id for case_id in risks_by_id if case_id not in manifest_ids]
+    if unknown:
+        raise DataError(f"risk file has case ids not in the manifest: {_first_ids(unknown)}")
     records = manifest.records()
     risks = np.array([risks_by_id[c.case_id] for c in manifest.cases])
     low, high = survival.median_split(risks)

@@ -53,6 +53,10 @@ def derive_seed(*parts: int) -> int:
 
 @dataclass
 class CaseData:
+    """One case's inputs.  ``pathology_raw`` stays at its bag file's
+    precision (float32 from FBAG, float64 from CSV); see :func:`case_forward`
+    for where it is widened."""
+
     case_id: str
     pathology_raw: np.ndarray
     profile: GenomicProfile
@@ -94,6 +98,9 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
     The micro-batches of one size run as one ``(B, n, d)`` stack through
     projection, co-attention, pooling and hazard head; each still gets its
     own transport solve, and the couplings are returned per micro-batch.
+    Only the rows gathered for a stack are widened to float64, by the tape
+    constant that holds them; float32 to float64 is exact, so a float32 bag
+    and its float64 copy give bit-identical results.
     ``fixed_couplings`` bypasses the transport solves (used by the
     finite-difference gradient check, which must differentiate the loss at
     frozen couplings).  A solve that stops without converging is logged as

@@ -98,8 +98,9 @@ def test_binary_nan_payload_is_data_error(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[12:16] = np.float32("nan").tobytes()
     path.write_bytes(bytes(raw))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="non-finite") as err:
         load_bag(path)
+    assert str(path) in str(err.value)
 
 
 def test_load_bag_reads_the_format_off_the_magic_not_the_name(tmp_path):
@@ -150,6 +151,44 @@ def test_manifest_unique_ids():
     entry = CaseEntry("dup", "x", "y", 1.0, 0)
     with pytest.raises(DataError):
         CaseManifest([entry, entry], 4, [("a", 2)])
+
+
+# ---------------------------------------------------------------------------
+# Resident precision: a bag stays at the precision its file stores
+
+
+@pytest.mark.parametrize("dtype, held", [(np.float32, np.float32), (np.float64, np.float64),
+                                         (np.int64, np.float64), (np.float16, np.float64)])
+def test_instance_bag_keeps_float32_and_float64_and_widens_the_rest(dtype, held):
+    bag = InstanceBag(np.arange(6).reshape(3, 2).astype(dtype), "x")
+    assert bag.features.dtype == held
+    assert np.array_equal(bag.features, np.arange(6.0).reshape(3, 2))
+
+
+def test_load_cases_holds_fbag_bags_at_4_bytes_per_value(tmp_path):
+    M_p, d = 9, 5
+    man = generate_synthetic_dataset(n_cases=10, M_p=M_p, M_g=3, d=d,
+                                     signal_fraction=0.5, noise_scale=0.2,
+                                     censor_rate=0.2, seed=4, output_dir=tmp_path)
+    for case in load_cases(man):
+        assert case.pathology_raw.dtype == np.float32
+        assert case.pathology_raw.nbytes == 4 * M_p * d
+
+
+def test_csv_bag_loads_as_float64(tmp_path):
+    feats = np.random.default_rng(2).standard_normal((4, 3))
+    save_bag(InstanceBag(feats, "c"), tmp_path / "c.csv")
+    assert load_bag(tmp_path / "c.csv").features.dtype == np.float64
+
+
+def test_fbag_load_then_save_rewrites_the_file_byte_for_byte(tmp_path):
+    man = generate_synthetic_dataset(n_cases=10, M_p=7, M_g=2, d=4,
+                                     signal_fraction=0.5, noise_scale=0.2,
+                                     censor_rate=0.2, seed=8, output_dir=tmp_path)
+    for entry in man.cases:
+        path = man.resolve(entry.pathology_feature_path)
+        save_bag(load_bag(path), tmp_path / "again.fbag")
+        assert (tmp_path / "again.fbag").read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------

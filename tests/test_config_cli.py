@@ -443,6 +443,19 @@ def test_cli_km_duplicate_case_id_is_data_error(tmp_path):
     assert ids[3] in err["message"]
 
 
+def test_cli_km_case_id_not_in_manifest_is_data_error(tmp_path):
+    manifest, ids, text = km_inputs(tmp_path)
+    risks = tmp_path / "risks.csv"
+    risks.write_text(text + "case_stray,0.3\n")
+    res = run_cli("km", "--risks", risks, "--manifest", manifest,
+                  "--out-prefix", tmp_path / "km")
+    assert res.returncode == 3
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_class"] == "DataError"
+    assert err["message"] == "risk file has case ids not in the manifest: case_stray"
+    assert not list(tmp_path.glob("km_*"))
+
+
 def test_cli_km_non_numeric_risk_is_format_error(tmp_path):
     manifest, ids, text = km_inputs(tmp_path)
     risks = tmp_path / "risks.csv"

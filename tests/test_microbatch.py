@@ -7,6 +7,7 @@ With an identity projection the projected batch equals the raw batch
 bit for bit, which lets the tests state the selection in closed form.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from otsurv.microbatch import (ATTENTION_MODES, OTSettings, sample_micro_batches
                                solve_batch)
 from otsurv.neural import (dense_coattention_t, encode_genomic_t, init_params,
                            wrap_params)
-from otsurv.train import CaseData, case_forward
+from otsurv.train import CaseData, case_forward, case_loss_and_grads
 from otsurv.transport import (CostMatrix, SolverSettings, TransportPlan,
                               uniform_marginals)
 
@@ -271,6 +272,27 @@ def test_case_forward_rejects_a_mode_outside_the_table(mode):
     case = make_case(np.random.default_rng(9), M_p=12, M_g=3)
     with pytest.raises(ParameterError, match="unknown attention mode"):
         case_forward(identity_params(case), case, 6, OTSettings(), mode, 6)
+
+
+@pytest.mark.parametrize("mode", list(ATTENTION_MODES))
+def test_case_forward_is_bitwise_equal_on_float32_and_its_float64_copy(mode):
+    # Two full micro-batches and a ragged one: two stacks of gathered rows.
+    raw = np.random.default_rng(12).standard_normal((11, 5)).astype(np.float32)
+    narrow = make_case(np.random.default_rng(13), M_p=11, M_g=3, raw=raw)
+    wide = dataclasses.replace(narrow, pathology_raw=raw.astype(np.float64))
+    params = init_params(5, 4, narrow.profile.attr_dims(), 3, seed=3)
+    runs = [case_forward(params, case, 4, OTSettings(), mode, 21) for case in (narrow, wide)]
+    (_, _, loss32, hazards32, plans32), (_, _, loss64, hazards64, plans64) = runs
+    assert loss32.value.tobytes() == loss64.value.tobytes()
+    assert np.array_equal(np.stack(hazards32), np.stack(hazards64))
+    assert len(plans32) == len(plans64) == (0 if mode == "dense" else 3)
+    for p32, p64 in zip(plans32, plans64):
+        assert p32.coupling.tobytes() == p64.coupling.tobytes()
+    (l32, g32), (l64, g64) = (case_loss_and_grads(params, case, 4, OTSettings(), mode, 21)
+                              for case in (narrow, wide))
+    assert l32 == l64 and g32.keys() == g64.keys()
+    for name in g32:
+        assert g32[name].tobytes() == g64[name].tobytes(), name
 
 
 def test_run_case_nonconverged_solve_warns_but_completes(caplog, monkeypatch):
