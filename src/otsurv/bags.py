@@ -24,7 +24,7 @@ import os
 import struct
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,10 @@ import numpy as np
 from .errors import DataError, FormatError, ParameterError
 
 FBAG_MAGIC = b"FBAG"
+# Magic, row count, column count; the float32 payload follows.
+FBAG_HEADER = struct.Struct("<4sII")
 
+# Every float cell of every CSV file that write_csv is given.
 CSV_FLOAT_FMT = "%.9g"
 
 CATEGORY_NAMES = (
@@ -118,11 +121,17 @@ class SurvivalRecord:
 
 @dataclass(frozen=True)
 class CaseEntry:
+    """One manifest row; its fields are the row's keys."""
+
     case_id: str
     pathology_feature_path: str
     genomic_profile_path: str
     time_months: float
     censor: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "time_months", float(self.time_months))
+        object.__setattr__(self, "censor", int(self.censor))
 
 
 @dataclass(frozen=True)
@@ -159,13 +168,10 @@ def save_bag(bag: InstanceBag, path) -> None:
     """
     suffix = Path(path).suffix
     if suffix == ".csv":
-        write_csv(path, [[f"f{j}" for j in range(bag.dim)],
-                         *([CSV_FLOAT_FMT % v for v in row] for row in bag.features)])
+        write_csv(path, [[f"f{j}" for j in range(bag.dim)], *bag.features])
     elif suffix == ".fbag":
-        m, d = bag.features.shape
         with atomic_writer(path, "wb") as fh:
-            fh.write(FBAG_MAGIC)
-            fh.write(struct.pack("<II", m, d))
+            fh.write(FBAG_HEADER.pack(FBAG_MAGIC, *bag.features.shape))
             fh.write(np.ascontiguousarray(bag.features, dtype="<f4").tobytes())
     else:
         raise ParameterError(f"bag path {path} must end in .csv or .fbag")
@@ -187,7 +193,7 @@ def load_bag(path, case_id: str = "") -> InstanceBag:
         feats = _load_fbag(path, raw)
     else:
         try:
-            feats = _load_csv_matrix(path)
+            feats = _load_csv_matrix(path, raw)
         except FormatError as exc:
             if path.suffix != ".fbag":
                 raise
@@ -199,28 +205,29 @@ def load_bag(path, case_id: str = "") -> InstanceBag:
         raise DataError(f"bag file {path}: {exc}") from exc
 
 
-def _load_csv_matrix(path: Path) -> np.ndarray:
-    _, rows = read_csv(path)
+def _load_csv_matrix(path: Path, raw: bytes) -> np.ndarray:
+    _, rows = read_csv(path, raw)
     if not rows:
         raise FormatError(f"{path}: expected at least one data row")
     matrix = []
-    for line, fields in rows:
+    for line, cells in rows:
         try:
-            matrix.append([float(v) for v in fields])
+            matrix.append([float(v) for v in cells])
         except ValueError as exc:
             raise FormatError(f"{path}:{line}: {exc}") from exc
     return np.asarray(matrix, dtype=np.float64)
 
 
 def _load_fbag(path: Path, raw: bytes) -> np.ndarray:
-    if len(raw) < 12:
-        raise FormatError(f"{path}: FBAG header is {len(raw)} bytes, expected 12")
-    m, d = struct.unpack("<II", raw[4:12])
-    expected = 12 + 4 * m * d
+    if len(raw) < FBAG_HEADER.size:
+        raise FormatError(f"{path}: FBAG header is {len(raw)} bytes, "
+                          f"expected {FBAG_HEADER.size}")
+    _, m, d = FBAG_HEADER.unpack_from(raw)
+    expected = FBAG_HEADER.size + 4 * m * d
     if m < 1 or d < 1 or len(raw) != expected:
         raise FormatError(f"{path}: header says {m}x{d} but file has {len(raw)} bytes "
                           f"(expected {expected})")
-    return np.frombuffer(raw, dtype="<f4", offset=12).reshape(m, d)
+    return np.frombuffer(raw, dtype="<f4", offset=FBAG_HEADER.size).reshape(m, d)
 
 
 @contextmanager
@@ -277,31 +284,40 @@ def read_json(path, error: type[Exception]) -> dict:
 
 def write_csv(path, rows) -> Path:
     """Write each of ``rows`` as one CSV line through :func:`atomic_writer`:
-    UTF-8, LF line ends, a field quoted only where it must be."""
+    UTF-8, LF line ends, a field quoted only where it must be.  A float cell
+    (``float`` or ``np.floating``) is written at :data:`CSV_FLOAT_FMT`; any
+    other cell as ``str`` gives it, so a caller wanting another precision
+    passes text."""
     with atomic_writer(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerows(
+            [CSV_FLOAT_FMT % v if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows)
     return Path(path)
 
 
-def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def read_csv(path, raw: bytes | None = None
+             ) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The header and the ``(physical line, fields)`` rows of a CSV file,
     blank lines skipped; a missing or non-UTF-8 file, no header, or a row not
-    as wide as the header raises :class:`FormatError` naming the file."""
+    as wide as the header raises :class:`FormatError` naming the file.
+    ``raw`` is the file's bytes where the caller has read them already."""
     path = Path(path)
-    if not path.exists():
-        raise FormatError(f"file does not exist: {path}")
+    if raw is None:
+        if not path.exists():
+            raise FormatError(f"file does not exist: {path}")
+        raw = path.read_bytes()
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc})") from exc
     reader = csv.reader(text.splitlines())
-    rows = [(reader.line_num, fields) for fields in reader if fields]
+    rows = [(reader.line_num, cells) for cells in reader if cells]
     if not rows:
         raise FormatError(f"{path}: no header row")
     (_, header), rows = rows[0], rows[1:]
-    for line, fields in rows:
-        if len(fields) != len(header):
-            raise FormatError(f"{path}:{line}: {len(fields)} fields, "
+    for line, cells in rows:
+        if len(cells) != len(header):
+            raise FormatError(f"{path}:{line}: {len(cells)} fields, "
                               f"header has {len(header)}")
     return header, rows
 
@@ -312,8 +328,7 @@ def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 
 def save_genomic_profile(profile: GenomicProfile, path) -> None:
     write_csv(path, [("category", "value"),
-                     *((name, CSV_FLOAT_FMT % v)
-                       for name, attrs in profile.categories for v in attrs)])
+                     *((name, v) for name, attrs in profile.categories for v in attrs)])
 
 
 def load_genomic_profile(path, category_spec: list[tuple[str, int]] | None = None,
@@ -345,16 +360,7 @@ def save_manifest(manifest: CaseManifest, path) -> Path:
     doc = {
         "feature_dim": int(manifest.feature_dim),
         "category_spec": [{"name": n, "dim": int(d)} for n, d in manifest.category_spec],
-        "cases": [
-            {
-                "case_id": c.case_id,
-                "pathology_feature_path": c.pathology_feature_path,
-                "genomic_profile_path": c.genomic_profile_path,
-                "time_months": float(c.time_months),
-                "censor": int(c.censor),
-            }
-            for c in manifest.cases
-        ],
+        "cases": [asdict(c) for c in manifest.cases],
     }
     return write_json(path, doc)
 
@@ -365,16 +371,8 @@ def load_manifest(path) -> CaseManifest:
     doc = read_json(path, FormatError)
     try:
         spec = [(c["name"], int(c["dim"])) for c in doc["category_spec"]]
-        cases = [
-            CaseEntry(
-                case_id=c["case_id"],
-                pathology_feature_path=c["pathology_feature_path"],
-                genomic_profile_path=c["genomic_profile_path"],
-                time_months=float(c["time_months"]),
-                censor=int(c["censor"]),
-            )
-            for c in doc["cases"]
-        ]
+        names = [f.name for f in fields(CaseEntry)]
+        cases = [CaseEntry(**{name: c[name] for name in names}) for c in doc["cases"]]
         manifest = CaseManifest(cases, int(doc["feature_dim"]), spec, root=path.parent)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed field: {exc}") from exc
@@ -477,8 +475,8 @@ def generate_synthetic_dataset(
         gen_rel = f"{case_id}_genomic.csv"
         save_bag(InstanceBag(feats, case_id), out / bag_rel)
         save_genomic_profile(profile, out / gen_rel)
-        cases.append(CaseEntry(case_id, bag_rel, gen_rel, float(t_obs), int(censored)))
-        latents.append((case_id, CSV_FLOAT_FMT % r))
+        cases.append(CaseEntry(case_id, bag_rel, gen_rel, t_obs, censored))
+        latents.append((case_id, r))
 
     # Diagnostic sidecar: the planted risk per case (not part of the manifest).
     write_csv(out / "latents.csv", latents)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -165,9 +165,7 @@ def write_km_outputs(curves: dict[str, KMCurve], result: LogrankResult,
         paths.append(write_csv(
             prefix.with_name(f"{prefix.name}_km_{name}.csv"),
             [("time", "at_risk", "events", "survival"),
-             *((f"{t:.9g}", n, d, f"{s:.9g}") for t, n, d, s in zip(
-                 curve.event_times, curve.at_risk, curve.events, curve.survival))]))
+             *zip(curve.event_times, curve.at_risk, curve.events, curve.survival)]))
     paths.append(write_json(prefix.with_name(f"{prefix.name}_logrank.json"),
-                            {"statistic": result.statistic, "p_value": result.p_value,
-                             "group_sizes": list(result.group_sizes)}))
+                            asdict(result)))
     return paths

@@ -294,8 +294,7 @@ def cross_validate(cases: list[CaseData], config: ExperimentConfig,
         write_json(out / "metrics.json", report)
         write_csv(out / "risks.csv",
                   [("case_id", "risk", "time_months", "censor", "fold"),
-                   *((case_id, f"{risk:.9g}", f"{months:.9g}", censor, fold)
-                     for case_id, risk, months, censor, fold in sorted(pooled))])
+                   *sorted(pooled)])
     report["pooled_risks"] = pooled
     return report
 
@@ -339,7 +338,7 @@ def ablation_sweep(cases: list[CaseData], config: ExperimentConfig,
         write_csv(Path(out_dir) / "ablation.csv",
                   [("mode", "m", "fold", "c_index", "status"),
                    *((row["mode"], row["m"], row["fold"],
-                      "" if math.isnan(row["c_index"]) else f"{row['c_index']:.9g}",
+                      "" if math.isnan(row["c_index"]) else row["c_index"],
                       row["status"]) for row in rows)])
     return rows
 

@@ -37,6 +37,8 @@ MAX_ITERS, TOLERANCE = 1000, 1e-6
 # Relative reduced-cost threshold for simplex optimality, and the pivot cap.
 _RC_TOL = 1e-12
 _MAX_PIVOTS = 100_000
+# Pivots per (n + m) max(n, m) before the simplex falls back to Bland's rule.
+_BLAND_AFTER = 50
 
 
 def _unchecked(cls, **fields):
@@ -246,7 +248,7 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals) -> TransportPlan:
 
     rc_tol = _RC_TOL * (1.0 + float(np.abs(cost).max()))
     pivots = 0
-    bland_after = 50 * (n + m) * max(n, m)
+    bland_after = _BLAND_AFTER * (n + m) * max(n, m)
     while True:
         u, v, parent, depth = _basis_tree(cost, basis, n, m)
         reduced = cost - u[:, None] - v[None, :]
@@ -469,11 +471,10 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     K = a[:, None] * b[None, :] * np.exp(G + f[:, None] + g[None, :])
     KT = K.T
     # u and v are views into one buffer w, so a single range check and a
-    # single log change cover both.  Each iteration writes the other buffer
-    # and swaps it in when accepted; log_w carries log(u), log(v) forward.
-    w, w_new = np.ones(n + b.size), np.empty(n + b.size)
+    # single log change cover both.  Each iteration overwrites w; log_w holds
+    # log(u), log(v) of the last accepted pair, which a rejected pair needs.
+    w = np.ones(n + b.size)
     u, v = w[:n], w[n:]
-    u_new, v_new = w_new[:n], w_new[n:]
     log_w, log_w_new = np.zeros_like(w), np.empty_like(w)
     Kv, Ku = np.empty_like(a), np.empty_like(b)
     absorbed = False
@@ -481,34 +482,34 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(1, max_iters + 1):
             np.dot(K, v, out=Kv)
-            np.divide(a_s, Kv, out=u_new)
-            np.power(u_new, fi, out=u_new)
-            np.dot(KT, u_new, out=Ku)
-            np.divide(b_s, Ku, out=v_new)
-            np.power(v_new, fi, out=v_new)
+            np.divide(a_s, Kv, out=u)
+            np.power(u, fi, out=u)
+            np.dot(KT, u, out=Ku)
+            np.divide(b_s, Ku, out=v)
+            np.power(v, fi, out=v)
             if translate:
                 # Kv and Ku are free until the next iteration.
-                A = np.dot(a_s, np.power(u_new, -r, out=Kv))
-                B = np.dot(b_s, np.power(v_new, -r, out=Ku))
+                A = np.dot(a_s, np.power(u, -r, out=Kv))
+                B = np.dot(b_s, np.power(v, -r, out=Ku))
                 t = (np.log(A) - np.log(B)) / (2.0 * r)
-                np.multiply(u_new, np.exp(t), out=u_new)
-                np.multiply(v_new, np.exp(-t), out=v_new)
+                np.multiply(u, np.exp(t), out=u)
+                np.multiply(v, np.exp(-t), out=v)
             # False for any 0, inf or NaN as well.
-            if (_ABSORB_LO < np.minimum.reduce(w_new)
-                    and np.maximum.reduce(w_new) < _ABSORB_HI):
-                if not row_residual:
-                    np.log(w_new, out=log_w_new)
+            if (_ABSORB_LO < np.minimum.reduce(w)
+                    and np.maximum.reduce(w) < _ABSORB_HI):
+                if row_residual:
+                    np.log(w, out=log_w)
+                else:
+                    np.log(w, out=log_w_new)
                     # The old log_w is discarded by the swap, so it holds the step.
                     np.subtract(log_w_new, log_w, out=log_w)
                     np.abs(log_w, out=log_w)
                     stop = float(np.maximum.reduce(log_w))
                     log_w, log_w_new = log_w_new, log_w
-                w, w_new = w_new, w
-                u, v, u_new, v_new = u_new, v_new, u, v
             else:
                 # fi > 0 here: at fi = 0 every scaling is exactly 1.
-                phi = f + np.log(u)
-                psi = g + np.log(v)
+                phi = f + log_w[:n]
+                psi = g + log_w[n:]
                 f = -fi * _logsumexp(lb[None, :] + G + psi[None, :], axis=1)
                 g = -fi * _logsumexp(la[:, None] + G + f[:, None], axis=0)
                 if translate:
@@ -528,7 +529,7 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
                 stop = float(np.abs(u * (K @ v) - a).max())
             if stop < tol:
                 break
-    return (u[:, None] * K * v[None, :], f + np.log(u), g + np.log(v),
+    return (u[:, None] * K * v[None, :], f + log_w[:n], g + log_w[n:],
             it, stop < tol, absorbed)
 
 

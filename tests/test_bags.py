@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failing_writes import fail_writes_to, files_under
-from otsurv.bags import (CaseManifest, GenomicProfile, InstanceBag,
-                         SurvivalRecord, assign_bin, discretize_times,
+from otsurv.bags import (CaseEntry, CaseManifest, GenomicProfile,
+                         InstanceBag, SurvivalRecord, assign_bin, discretize_times,
                          generate_synthetic_dataset, load_bag,
                          load_genomic_profile, load_manifest, save_bag,
                          save_genomic_profile, save_manifest)
@@ -146,8 +147,6 @@ def test_survival_record_validation():
 
 
 def test_manifest_unique_ids():
-    from otsurv.bags import CaseEntry
-
     entry = CaseEntry("dup", "x", "y", 1.0, 0)
     with pytest.raises(DataError):
         CaseManifest([entry, entry], 4, [("a", 2)])
@@ -179,6 +178,27 @@ def test_csv_bag_loads_as_float64(tmp_path):
     feats = np.random.default_rng(2).standard_normal((4, 3))
     save_bag(InstanceBag(feats, "c"), tmp_path / "c.csv")
     assert load_bag(tmp_path / "c.csv").features.dtype == np.float64
+
+
+def test_float32_bag_and_its_float64_copy_save_the_same_csv(tmp_path):
+    feats = np.random.default_rng(3).standard_normal((5, 4)).astype(np.float32)
+    save_bag(InstanceBag(feats, "s"), tmp_path / "single.csv")
+    save_bag(InstanceBag(feats.astype(np.float64), "d"), tmp_path / "double.csv")
+    assert (tmp_path / "single.csv").read_bytes() == (tmp_path / "double.csv").read_bytes()
+
+
+def test_load_bag_reads_a_csv_bag_once(tmp_path, monkeypatch):
+    save_bag(InstanceBag(np.arange(6.0).reshape(3, 2), "a"), tmp_path / "a.csv")
+    reads = []
+    real = Path.read_bytes
+
+    def counting(self):
+        reads.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    load_bag(tmp_path / "a.csv")
+    assert reads == ["a.csv"]
 
 
 def test_fbag_load_then_save_rewrites_the_file_byte_for_byte(tmp_path):
@@ -300,6 +320,22 @@ def test_manifest_malformed_is_format_error_naming_file(tmp_path, field, value):
         path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(FormatError, match="manifest.json"):
         load_manifest(path)
+
+
+def test_manifest_writes_numpy_scalars_as_python_numbers(tmp_path):
+    spec = [("a", 2)]
+    plain = CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", 12.5, 1)], 4, spec)
+    scalars = CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", np.float64(12.5),
+                                      np.int64(1))], 4, spec)
+    save_manifest(plain, tmp_path / "plain.json")
+    save_manifest(scalars, tmp_path / "scalars.json")
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "scalars.json").read_bytes()
+    assert load_manifest(tmp_path / "scalars.json").cases == plain.cases
+
+
+def test_case_entry_rejects_a_time_that_is_not_a_number():
+    with pytest.raises(ValueError):
+        CaseEntry("c0", "p.fbag", "g.csv", "soon", 0)
 
 
 def test_failed_manifest_write_keeps_previous_file(tmp_path, monkeypatch):

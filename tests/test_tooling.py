@@ -47,6 +47,19 @@ ONLY_IN = {"open": ("atomic_writer", "read_json"), "json.dump": ("write_json",),
            "np.savetxt": ("write_csv",), "csv.reader": ("read_csv",)}
 
 
+# The one file of src/otsurv that may spell each number format of its CSV
+# files; write_csv applies it to every float cell.
+FORMAT_ONLY_IN = {".9g": "bags.py"}
+
+
+def test_csv_float_format_is_spelled_once():
+    texts = {p.name: p.read_text(encoding="utf-8")
+             for p in sorted((REPO / "src" / "otsurv").glob("*.py"))}
+    found = {fmt: {name: text.count(fmt) for name, text in texts.items() if fmt in text}
+             for fmt in FORMAT_ONLY_IN}
+    assert found == {fmt: {home: 1} for fmt, home in FORMAT_ONLY_IN.items()}
+
+
 def _file_access(tree):
     """(function, call) for each call in ``tree`` that reads or writes a
     file other than through the one reader or writer of its format: a call

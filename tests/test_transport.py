@@ -209,6 +209,24 @@ def test_emd_certificate_on_tied_integer_costs():
             lp_transport(C.values, plan.marginals.source, plan.marginals.target), abs=1e-12)
 
 
+def test_emd_bland_fallback_matches_lp_oracle(monkeypatch):
+    # Bland's rule from the first pivot: random instances, then tied integer
+    # costs whose degenerate pivots are what the fallback guards against.
+    monkeypatch.setattr(transport, "_BLAND_AFTER", 0)
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        C, marg = random_instance(rng, rng.integers(2, 7), rng.integers(2, 5), rational=True)
+        plan = solve_exact_emd(C, marg)
+        assert plan.objective_value == pytest.approx(
+            lp_transport(C.values, marg.source, marg.target), abs=1e-12)
+        assert abs(plan.duality_gap) <= 1e-12
+    for levels in (2, 3):
+        C = CostMatrix(rng.integers(0, levels, size=(12, 6)).astype(float), "l2")
+        plan = solve_exact_emd(C, uniform_marginals(12, 6))
+        assert plan.objective_value == pytest.approx(
+            lp_transport(C.values, plan.marginals.source, plan.marginals.target), abs=1e-12)
+
+
 def test_emd_marginals_satisfied():
     rng = np.random.default_rng(9)
     C, marg = random_instance(rng, 6, 3)
@@ -340,6 +358,15 @@ def test_uot_zero_cost_gives_product_measure():
         plan = unbalanced_sinkhorn(C, marg, epsilon=0.3, tau=tau)
         assert np.allclose(plan.coupling, np.outer(marg.source, marg.target),
                            atol=1e-9)
+
+
+def test_solve_batch_on_all_zero_bags_is_uniform_with_mass_one():
+    # Every cost is 0, so normalize_cost has no maximum to divide by.
+    plan = solve_batch(np.zeros((8, 4)), np.zeros((3, 4)), OTSettings())
+    assert not plan.cost.values.any()
+    assert plan.converged
+    assert plan.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(plan.coupling, 1.0 / 24, rtol=0, atol=1e-12)
 
 
 def test_uot_mass_bounded_by_one():
