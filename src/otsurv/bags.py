@@ -282,6 +282,17 @@ def read_json(path, error: type[Exception]) -> dict:
     return doc
 
 
+# The JSON value types a field annotated int, float, str or bool accepts.  A
+# bool is an int to Python, but true in a number field is a mistake.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def json_type_ok(value, kind: str) -> bool:
+    """Whether ``value`` has a type that a field annotated ``kind`` accepts."""
+    return (isinstance(value, _JSON_TYPES[kind])
+            and (kind == "bool" or not isinstance(value, bool)))
+
+
 def write_csv(path, rows) -> Path:
     """Write each of ``rows`` as one CSV line through :func:`atomic_writer`:
     UTF-8, LF line ends, a field quoted only where it must be.  A float cell
@@ -366,13 +377,22 @@ def save_manifest(manifest: CaseManifest, path) -> Path:
 
 
 def load_manifest(path) -> CaseManifest:
-    """Load a manifest; the files it names are read by ``train.load_cases``."""
+    """Load a manifest; the files it names are read by ``train.load_cases``.
+    A row value of the wrong JSON type (a censor of 0.7 or true) is rejected."""
     path = Path(path)
     doc = read_json(path, FormatError)
     try:
         spec = [(c["name"], int(c["dim"])) for c in doc["category_spec"]]
-        names = [f.name for f in fields(CaseEntry)]
-        cases = [CaseEntry(**{name: c[name] for name in names}) for c in doc["cases"]]
+        kinds = {f.name: f.type for f in fields(CaseEntry)}
+        cases = []
+        for row in doc["cases"]:
+            values = {name: row[name] for name in kinds}
+            for name, kind in kinds.items():
+                if not json_type_ok(values[name], kind):
+                    raise ValueError(f"{name} must be {kind}, got {values[name]!r}")
+            if values["censor"] not in (0, 1):
+                raise ValueError(f"censor must be 0 or 1, got {values['censor']!r}")
+            cases.append(CaseEntry(**values))
         manifest = CaseManifest(cases, int(doc["feature_dim"]), spec, root=path.parent)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed field: {exc}") from exc
@@ -468,7 +488,7 @@ def generate_synthetic_dataset(
 
         t_event = 2.0 + 118.0 * (1.0 - r) + noise_scale * 6.0 * rng.standard_normal()
         t_event = max(t_event, 0.5)
-        censored = bool(rng.uniform() < censor_rate)
+        censored = int(rng.uniform() < censor_rate)
         t_obs = rng.uniform() * t_event if censored else t_event
 
         bag_rel = f"{case_id}_path.fbag"

@@ -23,8 +23,8 @@ from . import bags, survival, train as training
 from .config import CHOICES, ExperimentConfig, load_config, merge_overrides
 from .errors import (ConfigError, ConstraintError, DataError, FormatError,
                      NumericError, OtsurvError, ParameterError, SolverError)
-from .microbatch import SOLVERS, OTSettings, solve_batch
-from .transport import COST_METRICS, write_plan
+from .microbatch import DEFAULT_SOLVER, SOLVERS, OTSettings, solve_batch
+from .transport import write_plan
 
 EXIT_PARSE = 2
 EXIT_DATA = 3
@@ -50,11 +50,15 @@ def _out_path(raw: str) -> Path:
     return path
 
 
+def _flag_values(args, cls) -> dict:
+    """The given flags among those :func:`_add_field_flags` made for ``cls``."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if getattr(args, f.name) is not None}
+
+
 def _load_effective_config(args) -> ExperimentConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
-    overrides = {f.name: getattr(args, f.name, None)
-                 for f in dataclasses.fields(ExperimentConfig)}
-    return merge_overrides(config, overrides)
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    return merge_overrides(config, _flag_values(args, ExperimentConfig))
 
 
 def _comma_list(item_type):
@@ -68,17 +72,22 @@ def _comma_list(item_type):
     return parse
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    """One flag per :class:`ExperimentConfig` field: ``--micro-batch`` for
-    ``micro_batch``, typed by its annotation; a bool is ``--x/--no-x``."""
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    for f in dataclasses.fields(ExperimentConfig):
+def _add_field_flags(p: argparse.ArgumentParser, cls):
+    """One flag per field of the dataclass ``cls``: ``--micro-batch`` for
+    ``micro_batch``, typed by its annotation; a bool is ``--x/--no-x``.  A
+    flag not given is None, which leaves the field as it was."""
+    for f in dataclasses.fields(cls):
         flag = "--" + f.name.replace("_", "-")
         if f.type == "bool":
             p.add_argument(flag, action=argparse.BooleanOptionalAction)
         else:
             p.add_argument(flag, type={"int": int, "float": float}.get(f.type),
                            choices=CHOICES.get(f.name))
+
+
+def _add_config_flags(p: argparse.ArgumentParser):
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    _add_field_flags(p, ExperimentConfig)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,12 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="stand-alone transport solve on two bag files")
     p.add_argument("--source", required=True, help="source bag, CSV or FBAG")
     p.add_argument("--target", required=True, help="target bag, CSV or FBAG")
-    p.add_argument("--solver", choices=tuple(SOLVERS), default=OTSettings.solver)
-    p.add_argument("--epsilon", type=float, default=OTSettings.epsilon)
-    p.add_argument("--tau", type=float, default=OTSettings.tau)
-    p.add_argument("--metric", choices=COST_METRICS, default=OTSettings.metric)
-    p.add_argument("--normalize-cost", dest="normalize_cost", default=OTSettings.normalize,
-                   action=argparse.BooleanOptionalAction)
+    p.add_argument("--solver", choices=tuple(SOLVERS), default=DEFAULT_SOLVER)
+    _add_field_flags(p, OTSettings)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_solve)
 
@@ -137,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-values", dest="M_values", type=_comma_list(int),
                    default="2048,4096,8192",
                    help="comma-separated bag sizes")
-    p.add_argument("--m", type=int, default=256, help="micro-batch size")
+    p.add_argument("--m", type=int, default=ExperimentConfig.micro_batch,
+                   help="micro-batch size")
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
@@ -156,9 +162,8 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_solve(args) -> int:
     source, target = bags.load_bag(args.source), bags.load_bag(args.target)
-    settings = OTSettings(epsilon=args.epsilon, tau=args.tau, metric=args.metric,
-                          normalize=args.normalize_cost, solver=args.solver)
-    plan = solve_batch(source.features, target.features, settings)
+    settings = OTSettings(**_flag_values(args, OTSettings))
+    plan = solve_batch(source.features, target.features, settings, args.solver)
     coupling_path, json_path = write_plan(plan, _out_path(args.out_prefix),
                                           solver=args.solver)
     print(coupling_path)
@@ -168,8 +173,7 @@ def cmd_solve(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_effective_config(args)
-    manifest = bags.load_manifest(args.manifest)
-    cases = training.load_cases(manifest)
+    cases = training.load_cases(bags.load_manifest(args.manifest))
     out = _out_path(args.out)
     report = training.cross_validate(cases, config, out)
     print(f"c-index: {report['c_index_mean']:.4f} +/- {report['c_index_std']:.4f} "
@@ -183,8 +187,7 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_effective_config(args)
-    manifest = bags.load_manifest(args.manifest)
-    cases = training.load_cases(manifest)
+    cases = training.load_cases(bags.load_manifest(args.manifest))
     out = _out_path(args.out)
     training.ablation_sweep(cases, config, args.m_values, args.modes, out)
     print(out / "ablation.csv")
@@ -224,12 +227,10 @@ def cmd_km(args) -> int:
         raise DataError(f"risk file has case ids not in the manifest: {_first_ids(unknown)}")
     records = manifest.records()
     risks = np.array([risks_by_id[c.case_id] for c in manifest.cases])
-    low, high = survival.median_split(risks)
-    rec_low = [records[i] for i in low]
-    rec_high = [records[i] for i in high]
-    result = survival.logrank(rec_low, rec_high)
-    curves = {"low": survival.km_estimate(rec_low),
-              "high": survival.km_estimate(rec_high)}
+    groups = {name: [records[i] for i in idx]
+              for name, idx in zip(("low", "high"), survival.median_split(risks))}
+    result = survival.logrank(groups["low"], groups["high"])
+    curves = {name: survival.km_estimate(recs) for name, recs in groups.items()}
     for path in survival.write_km_outputs(curves, result, _out_path(args.out_prefix)):
         print(path)
     return 0

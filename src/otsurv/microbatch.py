@@ -18,13 +18,14 @@ from .transport import (TransportPlan, build_cost, normalize_cost,
                         uniform_marginals)
 
 # Each solver by name, called on a cost, its marginals and an
-# :class:`OTSettings`; the first is the default.  The scaling solvers run to
-# ``transport.MAX_ITERS`` at ``transport.TOLERANCE``.
+# :class:`OTSettings`.  The scaling solvers run to ``transport.MAX_ITERS`` at
+# ``transport.TOLERANCE``.
 SOLVERS = {
     "uot": lambda C, marg, s: unbalanced_sinkhorn(C, marg, s.epsilon, s.tau),
     "sinkhorn": lambda C, marg, s: sinkhorn(C, marg, s.epsilon),
     "emd": lambda C, marg, s: solve_exact_emd(C, marg),
 }
+DEFAULT_SOLVER = "uot"
 
 # Each attention mode by name, with the solver its couplings come from;
 # ``dense`` attends without transport.
@@ -33,13 +34,13 @@ ATTENTION_MODES = {"umbot": "uot", "emd": "emd", "dense": None}
 
 @dataclass(frozen=True)
 class OTSettings:
-    """Transport settings for the micro-batched pipeline; their defaults' one home."""
+    """The transport problem of a micro-batch, declared once; ``ExperimentConfig``
+    extends it, and the solver is an argument of :func:`solve_batch`."""
 
     epsilon: float = 0.05
     tau: float = 0.5
-    metric: str = "l2"
-    normalize: bool = True
-    solver: str = next(iter(SOLVERS))
+    cost_metric: str = "l2"
+    normalize_cost: bool = True
 
 
 def sample_micro_batches(M_p: int, m: int, seed: int) -> list[np.ndarray]:
@@ -60,12 +61,12 @@ def sample_micro_batches(M_p: int, m: int, seed: int) -> list[np.ndarray]:
 
 
 def solve_batch(batch_features: np.ndarray, genomic_features: np.ndarray,
-                settings: OTSettings) -> TransportPlan:
-    """One transport solve between a pathology micro-batch and the genomic bag."""
-    C = build_cost(batch_features, genomic_features, settings.metric)
-    if settings.normalize:
+                settings: OTSettings, solver: str = DEFAULT_SOLVER) -> TransportPlan:
+    """One ``solver`` solve between a pathology micro-batch and the genomic bag."""
+    if solver not in SOLVERS:
+        raise ParameterError(f"unknown solver {solver!r}")
+    C = build_cost(batch_features, genomic_features, settings.cost_metric)
+    if settings.normalize_cost:
         C = normalize_cost(C)
     marg = uniform_marginals(batch_features.shape[0], genomic_features.shape[0])
-    if settings.solver not in SOLVERS:
-        raise ParameterError(f"unknown solver {settings.solver!r}")
-    return SOLVERS[settings.solver](C, marg, settings)
+    return SOLVERS[solver](C, marg, settings)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Var
-from .bags import GenomicProfile, read_json, write_json
+from .bags import GenomicProfile, json_type_ok, read_json, write_json
 from .errors import FormatError, ParameterError
 
 # Standard self-normalizing-network constants.
@@ -224,10 +224,6 @@ def save_checkpoint(params: ModelParams, out_dir, step: int = 0) -> Path:
     return write_json(Path(out_dir) / "checkpoint.json", doc)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
@@ -243,7 +239,7 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
     path = Path(ckpt_dir) / "checkpoint.json"
     doc = read_json(path, FormatError)
     for key in ("seed", "step", "n_heads", "n_encoders"):
-        if not _is_int(doc.get(key)):
+        if not json_type_ok(doc.get(key), "int"):
             raise FormatError(f"{path}: {key!r} must be an integer, got {doc.get(key)!r}")
     if doc["n_heads"] < 1 or doc["n_encoders"] < 0:
         raise FormatError(f"{path}: need 'n_heads' >= 1 and 'n_encoders' >= 0, got "
@@ -256,7 +252,7 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
         entry = entries.get(name)
         if not (isinstance(entry, dict) and isinstance(entry.get("data"), str)
                 and isinstance(entry.get("shape"), list)
-                and all(_is_int(k) for k in entry["shape"])):
+                and all(json_type_ok(k, "int") for k in entry["shape"])):
             raise FormatError(f"{path}: tensor {name!r} needs an entry with a "
                               f"'data' string and an integer 'shape' list")
         try:

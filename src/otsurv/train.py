@@ -104,15 +104,13 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
     ``fixed_couplings`` bypasses the transport solves (used by the
     finite-difference gradient check, which must differentiate the loss at
     frozen couplings).  A solve that stops without converging is logged as
-    a warning and its plan is used as is.  ``mode`` is a key of
-    :data:`~otsurv.microbatch.ATTENTION_MODES`.
+    a warning and its plan is used as is.  ``mode``, a key of
+    :data:`~otsurv.microbatch.ATTENTION_MODES`, names the solver.
     """
     if mode not in ATTENTION_MODES:
         raise ParameterError(f"unknown attention mode {mode!r}, "
                              f"choose from {tuple(ATTENTION_MODES)}")
     solver = ATTENTION_MODES[mode]
-    if solver is not None:
-        ot_settings = replace(ot_settings, solver=solver)
     t = case.record.bin
     if t is None:
         raise DataError(f"{case.case_id}: record has no bin; discretize first")
@@ -139,7 +137,7 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
                 if fixed_couplings is not None:
                     tplan = fixed_couplings[k]
                 else:
-                    tplan = solve_batch(batch, b_g.value, ot_settings)
+                    tplan = solve_batch(batch, b_g.value, ot_settings, solver)
                     if not tplan.converged:
                         log.warning("case %s batch %d: solver stopped at %d iterations "
                                     "without converging", case.case_id, k,
@@ -189,11 +187,6 @@ def fold_splits(n_cases: int, n_folds: int, seed: int) -> list[tuple[np.ndarray,
     return splits
 
 
-def _ot_settings(config: ExperimentConfig) -> OTSettings:
-    return OTSettings(epsilon=config.epsilon, tau=config.tau,
-                      metric=config.cost_metric, normalize=config.normalize_cost)
-
-
 def _with_bins(cases: list[CaseData], edges) -> list[CaseData]:
     return [replace(c, record=replace(c.record, bin=assign_bin(edges, c.record.time_months)))
             for c in cases]
@@ -201,12 +194,11 @@ def _with_bins(cases: list[CaseData], edges) -> list[CaseData]:
 
 def evaluate(params, cases: list[CaseData], config: ExperimentConfig,
              fold: int) -> tuple[float, dict[str, float]]:
-    settings = _ot_settings(config)
     risks = {}
     for k, case in enumerate(cases):
         seed = derive_seed(config.seed, fold, EVAL_TAG, k)
         risks[case.case_id] = case_risk(params, case, config.micro_batch,
-                                        settings, config.attention_mode, seed)
+                                        config, config.attention_mode, seed)
     ci = c_index(list(risks.values()), [c.record for c in cases])
     return ci, risks
 
@@ -225,7 +217,6 @@ def train_fold(cases: list[CaseData], train_idx, val_idx,
     params = init_params(d_in, d_in, attr_dims, config.bins,
                          seed=derive_seed(config.seed, fold))
     adam = AdamState.for_params(params)
-    settings = _ot_settings(config)
 
     # evaluate depends only on the parameters, so the best epoch's pass is
     # the fold's result.
@@ -246,7 +237,7 @@ def train_fold(cases: list[CaseData], train_idx, val_idx,
             grads: dict[str, np.ndarray] = {}
             for k in window:
                 loss, case_grads = case_loss_and_grads(
-                    params, train_cases[k], config.micro_batch, settings,
+                    params, train_cases[k], config.micro_batch, config,
                     config.attention_mode, derive_seed(epoch_seed, int(k)))
                 accumulate(grads, case_grads)
                 total_loss += loss
@@ -355,9 +346,9 @@ def bench_solves(M_values: list[int], m: int, d: int, repeats: int = 3
     """Wall-clock of the micro-batched solves at default :class:`OTSettings`
     against a ``BENCH_M_G`` x d genomic bag, at growing bag sizes.
 
-    Every bag is built first; each repeat then times the sizes in turn, so a
-    slow stretch of the host falls on all of them, and the best repeat of
-    each size is kept.
+    Every bag is built first; each repeat then times every micro-batch of
+    every size in turn, so host drift falls on all sizes.  A size's seconds
+    sum each of its micro-batches' fastest solve over the repeats.
     """
     if d < 1 or any(M < 1 for M in M_values):
         raise ParameterError(f"need d >= 1 and every M >= 1, got d={d}, M={M_values}")
@@ -369,11 +360,11 @@ def bench_solves(M_values: list[int], m: int, d: int, repeats: int = 3
         genomic = rng.standard_normal((BENCH_M_G, d))
         problems.append(([bag[idx] for idx in sample_micro_batches(M, m, BENCH_SEED)],
                          genomic))
-    best = [np.inf] * len(M_values)
+    best = [[math.inf] * len(batches) for batches, _ in problems]
     for _ in range(repeats):
-        for k, (batches, genomic) in enumerate(problems):
-            t0 = time.perf_counter()
-            for batch in batches:
+        for (batches, genomic), fastest in zip(problems, best):
+            for j, batch in enumerate(batches):
+                t0 = time.perf_counter()
                 solve_batch(batch, genomic, settings)
-            best[k] = min(best[k], time.perf_counter() - t0)
-    return [(M, secs, M / secs) for M, secs in zip(M_values, best)]
+                fastest[j] = min(fastest[j], time.perf_counter() - t0)
+    return [(M, secs, M / secs) for M, secs in zip(M_values, map(sum, best))]

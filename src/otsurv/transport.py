@@ -388,12 +388,13 @@ def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
     as zero coupling with dual -inf.  The plan carries ``C`` and ``marg``
     whole; it computes no diagnostic.
     """
-    if epsilon <= 0:
+    # Written so that NaN fails each test.
+    if not epsilon > 0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
-    if tau is not None and tau < 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
+    if tau is not None and not 0 <= tau < np.inf:
+        raise ParameterError(f"tau must be finite and >= 0, got {tau}")
     if marg.source.size != C.shape[0] or marg.target.size != C.shape[1]:
         raise ShapeError(f"marginals ({marg.source.size},{marg.target.size}) "
                          f"do not match cost {C.shape}")

@@ -11,7 +11,6 @@ to that arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -267,7 +266,7 @@ def per_batch_case_forward(params, case, m, ot_settings, mode, seed,
     b_g = encode_genomic_t(tape, pv, case.profile)
     pooled_g = attention_pool_t(tape, pv, "attn_g", b_g, params.n_heads)
     M_p = case.pathology_raw.shape[0]
-    settings = replace(ot_settings, solver="emd" if mode == "emd" else "uot")
+    solver = "emd" if mode == "emd" else "uot"
     loss, hazards, couplings = None, [], []
     for k, idx in enumerate(sample_micro_batches(M_p, m, seed)):
         projected = project_t(tape, pv, tape.const(case.pathology_raw[idx]))
@@ -275,7 +274,7 @@ def per_batch_case_forward(params, case, m, ot_settings, mode, seed,
             selected = dense_coattention_t(tape, b_g, projected)
         else:
             plan = (fixed_couplings[k] if fixed_couplings is not None
-                    else solve_batch(projected.value, b_g.value, settings))
+                    else solve_batch(projected.value, b_g.value, ot_settings, solver))
             couplings.append(plan)
             selected = tape.matmul(tape.const(plan.coupling.T), projected)
         pooled_p = attention_pool_t(tape, pv, "attn_p", selected, params.n_heads)

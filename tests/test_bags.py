@@ -338,6 +338,23 @@ def test_case_entry_rejects_a_time_that_is_not_a_number():
         CaseEntry("c0", "p.fbag", "g.csv", "soon", 0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("censor", 0.7), ("censor", 1.0), ("censor", True), ("censor", "1"), ("censor", 2),
+    ("time_months", True), ("time_months", "12.5"), ("case_id", 7),
+], ids=["censor-fraction", "censor-float", "censor-bool", "censor-str", "censor-2",
+        "time-bool", "time-str", "case-id-int"])
+def test_manifest_row_of_the_wrong_type_is_format_error(tmp_path, key, value):
+    # int() and float() would read 0.7 as an observed death and true as 1.0
+    # months; a bool is not a number here, as in a config file.
+    path = save_manifest(CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", 12.5, 1)], 4,
+                                      [("a", 2)]), tmp_path / "manifest.json")
+    doc = json.loads(path.read_text())
+    doc["cases"][0][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"manifest.json.*{key}"):
+        load_manifest(path)
+
+
 def test_failed_manifest_write_keeps_previous_file(tmp_path, monkeypatch):
     man = generate_synthetic_dataset(n_cases=10, M_p=6, M_g=3, d=5,
                                      signal_fraction=0.4, noise_scale=0.2,

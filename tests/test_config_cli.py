@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from failing_writes import fail_writes_to, files_under
-from otsurv import cli
+from otsurv import cli, errors
 from otsurv.config import CHOICES, ExperimentConfig, load_config, merge_overrides
 from otsurv.bags import load_bag
 from otsurv.errors import ConfigError
@@ -79,6 +79,37 @@ def test_config_invalid_values_rejected():
         ExperimentConfig(epsilon=-1.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(tau=-0.5)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("tau", float("inf")),
+    ("tau", float("nan")), ("lr", float("nan")), ("lr", -1.0),
+    ("weight_decay", -0.5), ("weight_decay", float("inf")),
+])
+def test_config_rejects_non_finite_and_negative_rates(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{key: value})
+
+
+@pytest.mark.parametrize("args, field", [
+    (["train", "--lr", "nan"], "lr"), (["train", "--epsilon", "nan"], "epsilon"),
+    (["solve", "--tau", "inf"], "tau"), (["solve", "--epsilon", "nan"], "epsilon"),
+], ids=["train-lr-nan", "train-epsilon-nan", "solve-tau-inf", "solve-epsilon-nan"])
+def test_cli_non_finite_setting_is_parameter_error(tmp_path, capsys, args, field):
+    data = tmp_path / "data"
+    assert cli.main(["gen-synth", "--out", str(data), "--n-cases", "10", "--m-p", "7",
+                     "--m-g", "3", "--dim", "5", "--seed", "4"]) == 0
+    inputs = {"train": ["--manifest", str(data / "manifest.json"), "--out",
+                        str(tmp_path / "run"), "--folds", "2", "--epochs", "1",
+                        "--bins", "2"],
+              "solve": ["--source", str(data / "case_0000_path.fbag"), "--target",
+                        str(data / "case_0001_path.fbag"),
+                        "--out-prefix", str(tmp_path / "run" / "plan")]}
+    assert cli.main([*args, *inputs[args[0]]]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert issubclass(getattr(errors, err["error_class"]), errors.ParameterError)
+    assert field in err["message"]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -227,6 +258,23 @@ def test_cli_size_below_one_is_parameter_error(tmp_path, capsys, args):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error_class"] == "ParameterError"
     assert not out.exists()
+
+
+def test_cli_solve_cost_metric_flag_writes_its_plan(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(["gen-synth", "--out", str(data), "--n-cases", "10", "--m-p", "7",
+                     "--m-g", "3", "--dim", "5", "--seed", "4"]) == 0
+    source, target = data / "case_0000_path.fbag", data / "case_0001_path.fbag"
+    assert cli.main(["solve", "--source", str(source), "--target", str(target),
+                     "--cost-metric", "squared_l2", "--solver", "sinkhorn",
+                     "--out-prefix", str(tmp_path / "plan")]) == 0
+    coupling = np.loadtxt(tmp_path / "plan_coupling.csv", delimiter=",")
+    plan = solve_batch(load_bag(source).features, load_bag(target).features,
+                       OTSettings(cost_metric="squared_l2"), "sinkhorn")
+    other = solve_batch(load_bag(source).features, load_bag(target).features,
+                        OTSettings(), "sinkhorn")
+    assert np.allclose(coupling, plan.coupling, rtol=1e-11, atol=0)
+    assert not np.allclose(coupling, other.coupling, rtol=1e-6, atol=0)
 
 
 def test_cli_solve_missing_file_exit_code(tmp_path):

@@ -2,6 +2,7 @@
 independence."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -16,7 +17,9 @@ import numpy as np
 import otsurv
 from otsurv.autodiff import Tape
 from otsurv.bags import GenomicProfile, SurvivalRecord
+from otsurv import cli
 from otsurv.cli import main as otsurv_main
+from otsurv.config import ExperimentConfig
 from otsurv.microbatch import OTSettings, solve_batch
 from otsurv.neural import init_params
 from otsurv import train
@@ -131,6 +134,20 @@ def test_every_perfbench_hook_resolves(monkeypatch):
     assert [tracing._case_id(*call) for call in calls["case_forward"]] == ["x", "x"]
     assert ({tracing._pool_side(*call) for call in calls["attention_pool_t"]}
             == {"neural.attn_pool_p", "neural.attn_pool_g"})
+
+
+def test_transport_settings_are_declared_once_and_flagged_alike():
+    # OTSettings declares the transport problem; the config inherits it, and
+    # solve and train spell, type and restrict each of its flags the same way.
+    ot_fields = [f.name for f in dataclasses.fields(OTSettings)]
+    assert issubclass(ExperimentConfig, OTSettings)
+    assert set(ExperimentConfig.__annotations__).isdisjoint(ot_fields)
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    flags = {command: {a.dest: (a.option_strings, a.type, a.choices)
+                       for a in subparsers[command]._actions if a.dest in ot_fields}
+             for command in ("solve", "train")}
+    assert sorted(flags["solve"]) == sorted(ot_fields)
+    assert flags["solve"] == flags["train"]
 
 
 def test_train_outputs_do_not_depend_on_blas_thread_count(tmp_path):

@@ -67,7 +67,7 @@ def test_training_and_scoring_solves_compute_no_diagnostics(monkeypatch, mode):
         for name in ("objective_value", "marginal_residual"):
             patch.setattr(transport.TransportPlan, name, property(refuse))
         plan = solve_batch(cases[0].pathology_raw, rng.standard_normal((3, 8)),
-                           OTSettings(solver=solver))
+                           OTSettings(), solver)
         *_, couplings = case_forward(params, cases[0], 4, OTSettings(), mode, 0)
         config = ExperimentConfig(micro_batch=4, bins=4, attention_mode=mode)
         _, risks = evaluate(params, cases, config, 0)

@@ -525,6 +525,18 @@ def test_uot_rejects_negative_tau():
         unbalanced_sinkhorn(C, uniform_marginals(2, 2), epsilon=0.1, tau=-1.0)
 
 
+@pytest.mark.parametrize("epsilon, tau", [(math.nan, 0.5), (0.1, math.nan),
+                                          (0.1, math.inf)],
+                         ids=["epsilon-nan", "tau-nan", "tau-inf"])
+def test_scaling_solvers_reject_nan_and_infinite_tau(epsilon, tau):
+    C, marg = CostMatrix(np.ones((2, 2)), "l2"), uniform_marginals(2, 2)
+    with pytest.raises(ParameterError, match="epsilon" if math.isnan(epsilon) else "tau"):
+        unbalanced_sinkhorn(C, marg, epsilon=epsilon, tau=tau)
+    if math.isnan(epsilon):
+        with pytest.raises(ParameterError, match="epsilon"):
+            sinkhorn(C, marg, epsilon=epsilon)
+
+
 def test_uot_overflow_switches_to_log_domain():
     C = CostMatrix(np.array([[800.0, 1200.0], [1400.0, 600.0]]), "l2")
     plan = unbalanced_sinkhorn(C, uniform_marginals(2, 2), epsilon=0.5, tau=2.0)
