@@ -18,6 +18,7 @@ labels.  Every CSV file is written by :func:`write_csv`, read by :func:`read_csv
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -100,6 +101,10 @@ class GenomicProfile:
         return [attrs.size for _, attrs in self.categories]
 
 
+# The values of a censor flag (see SurvivalRecord).
+CENSOR_FLAGS = (0, 1)
+
+
 @dataclass(frozen=True)
 class SurvivalRecord:
     """Observed time in months, censor flag, and (optional) discrete bin.
@@ -115,13 +120,14 @@ class SurvivalRecord:
     def __post_init__(self):
         if not (math.isfinite(self.time_months) and self.time_months >= 0):
             raise DataError(f"time_months must be finite and >= 0, got {self.time_months}")
-        if self.censor not in (0, 1):
+        if self.censor not in CENSOR_FLAGS:
             raise DataError(f"censor must be 0 or 1, got {self.censor}")
 
 
 @dataclass(frozen=True)
 class CaseEntry:
-    """One manifest row; its fields are the row's keys."""
+    """One manifest row; its fields are the row's keys, checked when built
+    (:func:`check_fields`; a wrong value is a :class:`DataError`)."""
 
     case_id: str
     pathology_feature_path: str
@@ -129,9 +135,11 @@ class CaseEntry:
     time_months: float
     censor: int
 
+    CHOICES = {"censor": CENSOR_FLAGS}
+    LEAST = {"time_months": 0}
+
     def __post_init__(self):
-        object.__setattr__(self, "time_months", float(self.time_months))
-        object.__setattr__(self, "censor", int(self.censor))
+        check_fields(self, DataError)
 
 
 @dataclass(frozen=True)
@@ -293,6 +301,35 @@ def json_type_ok(value, kind: str) -> bool:
             and (kind == "bool" or not isinstance(value, bool)))
 
 
+@functools.cache
+def _field_rules(cls) -> tuple[tuple, ...]:
+    """(name, kind, choices, least, above) of each field of ``cls``, read once."""
+    tables = [getattr(cls, table, {}) for table in ("CHOICES", "LEAST", "ABOVE")]
+    return tuple((f.name, f.type, *(table.get(f.name) for table in tables))
+                 for f in fields(cls))
+
+
+def check_fields(record, error: type[Exception]) -> None:
+    """Check each field of the dataclass ``record`` by its annotation
+    (:func:`json_type_ok`) and its class's tables, if any: ``CHOICES`` (the
+    allowed values), ``LEAST`` (finite, >= the value), ``ABOVE`` (finite, >).
+    A numpy scalar becomes the Python value it holds.  The first field that
+    fails raises ``error`` naming it."""
+    for name, kind, choices, least, above in _field_rules(type(record)):
+        value = getattr(record, name)
+        if isinstance(value, np.generic):
+            value = value.item()
+            object.__setattr__(record, name, value)
+        if not json_type_ok(value, kind):
+            raise error(f"{name} must be {kind}, got {value!r}")
+        if choices is not None and value not in choices:
+            raise error(f"{name} must be one of {choices}, got {value!r}")
+        if least is not None and not least <= value < math.inf:
+            raise error(f"{name} must be finite and >= {least}, got {value!r}")
+        if above is not None and not above < value < math.inf:
+            raise error(f"{name} must be finite and > {above}, got {value!r}")
+
+
 def write_csv(path, rows) -> Path:
     """Write each of ``rows`` as one CSV line through :func:`atomic_writer`:
     UTF-8, LF line ends, a field quoted only where it must be.  A float cell
@@ -378,25 +415,18 @@ def save_manifest(manifest: CaseManifest, path) -> Path:
 
 def load_manifest(path) -> CaseManifest:
     """Load a manifest; the files it names are read by ``train.load_cases``.
-    A row value of the wrong JSON type (a censor of 0.7 or true) is rejected."""
+    A row that :class:`CaseEntry` rejects (a censor of 0.7 or true) is a
+    :class:`FormatError` naming the file."""
     path = Path(path)
     doc = read_json(path, FormatError)
     try:
         spec = [(c["name"], int(c["dim"])) for c in doc["category_spec"]]
-        kinds = {f.name: f.type for f in fields(CaseEntry)}
-        cases = []
-        for row in doc["cases"]:
-            values = {name: row[name] for name in kinds}
-            for name, kind in kinds.items():
-                if not json_type_ok(values[name], kind):
-                    raise ValueError(f"{name} must be {kind}, got {values[name]!r}")
-            if values["censor"] not in (0, 1):
-                raise ValueError(f"censor must be 0 or 1, got {values['censor']!r}")
-            cases.append(CaseEntry(**values))
-        manifest = CaseManifest(cases, int(doc["feature_dim"]), spec, root=path.parent)
-    except (KeyError, TypeError, ValueError) as exc:
+        names = [f.name for f in fields(CaseEntry)]
+        cases = [CaseEntry(**{name: row[name] for name in names}) for row in doc["cases"]]
+        feature_dim = int(doc["feature_dim"])
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise FormatError(f"{path}: missing or malformed field: {exc}") from exc
-    return manifest
+    return CaseManifest(cases, feature_dim, spec, root=path.parent)
 
 
 # ---------------------------------------------------------------------------

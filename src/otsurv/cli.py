@@ -5,7 +5,8 @@ come from defaults, then an optional JSON config file, then CLI flags
 (last wins).  Relative output paths are resolved under $OTSURV_OUT_ROOT
 when it is set.
 
-Exit codes: 0 success, 2 parse/config, 3 data, 4 solver, 5 numeric.
+Exit codes: 0 success; a package error exits with its class's
+``exit_code`` (see ``otsurv.errors``), an ``OSError`` as a data error (3).
 """
 
 from __future__ import annotations
@@ -20,26 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bags, survival, train as training
-from .config import CHOICES, ExperimentConfig, load_config, merge_overrides
-from .errors import (ConfigError, ConstraintError, DataError, FormatError,
-                     NumericError, OtsurvError, ParameterError, SolverError)
+from .config import ExperimentConfig, load_config
+from .errors import DataError, FormatError, OtsurvError
 from .microbatch import DEFAULT_SOLVER, SOLVERS, OTSettings, solve_batch
 from .transport import write_plan
-
-EXIT_PARSE = 2
-EXIT_DATA = 3
-EXIT_SOLVER = 4
-EXIT_NUMERIC = 5
-
-
-def _exit_code(exc: OtsurvError) -> int:
-    if isinstance(exc, (ConfigError, ParameterError, FormatError)):
-        return EXIT_PARSE
-    if isinstance(exc, (SolverError, ConstraintError)):
-        return EXIT_SOLVER
-    if isinstance(exc, NumericError):
-        return EXIT_NUMERIC
-    return EXIT_DATA
 
 
 def _out_path(raw: str) -> Path:
@@ -58,7 +43,7 @@ def _flag_values(args, cls) -> dict:
 
 def _load_effective_config(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    return merge_overrides(config, _flag_values(args, ExperimentConfig))
+    return dataclasses.replace(config, **_flag_values(args, ExperimentConfig))
 
 
 def _comma_list(item_type):
@@ -82,7 +67,7 @@ def _add_field_flags(p: argparse.ArgumentParser, cls):
             p.add_argument(flag, action=argparse.BooleanOptionalAction)
         else:
             p.add_argument(flag, type={"int": int, "float": float}.get(f.type),
-                           choices=CHOICES.get(f.name))
+                           choices=cls.CHOICES.get(f.name))
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -253,11 +238,11 @@ def main(argv=None) -> int:
     except OtsurvError as exc:
         print(json.dumps({"error_class": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except OSError as exc:
         print(json.dumps({"error_class": "OSError", "message": str(exc)}),
               file=sys.stderr)
-        return EXIT_DATA
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

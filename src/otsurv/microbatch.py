@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .transport import (TransportPlan, build_cost, normalize_cost,
+from .bags import check_fields
+from .errors import ConfigError, ParameterError
+from .transport import (COST_METRICS, TransportPlan, build_cost, normalize_cost,
                         solve_exact_emd, sinkhorn, unbalanced_sinkhorn,
                         uniform_marginals)
 
@@ -34,13 +35,21 @@ ATTENTION_MODES = {"umbot": "uot", "emd": "emd", "dense": None}
 
 @dataclass(frozen=True)
 class OTSettings:
-    """The transport problem of a micro-batch, declared once; ``ExperimentConfig``
-    extends it, and the solver is an argument of :func:`solve_batch`."""
+    """The transport problem of a micro-batch, declared once and checked when
+    built (``bags.check_fields``); ``ExperimentConfig`` extends it and its
+    tables, and the solver is an argument of :func:`solve_batch`."""
 
     epsilon: float = 0.05
     tau: float = 0.5
     cost_metric: str = "l2"
     normalize_cost: bool = True
+
+    CHOICES = {"cost_metric": COST_METRICS}
+    LEAST = {"tau": 0}
+    ABOVE = {"epsilon": 0}
+
+    def __post_init__(self):
+        check_fields(self, ConfigError)
 
 
 def sample_micro_batches(M_p: int, m: int, seed: int) -> list[np.ndarray]:

@@ -18,7 +18,7 @@ import logging
 import math
 import time
 from copy import deepcopy
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -265,7 +265,7 @@ def cross_validate(cases: list[CaseData], config: ExperimentConfig,
 
     cis = np.array([r.c_index for r in fold_results])
     report = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "per_fold": [
             {"fold": r.fold, "c_index": r.c_index, "best_epoch": r.best_epoch,
              "train_loss": r.train_loss}
@@ -312,7 +312,7 @@ def ablation_sweep(cases: list[CaseData], config: ExperimentConfig,
     exception is a bug and propagates.
     """
     # Building every cell first rejects a bad mode or size before any training.
-    cells = [(mode, m, config.replace(micro_batch=m, attention_mode=mode))
+    cells = [(mode, m, replace(config, micro_batch=m, attention_mode=mode))
              for mode in modes for m in m_values]
     rows = []
     for mode, m, cell in cells:

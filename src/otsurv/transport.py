@@ -389,8 +389,8 @@ def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
     whole; it computes no diagnostic.
     """
     # Written so that NaN fails each test.
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ParameterError(f"epsilon must be finite and > 0, got {epsilon}")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     if tau is not None and not 0 <= tau < np.inf:

@@ -331,11 +331,25 @@ def test_manifest_writes_numpy_scalars_as_python_numbers(tmp_path):
     save_manifest(scalars, tmp_path / "scalars.json")
     assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "scalars.json").read_bytes()
     assert load_manifest(tmp_path / "scalars.json").cases == plain.cases
+    assert [type(v) for v in (scalars.cases[0].time_months, scalars.cases[0].censor)] \
+        == [float, int]
 
 
 def test_case_entry_rejects_a_time_that_is_not_a_number():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="time_months"):
         CaseEntry("c0", "p.fbag", "g.csv", "soon", 0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("censor", 0.7), ("censor", True), ("censor", 7),
+    ("time_months", True), ("time_months", "12.5"), ("time_months", -1.0),
+])
+def test_case_entry_built_in_code_checks_rather_than_converts(key, value):
+    # int() and float() used to turn a censor of 0.7 into an observed death,
+    # and save_manifest wrote a censor of 7 that load_manifest then rejected.
+    row = {"time_months": 12.5, "censor": 1, key: value}
+    with pytest.raises(DataError, match=key):
+        CaseEntry("c0", "p.fbag", "g.csv", **row)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -3,17 +3,19 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from failing_writes import fail_writes_to, files_under
 from otsurv import cli, errors
-from otsurv.config import CHOICES, ExperimentConfig, load_config, merge_overrides
+from otsurv.config import ExperimentConfig, load_config
 from otsurv.bags import load_bag
-from otsurv.errors import ConfigError
+from otsurv.errors import ConfigError, ParameterError
 from otsurv.microbatch import OTSettings, solve_batch
 
 CLI = [sys.executable, "-m", "otsurv.cli"]
@@ -29,7 +31,7 @@ def run_cli(*args, env_extra=None, cwd=None):
 
 def write_config(config, path):
     """A config file as a user writes it: the fields as one JSON object."""
-    path.write_text(json.dumps(config.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(config)))
     return path
 
 
@@ -94,7 +96,9 @@ def test_config_rejects_non_finite_and_negative_rates(key, value):
 @pytest.mark.parametrize("args, field", [
     (["train", "--lr", "nan"], "lr"), (["train", "--epsilon", "nan"], "epsilon"),
     (["solve", "--tau", "inf"], "tau"), (["solve", "--epsilon", "nan"], "epsilon"),
-], ids=["train-lr-nan", "train-epsilon-nan", "solve-tau-inf", "solve-epsilon-nan"])
+    (["solve", "--epsilon", "inf"], "epsilon"),
+], ids=["train-lr-nan", "train-epsilon-nan", "solve-tau-inf", "solve-epsilon-nan",
+        "solve-epsilon-inf"])
 def test_cli_non_finite_setting_is_parameter_error(tmp_path, capsys, args, field):
     data = tmp_path / "data"
     assert cli.main(["gen-synth", "--out", str(data), "--n-cases", "10", "--m-p", "7",
@@ -130,11 +134,21 @@ def test_config_float_field_takes_int_unconverted(tmp_path):
     assert (type(cfg.lr), cfg.lr, type(cfg.tau)) == (int, 1, int)
 
 
-def test_merge_overrides_flags_win():
-    cfg = ExperimentConfig(seed=1, epochs=5)
-    merged = merge_overrides(cfg, {"epochs": 7, "seed": None})
-    assert merged.epochs == 7
-    assert merged.seed == 1
+def test_flags_win_over_config_file(tmp_path):
+    path = write_config(ExperimentConfig(seed=1, epochs=5), tmp_path / "c.json")
+    args = cli.build_parser().parse_args(["train", "--manifest", "m", "--out", "o",
+                                          "--config", str(path), "--epochs", "7"])
+    assert cli._load_effective_config(args) == ExperimentConfig(seed=1, epochs=7)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", float("inf")), ("epsilon", float("nan")), ("epsilon", 0),
+    ("epsilon", -1), ("tau", float("inf")), ("tau", -1), ("cost_metric", "bogus"),
+    ("normalize_cost", "no"),
+])
+def test_ot_settings_reject_a_value_outside_its_domain(key, value):
+    with pytest.raises(ParameterError, match=key):
+        OTSettings(**{key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +375,8 @@ def test_cli_failed_bench_write_keeps_previous_csv(tmp_path, monkeypatch, capsys
 def _flag_value(field):
     """A valid value other than the default, as a flag and as the config holds it."""
     default = getattr(ExperimentConfig(), field.name)
-    if field.name in CHOICES:
-        value = CHOICES[field.name][-1]
+    if field.name in ExperimentConfig.CHOICES:
+        value = ExperimentConfig.CHOICES[field.name][-1]
         return [value], value
     if field.type == "bool":
         return [], not default
@@ -381,7 +395,7 @@ def test_config_flag_for_every_field(field):
         args = cli.build_parser().parse_args([command, "--manifest", "m", "--out", "o",
                                               flag, *words])
         assert cli._load_effective_config(args) == \
-            ExperimentConfig().replace(**{field.name: value})
+            dataclasses.replace(ExperimentConfig(), **{field.name: value})
 
 
 def test_config_flags_keep_their_types_and_choices():
@@ -423,6 +437,25 @@ def test_cli_config_file_with_flag_override(tmp_path):
     metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
     assert metrics["config"]["folds"] == 2
     assert metrics["config"]["seed"] == 5
+
+
+def test_every_error_class_exits_with_the_code_in_the_readme(monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for row in readme.read_text(encoding="utf-8").splitlines():
+        code = re.match(r"\| (\d) \|", row)
+        if code:
+            table.update((name, int(code[1])) for name in re.findall(r"`(\w+)`", row))
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.OtsurvError)}
+    assert {name: table.get(name) for name in classes} == \
+        {name: cls.exit_code for name, cls in classes.items()}
+    for name, cls in [*classes.items(), ("OSError", OSError)]:
+        def fail(args, cls=cls):
+            raise cls("boom")
+        monkeypatch.setattr(cli, "cmd_km", fail)
+        assert cli.main(["km", "--risks", "r", "--manifest", "m",
+                         "--out-prefix", "o"]) == table[name], name
 
 
 def test_cli_bad_config_key_exit_code(tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otsurv import microbatch, train, transport
-from otsurv.config import CHOICES
+from otsurv.config import ExperimentConfig
 from otsurv.autodiff import Tape
 from otsurv.bags import GenomicProfile, SurvivalRecord
 from otsurv.errors import ParameterError, ShapeError
@@ -261,7 +261,8 @@ def test_run_case_dim_mismatch():
 
 
 def test_attention_modes_are_one_table():
-    assert CHOICES["attention_mode"] == tuple(ATTENTION_MODES) == ("umbot", "emd", "dense")
+    assert (ExperimentConfig.CHOICES["attention_mode"] == tuple(ATTENTION_MODES)
+            == ("umbot", "emd", "dense"))
     assert ATTENTION_MODES["dense"] is None
     assert all(ATTENTION_MODES[mode] in microbatch.SOLVERS for mode in ("umbot", "emd"))
 

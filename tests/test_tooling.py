@@ -63,25 +63,27 @@ def test_csv_float_format_is_spelled_once():
     assert found == {fmt: {home: 1} for fmt, home in FORMAT_ONLY_IN.items()}
 
 
+def _calls(tree, where=()):
+    """Each call in ``tree`` with the names of the functions around it,
+    outermost first."""
+    for node in ast.iter_child_nodes(tree):
+        inner = (*where, node.name) if isinstance(node, ast.FunctionDef) else where
+        if isinstance(node, ast.Call):
+            yield inner, node
+        yield from _calls(node, inner)
+
+
 def _file_access(tree):
     """(function, call) for each call in ``tree`` that reads or writes a
     file other than through the one reader or writer of its format: a call
     named in ``ONLY_IN`` outside its function, and any ``Path`` text or
     file method that bypasses them."""
     found = []
-
-    def visit(node, where):
-        if isinstance(node, ast.FunctionDef):
-            where = node.name
-        if isinstance(node, ast.Call):
-            name = ast.unparse(node.func)
-            if (name in ONLY_IN and where not in ONLY_IN[name]) or name.endswith(
-                    (".read_text", ".write_text", ".write_bytes", ".open")):
-                found.append((where, ast.unparse(node)))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(tree, "<module>")
+    for where, call in _calls(tree):
+        name, where = ast.unparse(call.func), where[-1] if where else "<module>"
+        if (name in ONLY_IN and where not in ONLY_IN[name]) or name.endswith(
+                (".read_text", ".write_text", ".write_bytes", ".open")):
+            found.append((where, ast.unparse(call)))
     return found
 
 
@@ -91,6 +93,26 @@ def test_every_write_goes_through_atomic_writer():
     found = {p.name: _file_access(ast.parse(p.read_text(encoding="utf-8")))
              for p in sorted((REPO / "src" / "otsurv").glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+# The functions of src/otsurv that may apply the JSON type rule: the field
+# check of every dataclass record, and the checkpoint reader, whose header is
+# a dict.
+TYPE_RULE_ONLY_IN = {"check_fields", "load_checkpoint"}
+
+
+def test_each_input_rule_is_applied_in_one_place():
+    # A record checks its fields through bags.check_fields when it is built;
+    # a second loop over a record's types, or a __post_init__ that converts
+    # (int(0.7) is an observed death), is a rule written twice.
+    found = []
+    for path in sorted((REPO / "src" / "otsurv").glob("*.py")):
+        for where, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            name = ast.unparse(call.func)
+            if ((name == "json_type_ok" and not TYPE_RULE_ONLY_IN & set(where))
+                    or (name in ("int", "float") and "__post_init__" in where)):
+                found.append((path.name, where, ast.unparse(call)))
+    assert found == []
 
 
 def test_every_perfbench_hook_resolves(monkeypatch):

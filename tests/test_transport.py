@@ -526,13 +526,15 @@ def test_uot_rejects_negative_tau():
 
 
 @pytest.mark.parametrize("epsilon, tau", [(math.nan, 0.5), (0.1, math.nan),
-                                          (0.1, math.inf)],
-                         ids=["epsilon-nan", "tau-nan", "tau-inf"])
+                                          (0.1, math.inf), (math.inf, 0.5)],
+                         ids=["epsilon-nan", "tau-nan", "tau-inf", "epsilon-inf"])
 def test_scaling_solvers_reject_nan_and_infinite_tau(epsilon, tau):
+    # An infinite epsilon used to return the product coupling as converged.
     C, marg = CostMatrix(np.ones((2, 2)), "l2"), uniform_marginals(2, 2)
-    with pytest.raises(ParameterError, match="epsilon" if math.isnan(epsilon) else "tau"):
+    bad_epsilon = not math.isfinite(epsilon)
+    with pytest.raises(ParameterError, match="epsilon" if bad_epsilon else "tau"):
         unbalanced_sinkhorn(C, marg, epsilon=epsilon, tau=tau)
-    if math.isnan(epsilon):
+    if bad_epsilon:
         with pytest.raises(ParameterError, match="epsilon"):
             sinkhorn(C, marg, epsilon=epsilon)
 
