@@ -333,11 +333,8 @@ def backward(tape: Tape, root: Var) -> None:
                 continue
             contrib = vjp(g)
             total = parent.grad
-            if total is None:
-                total = np.zeros(parent.value.shape)
-            if contrib.ndim > total.ndim:  # a stack into an unstacked operand
-                for part in reversed(contrib):
-                    total = total + part
-            else:
-                total = total + contrib
+            # A stack into an unstacked operand adds its slices, last first.
+            for part in reversed(contrib) if contrib.ndim > parent.value.ndim else (contrib,):
+                # A sum from 0.0 (-0.0 becomes +0.0), in C order for later BLAS calls.
+                total = np.add(part, 0.0, order="C") if total is None else total + part
             parent.grad = total

@@ -101,33 +101,29 @@ class GenomicProfile:
         return [attrs.size for _, attrs in self.categories]
 
 
-# The values of a censor flag (see SurvivalRecord).
-CENSOR_FLAGS = (0, 1)
-
-
 @dataclass(frozen=True)
 class SurvivalRecord:
-    """Observed time in months, censor flag, and (optional) discrete bin.
-
-    censor == 0 means the death event was observed, censor == 1 means the
-    case is right-censored.  ``bin`` is None until discretization assigns it.
-    """
+    """Observed time in months, censor flag, and (optional) discrete bin,
+    checked when built like a :class:`CaseEntry`.  censor == 0 means the death
+    was observed, 1 that the case is right-censored; ``bin`` is None until
+    discretization assigns it."""
 
     time_months: float
     censor: int
     bin: int | None = None
 
+    CHOICES = {"censor": (0, 1)}
+    LEAST = {"time_months": 0, "bin": 0}
+
     def __post_init__(self):
-        if not (math.isfinite(self.time_months) and self.time_months >= 0):
-            raise DataError(f"time_months must be finite and >= 0, got {self.time_months}")
-        if self.censor not in CENSOR_FLAGS:
-            raise DataError(f"censor must be 0 or 1, got {self.censor}")
+        check_fields(self, DataError)
 
 
 @dataclass(frozen=True)
 class CaseEntry:
     """One manifest row; its fields are the row's keys, checked when built
-    (:func:`check_fields`; a wrong value is a :class:`DataError`)."""
+    (:func:`check_fields`, by :class:`SurvivalRecord`'s tables; a wrong value
+    is a :class:`DataError`)."""
 
     case_id: str
     pathology_feature_path: str
@@ -135,8 +131,21 @@ class CaseEntry:
     time_months: float
     censor: int
 
-    CHOICES = {"censor": CENSOR_FLAGS}
-    LEAST = {"time_months": 0}
+    CHOICES = SurvivalRecord.CHOICES
+    LEAST = SurvivalRecord.LEAST
+
+    def __post_init__(self):
+        check_fields(self, DataError)
+
+
+@dataclass(frozen=True)
+class CategoryEntry:
+    """A manifest's ``category_spec`` entry, checked like a :class:`CaseEntry`."""
+
+    name: str
+    dim: int
+
+    LEAST = {"dim": 1}
 
     def __post_init__(self):
         check_fields(self, DataError)
@@ -148,10 +157,13 @@ class CaseManifest:
 
     cases: list[CaseEntry]
     feature_dim: int
-    category_spec: list[tuple[str, int]]
+    category_spec: list[CategoryEntry]
     root: Path = field(default_factory=Path)
 
+    LEAST = {"feature_dim": 1}
+
     def __post_init__(self):
+        check_fields(self, DataError)
         ids = [c.case_id for c in self.cases]
         if len(set(ids)) != len(ids):
             raise DataError("case ids must be unique")
@@ -303,20 +315,24 @@ def json_type_ok(value, kind: str) -> bool:
 
 @functools.cache
 def _field_rules(cls) -> tuple[tuple, ...]:
-    """(name, kind, choices, least, above) of each field of ``cls``, read once."""
+    """(name, kind, optional, choices, least, above) of each field of ``cls``,
+    read once; ``optional`` if its annotation ends in ``| None``."""
     tables = [getattr(cls, table, {}) for table in ("CHOICES", "LEAST", "ABOVE")]
-    return tuple((f.name, f.type, *(table.get(f.name) for table in tables))
-                 for f in fields(cls))
+    return tuple((f.name, f.type.removesuffix(" | None"), f.type.endswith(" | None"),
+                  *(table.get(f.name) for table in tables)) for f in fields(cls))
 
 
 def check_fields(record, error: type[Exception]) -> None:
     """Check each field of the dataclass ``record`` by its annotation
     (:func:`json_type_ok`) and its class's tables, if any: ``CHOICES`` (the
     allowed values), ``LEAST`` (finite, >= the value), ``ABOVE`` (finite, >).
-    A numpy scalar becomes the Python value it holds.  The first field that
-    fails raises ``error`` naming it."""
-    for name, kind, choices, least, above in _field_rules(type(record)):
+    A numpy scalar becomes the Python value it holds.  A field annotated
+    ``X | None`` may be None; one whose type is not a JSON value is left to
+    its class.  The first field that fails raises ``error`` naming it."""
+    for name, kind, optional, choices, least, above in _field_rules(type(record)):
         value = getattr(record, name)
+        if kind not in _JSON_TYPES or (optional and value is None):
+            continue
         if isinstance(value, np.generic):
             value = value.item()
             object.__setattr__(record, name, value)
@@ -379,7 +395,7 @@ def save_genomic_profile(profile: GenomicProfile, path) -> None:
                      *((name, v) for name, attrs in profile.categories for v in attrs)])
 
 
-def load_genomic_profile(path, category_spec: list[tuple[str, int]] | None = None,
+def load_genomic_profile(path, category_spec: list[CategoryEntry] | None = None,
                          case_id: str = "") -> GenomicProfile:
     path = Path(path)
     header, rows = read_csv(path)
@@ -395,7 +411,7 @@ def load_genomic_profile(path, category_spec: list[tuple[str, int]] | None = Non
     profile = GenomicProfile(cats, case_id=case_id or path.stem)
     if category_spec is not None:
         got = [(n, a.size) for n, a in profile.categories]
-        if got != [(n, int(d)) for n, d in category_spec]:
+        if got != [(c.name, c.dim) for c in category_spec]:
             raise DataError(f"{path}: categories {got} do not match manifest spec {category_spec}")
     return profile
 
@@ -405,28 +421,28 @@ def load_genomic_profile(path, category_spec: list[tuple[str, int]] | None = Non
 
 
 def save_manifest(manifest: CaseManifest, path) -> Path:
-    doc = {
-        "feature_dim": int(manifest.feature_dim),
-        "category_spec": [{"name": n, "dim": int(d)} for n, d in manifest.category_spec],
-        "cases": [asdict(c) for c in manifest.cases],
-    }
-    return write_json(path, doc)
+    return write_json(path, {"feature_dim": manifest.feature_dim,
+                             "category_spec": [asdict(c) for c in manifest.category_spec],
+                             "cases": [asdict(c) for c in manifest.cases]})
+
+
+def _records(cls, rows) -> list:
+    """A ``cls`` built from each of ``rows``, from the keys its fields name."""
+    names = [f.name for f in fields(cls)]
+    return [cls(**{name: row[name] for name in names}) for row in rows]
 
 
 def load_manifest(path) -> CaseManifest:
     """Load a manifest; the files it names are read by ``train.load_cases``.
-    A row that :class:`CaseEntry` rejects (a censor of 0.7 or true) is a
-    :class:`FormatError` naming the file."""
+    A header or row that its record rejects (a ``feature_dim`` of 4.9, a
+    censor of 0.7 or true) is a :class:`FormatError` naming the file."""
     path = Path(path)
     doc = read_json(path, FormatError)
     try:
-        spec = [(c["name"], int(c["dim"])) for c in doc["category_spec"]]
-        names = [f.name for f in fields(CaseEntry)]
-        cases = [CaseEntry(**{name: row[name] for name in names}) for row in doc["cases"]]
-        feature_dim = int(doc["feature_dim"])
-    except (KeyError, TypeError, ValueError, DataError) as exc:
+        return CaseManifest(_records(CaseEntry, doc["cases"]), doc["feature_dim"],
+                            _records(CategoryEntry, doc["category_spec"]), root=path.parent)
+    except (KeyError, TypeError, DataError) as exc:
         raise FormatError(f"{path}: missing or malformed field: {exc}") from exc
-    return CaseManifest(cases, feature_dim, spec, root=path.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +498,7 @@ def generate_synthetic_dataset(
     # unit attribute patterns (d_j).
     proto_dirs = rng.standard_normal((M_g, d))
     proto_dirs /= np.linalg.norm(proto_dirs, axis=1, keepdims=True)
-    attr_dirs = []
-    for dj in attr_dims:
-        v = rng.standard_normal(dj)
-        attr_dirs.append(v / np.linalg.norm(v))
+    attr_dirs = [v / np.linalg.norm(v) for v in map(rng.standard_normal, attr_dims)]
 
     n_signal = math.ceil(signal_fraction * M_p)
     # Case-level heterogeneity: large enough that a random readout ranks
@@ -505,8 +518,7 @@ def generate_synthetic_dataset(
         feats[:n_signal] = (prototypes[assign]
                             + noise_scale * 0.15 * rng.standard_normal((n_signal, d)))
         feats[n_signal:] = rng.standard_normal((M_p - n_signal, d))
-        perm = rng.permutation(M_p)
-        feats = feats[perm]
+        feats = feats[rng.permutation(M_p)]
 
         profile = GenomicProfile(
             [(names[j], scale * attr_dirs[j]
@@ -516,13 +528,11 @@ def generate_synthetic_dataset(
             case_id=case_id,
         )
 
-        t_event = 2.0 + 118.0 * (1.0 - r) + noise_scale * 6.0 * rng.standard_normal()
-        t_event = max(t_event, 0.5)
+        t_event = max(2.0 + 118.0 * (1.0 - r) + noise_scale * 6.0 * rng.standard_normal(), 0.5)
         censored = int(rng.uniform() < censor_rate)
         t_obs = rng.uniform() * t_event if censored else t_event
 
-        bag_rel = f"{case_id}_path.fbag"
-        gen_rel = f"{case_id}_genomic.csv"
+        bag_rel, gen_rel = f"{case_id}_path.fbag", f"{case_id}_genomic.csv"
         save_bag(InstanceBag(feats, case_id), out / bag_rel)
         save_genomic_profile(profile, out / gen_rel)
         cases.append(CaseEntry(case_id, bag_rel, gen_rel, t_obs, censored))
@@ -531,7 +541,7 @@ def generate_synthetic_dataset(
     # Diagnostic sidecar: the planted risk per case (not part of the manifest).
     write_csv(out / "latents.csv", latents)
 
-    manifest = CaseManifest(cases, d, list(zip(names, attr_dims)), root=out)
+    manifest = CaseManifest(cases, d, [CategoryEntry(*c) for c in zip(names, attr_dims)], out)
     save_manifest(manifest, out / "manifest.json")
     return manifest
 

@@ -74,14 +74,13 @@ class FoldResult:
 
 def load_cases(manifest: CaseManifest) -> list[CaseData]:
     cases = []
-    for entry in manifest.cases:
+    for entry, record in zip(manifest.cases, manifest.records()):
         bag = load_bag(manifest.resolve(entry.pathology_feature_path), entry.case_id)
         if bag.dim != manifest.feature_dim:
             raise DataError(f"{entry.case_id}: pathology dim {bag.dim} != manifest "
                             f"feature_dim {manifest.feature_dim}")
         profile = load_genomic_profile(manifest.resolve(entry.genomic_profile_path),
                                        manifest.category_spec, entry.case_id)
-        record = SurvivalRecord(entry.time_months, entry.censor)
         cases.append(CaseData(entry.case_id, bag.features, profile, record))
     return cases
 
@@ -179,12 +178,8 @@ def fold_splits(n_cases: int, n_folds: int, seed: int) -> list[tuple[np.ndarray,
         raise DataError(f"need at least {2 * n_folds} cases for {n_folds} folds")
     perm = np.random.default_rng(derive_seed(seed, 0xF01D)).permutation(n_cases)
     val_sets = np.array_split(perm, n_folds)
-    splits = []
-    for k in range(n_folds):
-        val = np.sort(val_sets[k])
-        train = np.sort(np.concatenate([val_sets[j] for j in range(n_folds) if j != k]))
-        splits.append((train, val))
-    return splits
+    return [(np.sort(np.concatenate(val_sets[:k] + val_sets[k + 1:])), np.sort(val_sets[k]))
+            for k in range(n_folds)]
 
 
 def _with_bins(cases: list[CaseData], edges) -> list[CaseData]:
@@ -275,11 +270,8 @@ def cross_validate(cases: list[CaseData], config: ExperimentConfig,
         "c_index_std": float(cis.std()),
     }
     records = {c.case_id: c.record for c in cases}
-    pooled = []
-    for r in fold_results:
-        for case_id, risk in r.risks.items():
-            rec = records[case_id]
-            pooled.append((case_id, risk, rec.time_months, rec.censor, r.fold))
+    pooled = [(case_id, risk, records[case_id].time_months, records[case_id].censor, r.fold)
+              for r in fold_results for case_id, risk in r.risks.items()]
     if out_dir is not None:
         out = Path(out_dir)
         write_json(out / "metrics.json", report)

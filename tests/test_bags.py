@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failing_writes import fail_writes_to, files_under
-from otsurv.bags import (CaseEntry, CaseManifest, GenomicProfile,
+from otsurv.bags import (CaseEntry, CaseManifest, CategoryEntry, GenomicProfile,
                          InstanceBag, SurvivalRecord, assign_bin, discretize_times,
                          generate_synthetic_dataset, load_bag,
                          load_genomic_profile, load_manifest, save_bag,
@@ -127,7 +127,8 @@ def test_genomic_profile_roundtrip(tmp_path):
                               ("b", np.array([3.0, 4.0, 5.0]))], "p")
     save_genomic_profile(profile, tmp_path / "p.csv")
     loaded = load_genomic_profile(tmp_path / "p.csv",
-                                  category_spec=[("a", 2), ("b", 3)])
+                                  category_spec=[CategoryEntry("a", 2),
+                                                 CategoryEntry("b", 3)])
     assert loaded.attr_dims() == [2, 3]
     for (n0, a0), (n1, a1) in zip(profile.categories, loaded.categories):
         assert n0 == n1
@@ -146,10 +147,31 @@ def test_survival_record_validation():
         SurvivalRecord(1.0, 2)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((True, True), "time_months"), ((True, 0), "time_months"), ((1.0, True), "censor"),
+    ((1.0, 0.0), "censor"), ((math.nan, 0), "time_months"), ((math.inf, 0), "time_months"),
+    ((1.0, 0, True), "bin"), ((1.0, 0, -1), "bin"), ((1.0, 0, 1.5), "bin"),
+], ids=["bools", "time-bool", "censor-bool", "censor-float", "time-nan", "time-inf",
+        "bin-bool", "bin-negative", "bin-fraction"])
+def test_survival_record_checks_each_field_by_its_type(args, field):
+    # A bool passed math.isfinite and ``in (0, 1)``; the label now has one
+    # rule, the one a manifest row is checked by.
+    with pytest.raises(DataError, match=field):
+        SurvivalRecord(*args)
+
+
+def test_survival_record_keeps_a_missing_bin_and_plain_numbers():
+    record = SurvivalRecord(np.float64(2.5), np.int64(1), np.int64(3))
+    assert (record.time_months, record.censor, record.bin) == (2.5, 1, 3)
+    assert [type(v) for v in (record.time_months, record.censor, record.bin)] \
+        == [float, int, int]
+    assert SurvivalRecord(2.5, 0).bin is None
+
+
 def test_manifest_unique_ids():
     entry = CaseEntry("dup", "x", "y", 1.0, 0)
     with pytest.raises(DataError):
-        CaseManifest([entry, entry], 4, [("a", 2)])
+        CaseManifest([entry, entry], 4, [CategoryEntry("a", 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +344,34 @@ def test_manifest_malformed_is_format_error_naming_file(tmp_path, field, value):
         load_manifest(path)
 
 
+def test_manifest_save_load_rewrites_a_generated_manifest_byte_for_byte(tmp_path):
+    generate_synthetic_dataset(n_cases=10, M_p=6, M_g=3, d=5, signal_fraction=0.4,
+                               noise_scale=0.2, censor_rate=0.2, seed=2,
+                               output_dir=tmp_path)
+    path = tmp_path / "manifest.json"
+    saved = save_manifest(load_manifest(path), tmp_path / "again.json")
+    assert saved.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("feature_dim", 4.9), ("feature_dim", True), ("feature_dim", "64"),
+    ("feature_dim", 0), ("feature_dim", -3),
+    ("dim", True), ("dim", 1.5), ("dim", 0),
+], ids=["feature-dim-fraction", "feature-dim-bool", "feature-dim-str", "feature-dim-0",
+        "feature-dim-negative", "dim-bool", "dim-fraction", "dim-0"])
+def test_manifest_header_of_the_wrong_type_is_format_error(tmp_path, field, value):
+    # int() read a feature_dim of 4.9 as 4 and a category dim of true as 1.
+    path = save_manifest(CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", 12.5, 1)], 4,
+                                      [CategoryEntry("a", 2)]), tmp_path / "manifest.json")
+    doc = json.loads(path.read_text())
+    (doc["category_spec"][0] if field == "dim" else doc)[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"manifest.json.*{field}"):
+        load_manifest(path)
+
+
 def test_manifest_writes_numpy_scalars_as_python_numbers(tmp_path):
-    spec = [("a", 2)]
+    spec = [CategoryEntry("a", 2)]
     plain = CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", 12.5, 1)], 4, spec)
     scalars = CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", np.float64(12.5),
                                       np.int64(1))], 4, spec)
@@ -361,7 +409,7 @@ def test_manifest_row_of_the_wrong_type_is_format_error(tmp_path, key, value):
     # int() and float() would read 0.7 as an observed death and true as 1.0
     # months; a bool is not a number here, as in a config file.
     path = save_manifest(CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", 12.5, 1)], 4,
-                                      [("a", 2)]), tmp_path / "manifest.json")
+                                      [CategoryEntry("a", 2)]), tmp_path / "manifest.json")
     doc = json.loads(path.read_text())
     doc["cases"][0][key] = value
     path.write_text(json.dumps(doc))

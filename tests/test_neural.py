@@ -515,6 +515,20 @@ def test_backward_computes_no_gradient_for_consts():
     assert grads["const"] == grads["leaf"]
 
 
+@pytest.mark.parametrize("stack", [None, 3], ids=["matrix", "stack"])
+def test_backward_first_contribution_of_negative_zero_is_positive_zero(stack):
+    # Backward starts a gradient from the first contribution without a zero
+    # fill; 0.0 + -0.0 is +0.0, and the first part must read so too, for a
+    # whole matrix and for the first slice of a stack.
+    tape = Tape()
+    x = tape.leaf(np.ones((2, 2)))
+    shape = x.shape if stack is None else (stack, *x.shape)
+    root = tape._emit(0.0, ((x, lambda g: np.full(shape, -0.0)),))
+    backward(tape, root)
+    assert x.grad.shape == (2, 2) and x.grad.flags.c_contiguous
+    assert not np.signbit(x.grad).any()
+
+
 def test_backward_twice_is_state_error():
     tape = Tape()
     x = tape.leaf(np.ones(()))
