@@ -154,8 +154,8 @@ def test_survival_record_validation():
 ], ids=["bools", "time-bool", "censor-bool", "censor-float", "time-nan", "time-inf",
         "bin-bool", "bin-negative", "bin-fraction"])
 def test_survival_record_checks_each_field_by_its_type(args, field):
-    # A bool passed math.isfinite and ``in (0, 1)``; the label now has one
-    # rule, the one a manifest row is checked by.
+    # A bool passes math.isfinite and ``in (0, 1)``; the label's fields are
+    # checked by type, as a manifest row's are.
     with pytest.raises(DataError, match=field):
         SurvivalRecord(*args)
 
