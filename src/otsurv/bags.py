@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -287,14 +288,20 @@ def write_json(path, doc) -> Path:
 
 def read_json(path, error: type[Exception]) -> dict:
     """Load a JSON object from ``path``; a missing file, a file that is not
-    UTF-8 JSON, or a document that is not an object raises ``error`` naming
-    the file."""
+    UTF-8 JSON, a key repeated within one object, or a document that is not
+    an object raises ``error`` naming the file."""
     path = Path(path)
     if not path.exists():
         raise error(f"file does not exist: {path}")
+
+    def unique_keys(pairs):
+        if len(doc := dict(pairs)) < len(pairs):
+            repeated = next(key for key, _ in pairs if sum(k == key for k, _ in pairs) > 1)
+            raise error(f"{path}: key {repeated!r} appears more than once in one object")
+        return doc
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise error(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -302,9 +309,10 @@ def read_json(path, error: type[Exception]) -> dict:
     return doc
 
 
-# The JSON value types a field annotated int, float, str or bool accepts.  A
-# bool is an int to Python, but true in a number field is a mistake.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+# The JSON value types a field annotated int, float, str, bool or dict
+# accepts.  A bool is an int to Python, but true in a number field is a mistake.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+               "dict": (dict,)}
 
 
 def json_type_ok(value, kind: str) -> bool:
@@ -320,6 +328,18 @@ def _field_rules(cls) -> tuple[tuple, ...]:
     tables = [getattr(cls, table, {}) for table in ("CHOICES", "LEAST", "ABOVE")]
     return tuple((f.name, f.type.removesuffix(" | None"), f.type.endswith(" | None"),
                   *(table.get(f.name) for table in tables)) for f in fields(cls))
+
+
+def read_record(cls, doc, error: type[Exception], **given):
+    """The one place a parsed JSON object, ``doc``, becomes a record: ``cls`` built
+    from its keys and from ``given``, fields no key may set.  A non-object, or a
+    key that is unknown, given or missing, raises ``error`` naming it."""
+    if not isinstance(doc, dict):
+        raise error(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
+    try:
+        return cls(**doc, **given)
+    except TypeError as exc:  # the call names the unknown, repeated or missing key
+        raise error(f"unknown or missing key: {exc}") from exc
 
 
 def check_fields(record, error: type[Exception]) -> None:
@@ -374,15 +394,15 @@ def read_csv(path, raw: bytes | None = None
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc})") from exc
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows = [(reader.line_num, cells) for cells in reader if cells]
     if not rows:
         raise FormatError(f"{path}: no header row")
     (_, header), rows = rows[0], rows[1:]
+    width = len(header)
     for line, cells in rows:
-        if len(cells) != len(header):
-            raise FormatError(f"{path}:{line}: {len(cells)} fields, "
-                              f"header has {len(header)}")
+        if len(cells) != width:
+            raise FormatError(f"{path}:{line}: {len(cells)} fields, header has {width}")
     return header, rows
 
 
@@ -426,23 +446,19 @@ def save_manifest(manifest: CaseManifest, path) -> Path:
                              "cases": [asdict(c) for c in manifest.cases]})
 
 
-def _records(cls, rows) -> list:
-    """A ``cls`` built from each of ``rows``, from the keys its fields name."""
-    names = [f.name for f in fields(cls)]
-    return [cls(**{name: row[name] for name in names}) for row in rows]
-
-
 def load_manifest(path) -> CaseManifest:
-    """Load a manifest; the files it names are read by ``train.load_cases``.
-    A header or row that its record rejects (a ``feature_dim`` of 4.9, a
-    censor of 0.7 or true) is a :class:`FormatError` naming the file."""
+    """Load a manifest; ``train.load_cases`` reads the files it names, relative
+    to its folder (``root``).  Its header and rows go through :func:`read_record`:
+    a key or a value they reject (a censor of 0.7) is a :class:`FormatError`."""
     path = Path(path)
     doc = read_json(path, FormatError)
+    rows = {"cases": CaseEntry, "category_spec": CategoryEntry}
     try:
-        return CaseManifest(_records(CaseEntry, doc["cases"]), doc["feature_dim"],
-                            _records(CategoryEntry, doc["category_spec"]), root=path.parent)
-    except (KeyError, TypeError, DataError) as exc:
-        raise FormatError(f"{path}: missing or malformed field: {exc}") from exc
+        header = {key: [read_record(rows[key], row, DataError) for row in value]
+                  if key in rows else value for key, value in doc.items()}
+        return read_record(CaseManifest, header, DataError, root=path.parent)
+    except (TypeError, DataError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ The defaults are the training protocol the pipeline is built around."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .bags import read_json
+from .bags import read_json, read_record
 from .errors import ConfigError
 from .microbatch import ATTENTION_MODES, OTSettings
 
@@ -32,13 +32,10 @@ class ExperimentConfig(OTSettings):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a JSON config; unknown keys and wrongly typed values are
-    rejected by name, with the file's path."""
+    """Read a JSON config; unknown or repeated keys and wrongly typed values
+    are rejected by name, with the file's path."""
     doc = read_json(path, ConfigError)
-    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
-    if unknown:
-        raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     try:
-        return ExperimentConfig(**doc)
+        return read_record(ExperimentConfig, doc, ConfigError)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tape, Var
-from .bags import GenomicProfile, json_type_ok, read_json, write_json
+from .bags import GenomicProfile, check_fields, json_type_ok, read_json, read_record, write_json
 from .errors import FormatError, ParameterError
 
 # Standard self-normalizing-network constants.
@@ -205,56 +205,61 @@ def accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> Non
 # Checkpoints
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """``checkpoint.json``; ``tensors`` maps each name to its ``shape`` and
+    ``data``, the base64 of its little-endian float64 bytes."""
+
+    seed: int
+    step: int
+    n_heads: int
+    n_encoders: int
+    tensors: dict
+
+    LEAST = {"n_heads": 1, "n_encoders": 0}
+
+    def __post_init__(self):
+        check_fields(self, FormatError)
+
+
 def save_checkpoint(params: ModelParams, out_dir, step: int = 0) -> Path:
-    """Write ``checkpoint.json``: seed, step, head and encoder counts, and
-    per tensor its shape and the base64 of its little-endian float64 bytes.
+    """Write ``checkpoint.json``, a :class:`Checkpoint`.
 
     The file is replaced atomically, so a save that fails leaves the previous
     checkpoint as it was.  Reloads are bit-exact.
     """
-    doc = {
-        "seed": params.seed,
-        "step": step,
-        "n_heads": params.n_heads,
-        "n_encoders": params.n_encoders,
-        "tensors": {name: {"shape": list(t.shape),
-                           "data": base64.b64encode(t.astype("<f8").tobytes()).decode()}
-                    for name, t in params.tensors()},
-    }
-    return write_json(Path(out_dir) / "checkpoint.json", doc)
+    tensors = {name: {"shape": list(t.shape),
+                      "data": base64.b64encode(t.astype("<f8").tobytes()).decode()}
+               for name, t in params.tensors()}
+    return write_json(Path(out_dir) / "checkpoint.json", asdict(
+        Checkpoint(params.seed, step, params.n_heads, params.n_encoders, tensors)))
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A file that is not a JSON object with integer ``seed``, ``step``,
-    ``n_heads`` >= 1 and ``n_encoders`` >= 0, lacks a tensor entry of
-    :func:`param_names` or has one more, has a tensor whose ``data`` is not
-    base64 of float64 values filling its integer ``shape``, has a tensor
-    whose shape breaks :func:`param_shapes` (with ``d_in`` and ``d`` read
-    off ``proj.w``, each ``d_j`` off ``enc.<j>.w1`` and ``n_bins`` off
-    ``hazard.w``), or has a model width ``n_heads`` does not divide raises
-    :class:`FormatError` naming the file.
+    A file that :func:`~otsurv.bags.read_record` rejects as a :class:`Checkpoint`,
+    lacks a tensor entry of :func:`param_names` or has one more, has a tensor
+    whose ``data`` is not base64 of float64 values filling its ``shape`` of
+    integers >= 0, has a tensor whose shape breaks :func:`param_shapes` (with
+    ``d_in`` and ``d`` read off ``proj.w``, each ``d_j`` off ``enc.<j>.w1``
+    and ``n_bins`` off ``hazard.w``), or has a model width the head count does
+    not divide raises :class:`FormatError` naming the file.
     """
     path = Path(ckpt_dir) / "checkpoint.json"
     doc = read_json(path, FormatError)
-    for key in ("seed", "step", "n_heads", "n_encoders"):
-        if not json_type_ok(doc.get(key), "int"):
-            raise FormatError(f"{path}: {key!r} must be an integer, got {doc.get(key)!r}")
-    if doc["n_heads"] < 1 or doc["n_encoders"] < 0:
-        raise FormatError(f"{path}: need 'n_heads' >= 1 and 'n_encoders' >= 0, got "
-                          f"{doc['n_heads']} and {doc['n_encoders']}")
-    entries = doc.get("tensors")
-    if not isinstance(entries, dict):
-        raise FormatError(f"{path}: 'tensors' must be a JSON object")
+    try:
+        header = read_record(Checkpoint, doc, FormatError)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
     def tensor(name):
-        entry = entries.get(name)
+        entry = header.tensors.get(name)
         if not (isinstance(entry, dict) and isinstance(entry.get("data"), str)
                 and isinstance(entry.get("shape"), list)
-                and all(json_type_ok(k, "int") for k in entry["shape"])):
+                and all(json_type_ok(k, "int") and k >= 0 for k in entry["shape"])):
             raise FormatError(f"{path}: tensor {name!r} needs an entry with a "
-                              f"'data' string and an integer 'shape' list")
+                              f"'data' string and a 'shape' list of integers >= 0")
         try:
             raw = base64.b64decode(entry["data"], validate=True)
             return np.frombuffer(raw, "<f8").reshape(entry["shape"]).copy()
@@ -263,11 +268,11 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
                               f"float64 values filling shape {entry['shape']} "
                               f"({exc})") from exc
 
-    names = param_names(doc["n_encoders"])
-    extra = sorted(set(entries) - set(names))
+    names = param_names(header.n_encoders)
+    extra = sorted(set(header.tensors) - set(names))
     if extra:
         raise FormatError(f"{path}: tensor {extra[0]!r} is not a parameter of a model "
-                          f"with {doc['n_encoders']} encoders")
+                          f"with {header.n_encoders} encoders")
     arrays = {name: tensor(name) for name in names}
 
     def matrix(name):
@@ -277,12 +282,12 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
         return arrays[name].shape
 
     (d_in, d), (_, n_bins) = matrix("proj.w"), matrix("hazard.w")
-    attr_dims = [matrix(f"enc.{j}.w1")[0] for j in range(doc["n_encoders"])]
+    attr_dims = [matrix(f"enc.{j}.w1")[0] for j in range(header.n_encoders)]
     for name, shape in param_shapes(d_in, d, attr_dims, n_bins).items():
         if arrays[name].shape != shape:
             raise FormatError(f"{path}: tensor {name!r} has shape "
                               f"{list(arrays[name].shape)}, expected {list(shape)}")
-    if d % doc["n_heads"]:
+    if d % header.n_heads:
         raise FormatError(f"{path}: model width {d} (from 'proj.w') is not divisible "
-                          f"by 'n_heads' {doc['n_heads']}")
-    return ModelParams(arrays, n_heads=doc["n_heads"], seed=doc["seed"]), doc["step"]
+                          f"by the head count {header.n_heads}")
+    return ModelParams(arrays, n_heads=header.n_heads, seed=header.seed), header.step

@@ -41,6 +41,7 @@ from .survival import (PROB_EPS, c_index, logrank, median_split,
 from .transport import TransportPlan
 
 EVAL_TAG = 0xEA7
+MODEL_WIDTH = 256  # the model's width, or the bags' feature width where that is less
 
 log = logging.getLogger(__name__)
 
@@ -209,7 +210,7 @@ def train_fold(cases: list[CaseData], train_idx, val_idx,
 
     d_in = train_cases[0].pathology_raw.shape[1]
     attr_dims = train_cases[0].profile.attr_dims()
-    params = init_params(d_in, d_in, attr_dims, config.bins,
+    params = init_params(d_in, min(d_in, MODEL_WIDTH), attr_dims, config.bins,
                          seed=derive_seed(config.seed, fold))
     adam = AdamState.for_params(params)
 

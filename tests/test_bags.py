@@ -1,7 +1,10 @@
 """Data model, file formats, synthetic generation, discretization."""
 
+import dataclasses
+import functools
 import json
 import math
+import operator
 import warnings
 from pathlib import Path
 
@@ -14,11 +17,11 @@ from failing_writes import fail_writes_to, files_under
 from otsurv.bags import (CaseEntry, CaseManifest, CategoryEntry, GenomicProfile,
                          InstanceBag, SurvivalRecord, assign_bin, discretize_times,
                          generate_synthetic_dataset, load_bag,
-                         load_genomic_profile, load_manifest, save_bag,
-                         save_genomic_profile, save_manifest)
-from otsurv.config import load_config
+                         load_genomic_profile, load_manifest, read_csv, save_bag,
+                         save_genomic_profile, save_manifest, write_csv)
+from otsurv.config import ExperimentConfig, load_config
 from otsurv.errors import ConfigError, DataError, FormatError, ParameterError
-from otsurv.neural import load_checkpoint
+from otsurv.neural import init_params, load_checkpoint, save_checkpoint
 from otsurv.train import load_cases
 
 
@@ -78,6 +81,20 @@ def test_csv_error_names_physical_line(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(FormatError, match=message):
         load_bag(path)
+
+
+def test_csv_cell_with_a_line_break_reads_back_whole(tmp_path):
+    # Cells that str.splitlines() split: "\n" inside a quoted cell was dropped,
+    # and the others made two rows out of one.
+    for k, cell in enumerate(["a\nb", "a\r\nb", "a\x0bb", "a\x0cb", "a\x1cb",
+                              "a\x85b", "a\u2028b"]):
+        path = write_csv(tmp_path / f"cell{k}.csv", [("id", "x"), (cell, 1.5), ("z", 2.5)])
+        line = 2 + cell.count("\n")  # the physical line the row ends on
+        assert read_csv(path) == (["id", "x"], [(line, [cell, "1.5"]),
+                                                (line + 1, ["z", "2.5"])])
+    # csv.writer leaves a lone "\r" unquoted, so it cannot be read back.
+    with pytest.raises(FormatError, match="lone.csv:2: 1 fields, header has 2"):
+        read_csv(write_csv(tmp_path / "lone.csv", [("id", "x"), ("a\rb", 1.5)]))
 
 
 def test_binary_bad_magic_and_truncation(tmp_path):
@@ -444,6 +461,53 @@ def test_json_inputs_must_be_objects_naming_file(tmp_path, load, name, error, te
     if text is not None:
         path.write_text(text, encoding="utf-8")
     with pytest.raises(error, match=name):
+        load(path)
+
+
+def _saved_input(tmp_path, kind):
+    """A valid manifest, config or checkpoint file, its reader and its error."""
+    if kind == "manifest":
+        path = save_manifest(CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", 12.5, 1)], 4,
+                                          [CategoryEntry("a", 2)]), tmp_path / "manifest.json")
+        return path, load_manifest, FormatError
+    if kind == "config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dataclasses.asdict(ExperimentConfig())), encoding="utf-8")
+        return path, load_config, ConfigError
+    save_checkpoint(init_params(8, 8, [3], 4, seed=0), tmp_path)
+    return tmp_path / "checkpoint.json", lambda path: load_checkpoint(path.parent), FormatError
+
+
+@pytest.mark.parametrize("kind, where, problem, key", [
+    ("manifest", (), "unknown", "feature_dims"),
+    ("manifest", (), "unknown", "root"),
+    ("manifest", ("category_spec", 0), "unknown", "dims"),
+    ("manifest", ("cases", 0), "unknown", "censored"),
+    ("checkpoint", (), "unknown", "stepp"),
+    ("config", (), "repeated", "seed"),
+    ("manifest", ("cases", 0), "repeated", "censor"),
+    ("checkpoint", (), "repeated", "n_heads"),
+    ("checkpoint", ("tensors", "proj.w"), "repeated", "shape"),
+    ("manifest", ("cases", 0), "missing", "censor"),
+    ("checkpoint", (), "missing", "step"),
+])
+def test_json_inputs_reject_unknown_repeated_and_missing_keys(tmp_path, kind, where,
+                                                              problem, key):
+    # json.load keeps the last of a repeated key, and the manifest and
+    # checkpoint readers ignored a key that names no field ("root" is the
+    # manifest's folder, never a key).
+    path, load, error = _saved_input(tmp_path, kind)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    obj = functools.reduce(operator.getitem, where, doc)
+    if problem == "unknown":
+        obj[key] = 1
+    elif problem == "repeated":
+        obj["\0"] = obj[key]  # renamed to a second ``key`` below
+    else:
+        del obj[key]
+    path.write_text(json.dumps(doc).replace(json.dumps("\0"), json.dumps(key)),
+                    encoding="utf-8")
+    with pytest.raises(error, match=f"{path.name}: .*'{key}'"):
         load(path)
 
 

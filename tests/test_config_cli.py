@@ -603,11 +603,13 @@ def test_cli_train_km_case_id_with_comma(tmp_path, capsys):
                      "--m-g", "3", "--dim", "8", "--seed", "7"]) == 0
     doc = json.loads((data / "manifest.json").read_text())
     doc["cases"][0]["case_id"] = "case,0"
+    doc["cases"][1]["case_id"] = "case\n1"
     (data / "manifest.json").write_text(json.dumps(doc))
     assert cli.main(["train", "--manifest", str(data / "manifest.json"),
                      "--out", str(tmp_path / "run"), "--folds", "2", "--epochs", "1",
                      "--micro-batch", "4", "--bins", "3", "--grad-accum-steps", "8"]) == 0
-    assert '"case,0"' in (tmp_path / "run" / "risks.csv").read_text()
+    risks = (tmp_path / "run" / "risks.csv").read_text()
+    assert '"case,0"' in risks and '"case\n1"' in risks
     assert cli.main(["km", "--risks", str(tmp_path / "run" / "risks.csv"),
                      "--manifest", str(data / "manifest.json"),
                      "--out-prefix", str(tmp_path / "km")]) == 0, capsys.readouterr().err

@@ -684,12 +684,14 @@ def test_checkpoint_shape_not_matching_blob_is_format_error(tmp_path):
     lambda doc: doc["tensors"]["proj.w"].update(shape=[64]),
     lambda doc: doc.update(tensors=[]),
     lambda doc: doc["tensors"]["proj.b"].update(shape=8),
+    # numpy's -1 wildcard would read the 64 values as 8 x 8.
+    lambda doc: doc["tensors"]["proj.w"].update(shape=[-1, 8]),
     lambda doc: doc["tensors"]["proj.b"].update(data="not base64!"),
     # 63 of the 64 bytes: not a whole number of float64 values.
     lambda doc: doc["tensors"]["proj.b"].update(
         data=doc["tensors"]["proj.b"]["data"][:-4]),
 ], ids=["step", "n_heads", "seed", "n_heads 0", "n_heads 3", "n_encoders -1",
-        "proj.w 1-D", "tensors", "shape", "data", "short data"])
+        "proj.w 1-D", "tensors", "shape", "negative shape", "data", "short data"])
 def test_checkpoint_malformed_manifest_is_format_error(tmp_path, edit):
     save_checkpoint(tiny_params(seed=44), tmp_path)
     _edit_manifest(tmp_path, edit)

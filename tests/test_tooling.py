@@ -96,8 +96,8 @@ def test_every_write_goes_through_atomic_writer():
 
 
 # The functions of src/otsurv that may apply the JSON type rule: the field
-# check of every dataclass record, and the checkpoint reader, whose header is
-# a dict.
+# check of every dataclass record, and the checkpoint reader, whose tensor
+# entries are dicts.
 TYPE_RULE_ONLY_IN = {"check_fields", "load_checkpoint"}
 
 # The functions that read or write a manifest's fields; their records check
@@ -138,6 +138,26 @@ def test_each_input_rule_is_applied_in_one_place():
         if (tables or numbers) and "check_fields(self, DataError)" not in "".join(post_init):
             unchecked.append((cls.name, sorted(tables), numbers))
     assert unchecked == []
+
+    # A JSON object becomes a record through bags.read_record, which holds the
+    # key policy (unknown, repeated and missing keys); a reader that looks its
+    # keys up itself keeps a second policy.
+    called = {}
+    for path in sorted((REPO / "src" / "otsurv").glob("*.py")):
+        for where, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if where:
+                called.setdefault(where[0], set()).add(ast.unparse(call.func))
+    readers = sorted(name for name, calls in called.items() if "read_json" in calls)
+    assert readers == ["load_checkpoint", "load_config", "load_manifest"]
+    assert [name for name in readers if "read_record" not in called[name]] == []
+    assert "fields" not in called["load_config"]
+
+    # The checkpoint's keys are spelled once, in its record, neural.Checkpoint.
+    neural_py = ast.parse((REPO / "src" / "otsurv" / "neural.py").read_text(encoding="utf-8"))
+    keys = {"seed", "step", "n_heads", "n_encoders"}
+    assert [node.value for top in neural_py.body
+            if not (isinstance(top, ast.ClassDef) and top.name == "Checkpoint")
+            for node in ast.walk(top) if isinstance(node, ast.Constant) and node.value in keys] == []
 
 
 def test_every_perfbench_hook_resolves(monkeypatch):

@@ -21,7 +21,7 @@ from otsurv.errors import DataError
 from otsurv.microbatch import OTSettings, solve_batch
 from otsurv.neural import (attention_pool_t, encode_genomic_t, extract_grads,
                            hazard_t, init_params, load_checkpoint, project_t,
-                           wrap_params)
+                           save_checkpoint, wrap_params)
 from otsurv.survival import PROB_EPS
 from otsurv.train import (CaseData, ablation_sweep, case_forward,
                           case_loss_and_grads, case_risk, cross_validate,
@@ -341,6 +341,22 @@ def test_load_cases_rejects_bag_dim_not_feature_dim(tmp_path):
     with pytest.raises(DataError, match=f"{entry.case_id}: pathology dim 4 != "
                                         f"manifest feature_dim 5"):
         load_cases(manifest)
+
+
+def test_train_fold_caps_the_model_width(tmp_path):
+    # Wider patch features are projected to MODEL_WIDTH, as the paper's
+    # 1024-d features are to 256; every current workload has d_in 64.
+    cases = load_cases(generate_synthetic_dataset(
+        n_cases=10, M_p=4, M_g=2, d=260, signal_fraction=0.5, noise_scale=0.25,
+        censor_rate=0.2, seed=5, output_dir=tmp_path / "data"))
+    config = ExperimentConfig(seed=0, folds=2, epochs=1, micro_batch=4, bins=2)
+    train_idx, val_idx = fold_splits(len(cases), 2, seed=0)[0]
+    _, params = train_fold(cases, train_idx, val_idx, config, 0)
+    assert params.arrays["proj.w"].shape == (260, 256) == (260, train.MODEL_WIDTH)
+    save_checkpoint(params, tmp_path / "fold0")
+    loaded, _ = load_checkpoint(tmp_path / "fold0")
+    assert [(n, t.tobytes()) for n, t in loaded.tensors()] == \
+        [(n, t.tobytes()) for n, t in params.tensors()]
 
 
 def test_train_fold_runs_and_improves_fit(small_dataset):
