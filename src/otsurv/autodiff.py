@@ -15,9 +15,13 @@ before that.  A stack's slices are the micro-batches in order, so that is
 the order in which a sweep over per-micro-batch chains adds them: a
 stacked pass gives the per-micro-batch gradients bit for bit.
 
-Ops implement exactly the vector-Jacobian products the survival pipeline
-needs; gradients are verified against central finite differences in the
-test suite.
+A node is its value, its parents and one vector-Jacobian product: ``vjp(g)``
+returns one contribution per parent, in the parents' order, and backward
+adds them in that order, skipping None.  Backward adds nothing into a
+const, so ``linear`` and ``matmul`` return None for a const operand rather
+than compute a product that would be dropped.  Ops implement exactly the
+vector-Jacobian products the survival pipeline needs; gradients are
+verified against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -52,18 +56,24 @@ def _t(x: np.ndarray) -> np.ndarray:
 
 
 class Var:
-    """A value plus the back-references needed to differentiate through it."""
+    """A value, the Vars it was computed from, and one VJP into them."""
 
-    __slots__ = ("value", "grad", "backrefs")
+    __slots__ = ("value", "grad", "parents", "vjp")
 
-    def __init__(self, value, backrefs=()):
+    def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.backrefs = backrefs  # tuple of (parent Var, vjp callable); None on a const
+        self.parents = parents  # None on a const
+        self.vjp = vjp  # g -> one contribution (or None) per parent
 
     @property
     def shape(self):
         return self.value.shape
+
+    @property
+    def const(self) -> bool:
+        """Whether this is a :meth:`Tape.const` input, which gets no gradient."""
+        return self.parents is None
 
 
 class Tape:
@@ -73,8 +83,8 @@ class Tape:
         self.nodes: list[Var] = []
         self.consumed = False
 
-    def _emit(self, value, backrefs=()) -> Var:
-        node = Var(value, backrefs)
+    def _emit(self, value, parents=(), vjp=None) -> Var:
+        node = Var(value, parents, vjp)
         self.nodes.append(node)
         return node
 
@@ -93,43 +103,31 @@ class Tape:
     def matmul(self, a: Var, b: Var) -> Var:
         if a.value.shape[-1] != b.value.shape[-2]:
             raise ShapeError(f"matmul shapes {a.shape} @ {b.shape}")
-        return self._emit(
-            a.value @ b.value,
-            ((a, lambda g, b=b: g @ _t(b.value)),
-             (b, lambda g, a=a: _t(a.value) @ g)),
-        )
+        return self._emit(a.value @ b.value, (a, b), lambda g: (
+            None if a.const else g @ _t(b.value), None if b.const else _t(a.value) @ g))
 
     def linear(self, x: Var, w: Var, b: Var) -> Var:
         """``x @ w + b`` as one node, with the VJPs of ``matmul`` and ``add``."""
         if x.value.shape[-1] != w.value.shape[0]:
             raise ShapeError(f"linear shapes {x.shape} @ {w.shape}")
-        return self._emit(
-            x.value @ w.value + b.value,
-            ((x, lambda g, w=w: g @ w.value.T),
-             (w, lambda g, x=x: _t(x.value) @ g),
-             (b, lambda g, s=b.value.shape: _unbroadcast(g, s))),
-        )
+        return self._emit(x.value @ w.value + b.value, (x, w, b), lambda g: (
+            None if x.const else g @ w.value.T, _t(x.value) @ g,
+            _unbroadcast(g, b.value.shape)))
 
     def add(self, a: Var, b: Var) -> Var:
-        return self._emit(
-            a.value + b.value,
-            ((a, lambda g, s=a.value.shape: _unbroadcast(g, s)),
-             (b, lambda g, s=b.value.shape: _unbroadcast(g, s))),
-        )
+        return self._emit(a.value + b.value, (a, b), lambda g: (
+            _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
 
     def mul(self, a: Var, b: Var) -> Var:
-        return self._emit(
-            a.value * b.value,
-            ((a, lambda g, b=b, s=a.value.shape: _unbroadcast(g * b.value, s)),
-             (b, lambda g, a=a, s=b.value.shape: _unbroadcast(g * a.value, s))),
-        )
+        return self._emit(a.value * b.value, (a, b), lambda g: (
+            _unbroadcast(g * b.value, a.value.shape), _unbroadcast(g * a.value, b.value.shape)))
 
     def scale(self, a: Var, c: float) -> Var:
-        return self._emit(a.value * c, ((a, lambda g, c=c: g * c),))
+        return self._emit(a.value * c, (a,), lambda g: (g * c,))
 
     def sub_from(self, c: float, a: Var) -> Var:
         """c - a for a plain float c."""
-        return self._emit(c - a.value, ((a, lambda g: -g),))
+        return self._emit(c - a.value, (a,), lambda g: (-g,))
 
     # -- nonlinearities ----------------------------------------------------
 
@@ -139,30 +137,27 @@ class Tape:
         e = np.exp(np.minimum(x, 0.0))
         y = lam * np.where(pos, x, alpha * (e - 1.0))
         deriv = lam * np.where(pos, 1.0, alpha * e)
-        return self._emit(y, ((a, lambda g, d=deriv: g * d),))
+        return self._emit(y, (a,), lambda g: (g * deriv,))
 
     def sigmoid(self, a: Var) -> Var:
         x = a.value
         z = np.exp(-np.abs(x))  # never overflows; saturates to exact 0/1
         s = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-        return self._emit(s, ((a, lambda g, s=s: g * s * (1.0 - s)),))
+        return self._emit(s, (a,), lambda g: (g * s * (1.0 - s),))
 
     def log(self, a: Var) -> Var:
-        return self._emit(np.log(a.value), ((a, lambda g, a=a: g / a.value),))
+        return self._emit(np.log(a.value), (a,), lambda g: (g / a.value,))
 
     def clamp_min(self, a: Var, floor: float) -> Var:
         mask = a.value > floor
-        return self._emit(np.maximum(a.value, floor),
-                          ((a, lambda g, m=mask: g * m),))
+        return self._emit(np.maximum(a.value, floor), (a,), lambda g: (g * mask,))
 
     # -- shape ops ----------------------------------------------------------
 
     def mean_rows(self, a: Var) -> Var:
         n = a.value.shape[-2]
-        return self._emit(
-            a.value.mean(axis=-2, keepdims=True),
-            ((a, lambda g, n=n, shape=a.value.shape: np.broadcast_to(g / n, shape).copy()),),
-        )
+        return self._emit(a.value.mean(axis=-2, keepdims=True), (a,),
+                          lambda g: (np.broadcast_to(g / n, a.value.shape).copy(),))
 
     def concat_cols(self, parts: list[Var]) -> Var:
         """Column-wise concatenation; an unstacked part joins every slice of a stack."""
@@ -171,30 +166,24 @@ class Tape:
         for p in parts:
             offsets.append(offsets[-1] + p.value.shape[-1])
         out = np.empty((*rows, offsets[-1]))
-        for p, k0, k1 in zip(parts, offsets, offsets[1:]):
+        spans = list(zip(offsets, offsets[1:]))
+        for p, (k0, k1) in zip(parts, spans):
             out[..., k0:k1] = p.value
-        backrefs = tuple(
-            (p, lambda g, k0=k0, k1=k1: g[..., k0:k1])
-            for p, k0, k1 in zip(parts, offsets, offsets[1:])
-        )
-        return self._emit(out, backrefs)
+        return self._emit(out, tuple(parts),
+                          lambda g: tuple(g[..., k0:k1] for k0, k1 in spans))
 
     def concat_rows(self, parts: list[Var]) -> Var:
-        heights = [p.value.shape[0] for p in parts]
-        offsets = np.cumsum([0] + heights)
-        backrefs = tuple(
-            (p, lambda g, k0=offsets[k], k1=offsets[k + 1]: g[k0:k1, :])
-            for k, p in enumerate(parts)
-        )
-        return self._emit(np.concatenate([p.value for p in parts], axis=0), backrefs)
+        offsets = np.cumsum([0] + [p.value.shape[0] for p in parts])
+        return self._emit(np.concatenate([p.value for p in parts], axis=0), tuple(parts),
+                          lambda g: tuple(g[k0:k1, :] for k0, k1 in zip(offsets, offsets[1:])))
 
     def pick(self, a: Var, i: int, j: int) -> Var:
-        def vjp(g, shape=a.value.shape, i=i, j=j):
-            out = np.zeros(shape)
+        def vjp(g):
+            out = np.zeros(a.value.shape)
             out[i, j] = g
-            return out
+            return (out,)
 
-        return self._emit(a.value[i, j], ((a, vjp),))
+        return self._emit(a.value[i, j], (a,), vjp)
 
     # -- attention ------------------------------------------------------------
 
@@ -211,8 +200,7 @@ class Tape:
         The heads run as C-contiguous ``(..., H, n, dh)`` stacks, so every
         ``matmul`` hands each head's 2-D operands to BLAS gemm with the
         same layout and transpose flags as separate per-head products: the
-        value and gradients are bitwise those of the per-head chain.  The
-        first VJP call computes all three gradients; the others reuse them.
+        value and gradients are bitwise those of the per-head chain.
         """
         d, (n_k, d_k), (n_v, d_v) = q.shape[-1], k.shape[-2:], v.shape[-2:]
         if d != d_k or n_v != n_k or d % n_heads or d_v % n_heads:
@@ -231,20 +219,14 @@ class Tape:
         logits = (sq @ _t(sk)) * scale
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         s = e / e.sum(axis=-1, keepdims=True)
-        grads = []
 
-        def vjp(g, i):
-            if not grads:
-                g_out = split(g)
-                g_s = g_out @ _t(sv)
-                g_logits = s * (g_s - np.sum(g_s * s, axis=-1, keepdims=True)) * scale
-                grads.extend((merge(g_logits @ sk),
-                              merge(_t(_t(sq) @ g_logits)),
-                              merge(_t(s) @ g_out)))
-            return grads[i]
+        def vjp(g):
+            g_out = split(g)
+            g_s = g_out @ _t(sv)
+            g_logits = s * (g_s - np.sum(g_s * s, axis=-1, keepdims=True)) * scale
+            return (merge(g_logits @ sk), merge(_t(_t(sq) @ g_logits)), merge(_t(s) @ g_out))
 
-        return self._emit(merge(s @ sv),
-                          tuple((x, lambda g, i=i: vjp(g, i)) for i, x in enumerate((q, k, v))))
+        return self._emit(merge(s @ sv), (q, k, v), vjp)
 
     # -- survival ---------------------------------------------------------------
 
@@ -289,31 +271,26 @@ class Tape:
         total = terms[0]
         for term in terms[1:]:
             total = total + term
-        grads = []
 
-        def vjp(g, i):
-            if not grads:
-                out = [[0.0] * T for _ in h]
-                for r, w in enumerate(weights):
-                    g_term = float(g) * -w
-                    if n_f:
-                        # S_{z-1}'s gradient is S_z's times f_z; f_z's is S_z's
-                        # times S_{z-1}.
-                        g_s = g_term / surv[r] * (prefix[r][-1] > floor)
-                        for z in range(n_f - 1, 0, -1):
-                            out[r][z] = -(g_s * prefix[r][z - 1] * (s[r][z] > floor))
-                            g_s = g_s * f[r][z]
-                        out[r][0] = -(g_s * (s[r][0] > floor))
-                    if not censored:
-                        out[r][t] = g_term / h_t[r] * (h[r][t] > floor)
-                k0 = 0
-                for p, part in zip(hazards, parts):
-                    grads.append(np.array(out[k0:k0 + len(part)]).reshape(p.value.shape))
-                    k0 += len(part)
-            return grads[i]
+        def vjp(g):
+            out = [[0.0] * T for _ in h]
+            for r, w in enumerate(weights):
+                g_term = float(g) * -w
+                if n_f:
+                    # S_{z-1}'s gradient is S_z's times f_z; f_z's is S_z's
+                    # times S_{z-1}.
+                    g_s = g_term / surv[r] * (prefix[r][-1] > floor)
+                    for z in range(n_f - 1, 0, -1):
+                        out[r][z] = -(g_s * prefix[r][z - 1] * (s[r][z] > floor))
+                        g_s = g_s * f[r][z]
+                    out[r][0] = -(g_s * (s[r][0] > floor))
+                if not censored:
+                    out[r][t] = g_term / h_t[r] * (h[r][t] > floor)
+            ends = list(accumulate(len(part) for part in parts))
+            return [np.array(out[k1 - len(part):k1]).reshape(p.value.shape)
+                    for p, part, k1 in zip(hazards, parts, ends)]
 
-        return self._emit(total, tuple((p, lambda g, i=i: vjp(g, i))
-                                       for i, p in enumerate(hazards)))
+        return self._emit(total, tuple(hazards), vjp)
 
 
 def backward(tape: Tape, root: Var) -> None:
@@ -326,12 +303,11 @@ def backward(tape: Tape, root: Var) -> None:
     root.grad = np.ones(())
     for node in reversed(tape.nodes):
         g = node.grad
-        if g is None:
+        if g is None or not node.parents:
             continue
-        for parent, vjp in node.backrefs:
-            if parent.backrefs is None:  # a const: its gradient is never read
+        for parent, contrib in zip(node.parents, node.vjp(g)):
+            if contrib is None or parent.const:  # a const's gradient is never read
                 continue
-            contrib = vjp(g)
             total = parent.grad
             # A stack into an unstacked operand adds its slices, last first.
             for part in reversed(contrib) if contrib.ndim > parent.value.ndim else (contrib,):

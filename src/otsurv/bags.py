@@ -449,15 +449,21 @@ def save_manifest(manifest: CaseManifest, path) -> Path:
 def load_manifest(path) -> CaseManifest:
     """Load a manifest; ``train.load_cases`` reads the files it names, relative
     to its folder (``root``).  Its header and rows go through :func:`read_record`:
-    a key or a value they reject (a censor of 0.7) is a :class:`FormatError`."""
+    a key or a value they reject (a censor of 0.7), or a ``cases`` or
+    ``category_spec`` that is not a list, is a :class:`FormatError`."""
     path = Path(path)
     doc = read_json(path, FormatError)
     rows = {"cases": CaseEntry, "category_spec": CategoryEntry}
+
+    def records(key, value):
+        if not isinstance(value, list):
+            raise DataError(f"{key} must be a JSON list, got {type(value).__name__}")
+        return [read_record(rows[key], row, DataError) for row in value]
     try:
-        header = {key: [read_record(rows[key], row, DataError) for row in value]
-                  if key in rows else value for key, value in doc.items()}
+        header = {key: records(key, value) if key in rows else value
+                  for key, value in doc.items()}
         return read_record(CaseManifest, header, DataError, root=path.parent)
-    except (TypeError, DataError) as exc:
+    except DataError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -241,7 +241,7 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
     A file that :func:`~otsurv.bags.read_record` rejects as a :class:`Checkpoint`,
     lacks a tensor entry of :func:`param_names` or has one more, has a tensor
     whose ``data`` is not base64 of float64 values filling its ``shape`` of
-    integers >= 0, has a tensor whose shape breaks :func:`param_shapes` (with
+    integers >= 1, has a tensor whose shape breaks :func:`param_shapes` (with
     ``d_in`` and ``d`` read off ``proj.w``, each ``d_j`` off ``enc.<j>.w1``
     and ``n_bins`` off ``hazard.w``), or has a model width the head count does
     not divide raises :class:`FormatError` naming the file.
@@ -257,9 +257,9 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
         entry = header.tensors.get(name)
         if not (isinstance(entry, dict) and isinstance(entry.get("data"), str)
                 and isinstance(entry.get("shape"), list)
-                and all(json_type_ok(k, "int") and k >= 0 for k in entry["shape"])):
+                and all(json_type_ok(k, "int") and k >= 1 for k in entry["shape"])):
             raise FormatError(f"{path}: tensor {name!r} needs an entry with a "
-                              f"'data' string and a 'shape' list of integers >= 0")
+                              f"'data' string and a 'shape' list of integers >= 1")
         try:
             raw = base64.b64decode(entry["data"], validate=True)
             return np.frombuffer(raw, "<f8").reshape(entry["shape"]).copy()

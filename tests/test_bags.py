@@ -387,6 +387,21 @@ def test_manifest_header_of_the_wrong_type_is_format_error(tmp_path, field, valu
         load_manifest(path)
 
 
+@pytest.mark.parametrize("value", [5, "ab", {}], ids=["int", "str", "object"])
+@pytest.mark.parametrize("key", ["cases", "category_spec"])
+def test_manifest_row_list_that_is_not_a_list_is_format_error(tmp_path, key, value):
+    # 5 failed as "'int' object is not iterable", "ab" was read one character
+    # at a time, and {} loaded as no rows: none of them named the key.
+    path = save_manifest(CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", 12.5, 1)], 4,
+                                      [CategoryEntry("a", 2)]), tmp_path / "manifest.json")
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"manifest.json: {key} must be a JSON list, "
+                                          f"got {type(value).__name__}$"):
+        load_manifest(path)
+
+
 def test_manifest_writes_numpy_scalars_as_python_numbers(tmp_path):
     spec = [CategoryEntry("a", 2)]
     plain = CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", 12.5, 1)], 4, spec)

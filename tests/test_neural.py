@@ -378,7 +378,7 @@ def _gradcheck_stacked(op, arrays, n_coords=10, seed=0):
 
     def loss(tape, inputs):
         out = op(tape, *inputs)
-        return tape._emit(np.sum(out.value * c), ((out, lambda g: g * c),))
+        return tape._emit(np.sum(out.value * c), (out,), lambda g: (g * c,))
 
     def loss_at():
         tape = Tape()
@@ -443,12 +443,11 @@ def test_attention_bitwise_equals_per_head_oracle(n_heads, n_q, n_k, spread, see
     want_out, *want_grads = per_head_attention(q, k, v, n_heads, scale, g)
     assert out.shape == want_out.shape
     assert out.value.tobytes() == want_out.tobytes()
-    # Whichever VJP runs first computes all three gradients.
-    vjps = [vjp for _, vjp in out.backrefs]
-    for i in (2, 0, 1):
-        got = vjps[i](g)
-        assert got.shape == want_grads[i].shape
-        assert got.tobytes() == want_grads[i].tobytes()
+    got_grads = out.vjp(g)
+    assert len(got_grads) == len(out.parents) == 3
+    for got, want in zip(got_grads, want_grads):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_attention_shape_mismatch_is_shape_error():
@@ -515,6 +514,25 @@ def test_backward_computes_no_gradient_for_consts():
     assert grads["const"] == grads["leaf"]
 
 
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["matrix", "stack"])
+def test_linear_and_matmul_return_none_for_a_const_operand(stack):
+    # Backward never reads a const's gradient, so these VJPs skip its
+    # product (the frozen bag's in the projection) and return None for it.
+    rng = np.random.default_rng(17)
+    tape = Tape()
+    x, c_left, c_right = (tape.const(rng.standard_normal(s))
+                          for s in ((*stack, 5, 4), (2, 5), (3, 2)))
+    w, b = tape.leaf(rng.standard_normal((4, 3))), tape.leaf(rng.standard_normal(3))
+    lin = tape.linear(x, w, b)
+    g_x, g_w, g_b = lin.vjp(np.ones(lin.shape))
+    assert g_x is None and g_w.shape == (*stack, 4, 3) and g_b.shape == (*stack, 3)
+    left, right = tape.matmul(c_left, lin), tape.matmul(lin, c_right)
+    g_c, g_lin = left.vjp(np.ones(left.shape))
+    assert g_c is None and g_lin.shape == lin.shape
+    g_lin, g_c = right.vjp(np.ones(right.shape))
+    assert g_c is None and g_lin.shape == lin.shape
+
+
 @pytest.mark.parametrize("stack", [None, 3], ids=["matrix", "stack"])
 def test_backward_first_contribution_of_negative_zero_is_positive_zero(stack):
     # Backward starts a gradient from the first contribution without a zero
@@ -523,7 +541,7 @@ def test_backward_first_contribution_of_negative_zero_is_positive_zero(stack):
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))
     shape = x.shape if stack is None else (stack, *x.shape)
-    root = tape._emit(0.0, ((x, lambda g: np.full(shape, -0.0)),))
+    root = tape._emit(0.0, (x,), lambda g: (np.full(shape, -0.0),))
     backward(tape, root)
     assert x.grad.shape == (2, 2) and x.grad.flags.c_contiguous
     assert not np.signbit(x.grad).any()
@@ -686,12 +704,15 @@ def test_checkpoint_shape_not_matching_blob_is_format_error(tmp_path):
     lambda doc: doc["tensors"]["proj.b"].update(shape=8),
     # numpy's -1 wildcard would read the 64 values as 8 x 8.
     lambda doc: doc["tensors"]["proj.w"].update(shape=[-1, 8]),
+    # No values fill it, and every shape is read off proj.w: a d_in of 0.
+    lambda doc: doc["tensors"]["proj.w"].update(shape=[0, 8], data=""),
     lambda doc: doc["tensors"]["proj.b"].update(data="not base64!"),
     # 63 of the 64 bytes: not a whole number of float64 values.
     lambda doc: doc["tensors"]["proj.b"].update(
         data=doc["tensors"]["proj.b"]["data"][:-4]),
 ], ids=["step", "n_heads", "seed", "n_heads 0", "n_heads 3", "n_encoders -1",
-        "proj.w 1-D", "tensors", "shape", "negative shape", "data", "short data"])
+        "proj.w 1-D", "tensors", "shape", "negative shape", "zero shape", "data",
+        "short data"])
 def test_checkpoint_malformed_manifest_is_format_error(tmp_path, edit):
     save_checkpoint(tiny_params(seed=44), tmp_path)
     _edit_manifest(tmp_path, edit)
