@@ -120,6 +120,13 @@ class SurvivalRecord:
         check_fields(self, DataError)
 
 
+def label_arrays(records: list[SurvivalRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The records' times as float64 and their observed deaths (censor == 0)
+    as bool, in record order; both arrays are empty for no records."""
+    return (np.array([r.time_months for r in records], dtype=np.float64),
+            np.array([r.censor == 0 for r in records], dtype=bool))
+
+
 @dataclass(frozen=True)
 class CaseEntry:
     """One manifest row; its fields are the row's keys, checked when built
@@ -309,10 +316,10 @@ def read_json(path, error: type[Exception]) -> dict:
     return doc
 
 
-# The JSON value types a field annotated int, float, str, bool or dict
+# The JSON value types a field annotated int, float, str, bool, dict or list
 # accepts.  A bool is an int to Python, but true in a number field is a mistake.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
-               "dict": (dict,)}
+               "dict": (dict,), "list": (list,)}
 
 
 def json_type_ok(value, kind: str) -> bool:
@@ -583,16 +590,15 @@ def discretize_times(records: list[SurvivalRecord], n_bins: int
     """
     if n_bins < 2:
         raise ParameterError(f"n_bins must be >= 2, got {n_bins}")
-    uncensored = np.asarray([r.time_months for r in records if r.censor == 0])
+    times, events = label_arrays(records)
+    uncensored = times[events]
     if uncensored.size < n_bins:
         raise DataError(f"need at least {n_bins} uncensored cases, got {uncensored.size}")
-    qs = np.arange(1, n_bins) / n_bins
-    edges = np.quantile(uncensored, qs)
+    edges = np.quantile(uncensored, np.arange(1, n_bins) / n_bins)
     if np.unique(edges).size < edges.size:
         warnings.warn("degenerate bin edges: tied quantiles collapse some bins",
                       stacklevel=2)
-    out = [replace(r, bin=assign_bin(edges, r.time_months)) for r in records]
-    return edges, out
+    return edges, [replace(r, bin=assign_bin(edges, r.time_months)) for r in records]
 
 
 def assign_bin(edges: np.ndarray, time_months: float) -> int:

@@ -206,9 +206,20 @@ def accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> Non
 
 
 @dataclass(frozen=True)
+class TensorEntry:
+    """One tensor of a :class:`Checkpoint`: its ``shape`` and its ``data``,
+    the base64 of its little-endian float64 bytes."""
+
+    shape: list
+    data: str
+
+    def __post_init__(self):
+        check_fields(self, FormatError)
+
+
+@dataclass(frozen=True)
 class Checkpoint:
-    """``checkpoint.json``; ``tensors`` maps each name to its ``shape`` and
-    ``data``, the base64 of its little-endian float64 bytes."""
+    """``checkpoint.json``; ``tensors`` maps each name to a :class:`TensorEntry`."""
 
     seed: int
     step: int
@@ -228,8 +239,8 @@ def save_checkpoint(params: ModelParams, out_dir, step: int = 0) -> Path:
     The file is replaced atomically, so a save that fails leaves the previous
     checkpoint as it was.  Reloads are bit-exact.
     """
-    tensors = {name: {"shape": list(t.shape),
-                      "data": base64.b64encode(t.astype("<f8").tobytes()).decode()}
+    tensors = {name: TensorEntry(list(t.shape),
+                                 base64.b64encode(t.astype("<f8").tobytes()).decode())
                for name, t in params.tensors()}
     return write_json(Path(out_dir) / "checkpoint.json", asdict(
         Checkpoint(params.seed, step, params.n_heads, params.n_encoders, tensors)))
@@ -238,13 +249,15 @@ def save_checkpoint(params: ModelParams, out_dir, step: int = 0) -> Path:
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A file that :func:`~otsurv.bags.read_record` rejects as a :class:`Checkpoint`,
-    lacks a tensor entry of :func:`param_names` or has one more, has a tensor
-    whose ``data`` is not base64 of float64 values filling its ``shape`` of
-    integers >= 1, has a tensor whose shape breaks :func:`param_shapes` (with
-    ``d_in`` and ``d`` read off ``proj.w``, each ``d_j`` off ``enc.<j>.w1``
-    and ``n_bins`` off ``hazard.w``), or has a model width the head count does
-    not divide raises :class:`FormatError` naming the file.
+    A file that :func:`~otsurv.bags.read_record` rejects as a :class:`Checkpoint`
+    or a tensor entry as a :class:`TensorEntry` (an unknown, missing or
+    mistyped key), lacks a tensor of :func:`param_names` or has one more, has
+    a tensor whose ``data`` is not base64 of float64 values filling its
+    ``shape`` of integers >= 1, has a tensor whose shape breaks
+    :func:`param_shapes` (with ``d_in`` and ``d`` read off ``proj.w``, each
+    ``d_j`` off ``enc.<j>.w1`` and ``n_bins`` off ``hazard.w``), or has a
+    model width the head count does not divide raises :class:`FormatError`
+    naming the file.
     """
     path = Path(ckpt_dir) / "checkpoint.json"
     doc = read_json(path, FormatError)
@@ -254,25 +267,22 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, int]:
         raise FormatError(f"{path}: {exc}") from exc
 
     def tensor(name):
-        entry = header.tensors.get(name)
-        if not (isinstance(entry, dict) and isinstance(entry.get("data"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(json_type_ok(k, "int") and k >= 1 for k in entry["shape"])):
-            raise FormatError(f"{path}: tensor {name!r} needs an entry with a "
-                              f"'data' string and a 'shape' list of integers >= 1")
         try:
-            raw = base64.b64decode(entry["data"], validate=True)
-            return np.frombuffer(raw, "<f8").reshape(entry["shape"]).copy()
+            entry = read_record(TensorEntry, header.tensors[name], FormatError)
+            if not all(json_type_ok(k, "int") and k >= 1 for k in entry.shape):
+                raise FormatError(f"shape must hold integers >= 1, got {entry.shape}")
+            raw = base64.b64decode(entry.data, validate=True)
+            return np.frombuffer(raw, "<f8").reshape(entry.shape).copy()
+        except FormatError as exc:
+            raise FormatError(f"{path}: tensor {name!r}: {exc}") from exc
         except ValueError as exc:  # binascii.Error is a ValueError
-            raise FormatError(f"{path}: tensor {name!r}: 'data' is not base64 of "
-                              f"float64 values filling shape {entry['shape']} "
-                              f"({exc})") from exc
+            raise FormatError(f"{path}: tensor {name!r}: data is not base64 of float64 "
+                              f"values filling shape {entry.shape} ({exc})") from exc
 
     names = param_names(header.n_encoders)
-    extra = sorted(set(header.tensors) - set(names))
-    if extra:
-        raise FormatError(f"{path}: tensor {extra[0]!r} is not a parameter of a model "
-                          f"with {header.n_encoders} encoders")
+    if odd := sorted(set(header.tensors) ^ set(names)):
+        raise FormatError(f"{path}: a model with {header.n_encoders} encoders "
+                          f"{'needs' if odd[0] in names else 'has no'} tensor {odd[0]!r}")
     arrays = {name: tensor(name) for name in names}
 
     def matrix(name):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bags import SurvivalRecord, write_csv, write_json
+from .bags import SurvivalRecord, label_arrays, write_csv, write_json
 from .errors import DataError, MetricUndefinedError, ParameterError
 
 # Probability floor inside logs; keeps the loss finite at saturated hazards.
@@ -59,8 +59,7 @@ def c_index(risks, records: list[SurvivalRecord]) -> float:
     risks = np.asarray(risks, dtype=np.float64).ravel()
     if risks.size != len(records):
         raise DataError(f"{risks.size} risks vs {len(records)} records")
-    times = np.asarray([r.time_months for r in records])
-    events = np.asarray([r.censor == 0 for r in records])
+    times, events = label_arrays(records)
     concordant = 0.0
     comparable = 0
     for i in np.flatnonzero(events):
@@ -87,8 +86,7 @@ def km_estimate(records: list[SurvivalRecord]) -> KMCurve:
     """Product-limit estimator; deaths precede censorings at equal times."""
     if not records:
         raise DataError("cannot estimate a survival curve from no records")
-    times = np.asarray([r.time_months for r in records])
-    events = np.asarray([r.censor == 0 for r in records])
+    times, events = label_arrays(records)
     event_times = np.unique(times[events])
     at_risk, deaths = _risk_table(times, events, event_times)
     return KMCurve(event_times, at_risk, deaths, np.cumprod(1.0 - deaths / at_risk))
@@ -116,10 +114,7 @@ def logrank(records_a: list[SurvivalRecord], records_b: list[SurvivalRecord]
     """Two-group log-rank test with chi-square(1) p-value."""
     if not records_a or not records_b:
         raise DataError("both groups must be nonempty")
-    ta = np.asarray([r.time_months for r in records_a])
-    ea = np.asarray([r.censor == 0 for r in records_a])
-    tb = np.asarray([r.time_months for r in records_b])
-    eb = np.asarray([r.censor == 0 for r in records_b])
+    (ta, ea), (tb, eb) = label_arrays(records_a), label_arrays(records_b)
     event_times = np.unique(np.concatenate([ta[ea], tb[eb]]))
     na, da = _risk_table(ta, ea, event_times)
     nb, db = _risk_table(tb, eb, event_times)

@@ -93,7 +93,9 @@ def load_cases(manifest: CaseManifest) -> list[CaseData]:
 def case_forward(params: ModelParams, case: CaseData, m: int,
                  ot_settings: OTSettings, mode: str, seed: int,
                  fixed_couplings: list[TransportPlan] | None = None):
-    """Full tape for one case: loss Var, wrapped params, per-batch hazards.
+    """Full tape for one case: the tape, wrapped params, loss Var, the
+    hazard matrix (one float64 row of T bins per micro-batch, in batch
+    order) and the per-batch couplings.
 
     The micro-batches of one size run as one ``(B, n, d)`` stack through
     projection, co-attention, pooling and hazard head; each still gets its
@@ -151,7 +153,7 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
         hazard_stacks.append(hazard_t(tape, pv, pooled_p, pooled_g))
     loss = tape.discrete_nll(hazard_stacks, [len(idx) / M_p for idx in batches],
                              t, case.record.censor == 1, PROB_EPS)
-    hazards = [row for stack in hazard_stacks for row in stack.value[:, 0].copy()]
+    hazards = np.concatenate([stack.value[:, 0] for stack in hazard_stacks])
     return tape, pv, loss, hazards, couplings
 
 
@@ -166,7 +168,7 @@ def case_loss_and_grads(params, case, m, ot_settings, mode, seed):
 def case_risk(params, case, m, ot_settings, mode, seed) -> float:
     """Negative area under the mean of the per-batch survival curves."""
     _, _, _, hazards, _ = case_forward(params, case, m, ot_settings, mode, seed)
-    return -float(survival_from_hazard(np.stack(hazards)).mean(axis=0).sum())
+    return -float(survival_from_hazard(hazards).mean(axis=0).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -549,6 +549,10 @@ def test_discretize_requires_enough_uncensored():
     records = [SurvivalRecord(1.0, 1) for _ in range(10)]
     with pytest.raises(DataError):
         discretize_times(records, 2)
+    # No records: label_arrays' death mask is still bool, so indexing the
+    # empty times with it selects nothing rather than raising IndexError.
+    with pytest.raises(DataError):
+        discretize_times([], 2)
 
 
 def test_discretize_matches_quantile_oracle():

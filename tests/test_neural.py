@@ -692,31 +692,36 @@ def test_checkpoint_shape_not_matching_blob_is_format_error(tmp_path):
         load_checkpoint(tmp_path)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc.update(step="x"),
-    lambda doc: doc.update(n_heads="four"),
-    lambda doc: doc.update(seed=1.5),
-    lambda doc: doc.update(n_heads=0),
-    lambda doc: doc.update(n_heads=3),  # does not divide d = 8
-    lambda doc: doc.update(n_encoders=-1),
-    lambda doc: doc["tensors"]["proj.w"].update(shape=[64]),
-    lambda doc: doc.update(tensors=[]),
-    lambda doc: doc["tensors"]["proj.b"].update(shape=8),
+@pytest.mark.parametrize("edit, names", [
+    (lambda doc: doc.update(step="x"), "step"),
+    (lambda doc: doc.update(n_heads="four"), "n_heads"),
+    (lambda doc: doc.update(seed=1.5), "seed"),
+    (lambda doc: doc.update(n_heads=0), "n_heads"),
+    (lambda doc: doc.update(n_heads=3), "head count 3"),  # does not divide d = 8
+    (lambda doc: doc.update(n_encoders=-1), "n_encoders"),
+    (lambda doc: doc["tensors"]["proj.w"].update(shape=[64]), "'proj.w'"),
+    (lambda doc: doc.update(tensors=[]), "tensors"),
+    (lambda doc: doc["tensors"]["proj.b"].update(shape=8), "'proj.b': shape"),
     # numpy's -1 wildcard would read the 64 values as 8 x 8.
-    lambda doc: doc["tensors"]["proj.w"].update(shape=[-1, 8]),
+    (lambda doc: doc["tensors"]["proj.w"].update(shape=[-1, 8]), "'proj.w': shape"),
     # No values fill it, and every shape is read off proj.w: a d_in of 0.
-    lambda doc: doc["tensors"]["proj.w"].update(shape=[0, 8], data=""),
-    lambda doc: doc["tensors"]["proj.b"].update(data="not base64!"),
+    (lambda doc: doc["tensors"]["proj.w"].update(shape=[0, 8], data=""), "'proj.w': shape"),
+    (lambda doc: doc["tensors"]["proj.b"].update(data="not base64!"), "'proj.b': data"),
     # 63 of the 64 bytes: not a whole number of float64 values.
-    lambda doc: doc["tensors"]["proj.b"].update(
-        data=doc["tensors"]["proj.b"]["data"][:-4]),
+    (lambda doc: doc["tensors"]["proj.b"].update(
+        data=doc["tensors"]["proj.b"]["data"][:-4]), "'proj.b': data"),
+    # A tensor entry is a record: a key it does not declare, or one it
+    # lacks, is named rather than ignored.
+    (lambda doc: doc["tensors"]["proj.w"].update(dtype="float16"), "'proj.w': .*'dtype'"),
+    (lambda doc: doc["tensors"]["proj.w"].update(shapes=[8, 8]), "'proj.w': .*'shapes'"),
+    (lambda doc: doc["tensors"]["proj.w"].pop("data"), "'proj.w': .*'data'"),
 ], ids=["step", "n_heads", "seed", "n_heads 0", "n_heads 3", "n_encoders -1",
         "proj.w 1-D", "tensors", "shape", "negative shape", "zero shape", "data",
-        "short data"])
-def test_checkpoint_malformed_manifest_is_format_error(tmp_path, edit):
+        "short data", "dtype", "shapes", "no data"])
+def test_checkpoint_malformed_manifest_is_format_error(tmp_path, edit, names):
     save_checkpoint(tiny_params(seed=44), tmp_path)
     _edit_manifest(tmp_path, edit)
-    with pytest.raises(FormatError, match="checkpoint.json"):
+    with pytest.raises(FormatError, match=f"checkpoint.json: .*{names}"):
         load_checkpoint(tmp_path)
 
 

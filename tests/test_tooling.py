@@ -96,8 +96,9 @@ def test_every_write_goes_through_atomic_writer():
 
 
 # The functions of src/otsurv that may apply the JSON type rule: the field
-# check of every dataclass record, and the checkpoint reader, whose tensor
-# entries are dicts.
+# check of every dataclass record, and the checkpoint reader, which keeps
+# only the rule for each item of a tensor entry's shape (the entries are
+# records).
 TYPE_RULE_ONLY_IN = {"check_fields", "load_checkpoint"}
 
 # The functions that read or write a manifest's fields; their records check
@@ -152,11 +153,12 @@ def test_each_input_rule_is_applied_in_one_place():
     assert [name for name in readers if "read_record" not in called[name]] == []
     assert "fields" not in called["load_config"]
 
-    # The checkpoint's keys are spelled once, in its record, neural.Checkpoint.
+    # The checkpoint's keys are spelled once, in its records: the header,
+    # neural.Checkpoint, and each of its tensor entries, neural.TensorEntry.
     neural_py = ast.parse((REPO / "src" / "otsurv" / "neural.py").read_text(encoding="utf-8"))
-    keys = {"seed", "step", "n_heads", "n_encoders"}
+    keys = {"seed", "step", "n_heads", "n_encoders", "shape", "data"}
     assert [node.value for top in neural_py.body
-            if not (isinstance(top, ast.ClassDef) and top.name == "Checkpoint")
+            if not (isinstance(top, ast.ClassDef) and top.name in ("Checkpoint", "TensorEntry"))
             for node in ast.walk(top) if isinstance(node, ast.Constant) and node.value in keys] == []
 
 
