@@ -68,8 +68,7 @@ class InstanceBag:
             feats = feats.astype(np.float64)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise DataError(f"bag must be a 2-D matrix with M,d >= 1, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise DataError(f"bag {self.case_id!r} contains non-finite entries")
+        check_values(feats, f"bag {self.case_id!r}", DataError)
         object.__setattr__(self, "features", feats)
 
     @property
@@ -93,8 +92,7 @@ class GenomicProfile:
             attrs = np.asarray(attrs, dtype=np.float64).ravel()
             if attrs.size < 1:
                 raise DataError(f"category {name!r} has no attributes")
-            if not np.all(np.isfinite(attrs)):
-                raise DataError(f"category {name!r} contains non-finite attributes")
+            check_values(attrs, f"category {name!r}", DataError)
             cats.append((name, attrs))
         object.__setattr__(self, "categories", cats)
 
@@ -371,6 +369,19 @@ def check_fields(record, error: type[Exception]) -> None:
             raise error(f"{name} must be finite and >= {least}, got {value!r}")
         if above is not None and not above < value < math.inf:
             raise error(f"{name} must be finite and > {above}, got {value!r}")
+
+
+def check_values(values: np.ndarray, name: str, error: type[Exception],
+                 least: float = -math.inf, most: float = math.inf) -> None:
+    """Require every entry of the array ``values`` to be finite and within
+    [``least``, ``most``], else raise ``error`` naming the array ``name``.  Reads
+    only the min and max (NaN carries through both); an empty array passes."""
+    if values.size:
+        lo, hi = values.min(), values.max()
+        if not -math.inf < lo <= hi < math.inf:
+            raise error(f"{name} contains non-finite entries")
+        if not least <= lo <= hi <= most:
+            raise error(f"{name} has entries outside [{least}, {most}]: min {lo}, max {hi}")
 
 
 def write_csv(path, rows) -> Path:

@@ -34,11 +34,6 @@ class ShapeError(DataError):
     """Array dimensions are mutually inconsistent."""
 
 
-class ConstraintError(OtsurvError):
-    """A transport problem is infeasible as posed."""
-    exit_code = 4
-
-
 class SolverError(OtsurvError):
     """A solver failed in a way that is not a convergence shortfall."""
     exit_code = 4

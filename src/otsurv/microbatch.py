@@ -14,8 +14,8 @@ import numpy as np
 
 from .bags import check_fields
 from .errors import ConfigError, ParameterError
-from .transport import (COST_METRICS, TransportPlan, build_cost, normalize_cost,
-                        solve_exact_emd, sinkhorn, unbalanced_sinkhorn,
+from .transport import (COST_METRICS, SolverSettings, TransportPlan, build_cost,
+                        normalize_cost, solve_exact_emd, sinkhorn, unbalanced_sinkhorn,
                         uniform_marginals)
 
 # Each solver by name, called on a cost, its marginals and an
@@ -36,8 +36,8 @@ ATTENTION_MODES = {"umbot": "uot", "emd": "emd", "dense": None}
 @dataclass(frozen=True)
 class OTSettings:
     """The transport problem of a micro-batch, declared once and checked when
-    built (``bags.check_fields``); ``ExperimentConfig`` extends it and its
-    tables, and the solver is an argument of :func:`solve_batch`."""
+    built (``bags.check_fields``, by :class:`SolverSettings`' epsilon and tau
+    rules); ``ExperimentConfig`` extends it; :func:`solve_batch` takes the solver."""
 
     epsilon: float = 0.05
     tau: float = 0.5
@@ -45,8 +45,8 @@ class OTSettings:
     normalize_cost: bool = True
 
     CHOICES = {"cost_metric": COST_METRICS}
-    LEAST = {"tau": 0}
-    ABOVE = {"epsilon": 0}
+    LEAST = SolverSettings.LEAST
+    ABOVE = SolverSettings.ABOVE
 
     def __post_init__(self):
         check_fields(self, ConfigError)

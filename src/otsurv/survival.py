@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bags import SurvivalRecord, label_arrays, write_csv, write_json
+from .bags import SurvivalRecord, check_values, label_arrays, write_csv, write_json
 from .errors import DataError, MetricUndefinedError, ParameterError
 
 # Probability floor inside logs; keeps the loss finite at saturated hazards.
@@ -45,8 +45,9 @@ def survival_from_hazard(hazards) -> np.ndarray:
     per-batch hazards gives one curve per row.
     """
     h = np.asarray(hazards, dtype=np.float64)
-    if h.size == 0 or not np.all(np.isfinite(h)) or np.any(h < 0) or np.any(h > 1):
-        raise DataError(f"hazards must be finite and within [0, 1], got {hazards!r}")
+    if h.size == 0:
+        raise DataError("hazards must not be empty")
+    check_values(h, "hazards", DataError, least=0, most=1)
     return np.cumprod(1.0 - np.clip(h, PROB_EPS, 1.0 - PROB_EPS), axis=-1)
 
 
@@ -57,6 +58,7 @@ def c_index(risks, records: list[SurvivalRecord]) -> float:
     tied risks earn half credit.  Pairs tied in time are not comparable.
     """
     risks = np.asarray(risks, dtype=np.float64).ravel()
+    check_values(risks, "risks", DataError)
     if risks.size != len(records):
         raise DataError(f"{risks.size} risks vs {len(records)} records")
     times, events = label_arrays(records)
@@ -137,6 +139,7 @@ def median_split(risks) -> tuple[np.ndarray, np.ndarray]:
     empty (all risks equal), falls back to a stable sort-order split.
     """
     risks = np.asarray(risks, dtype=np.float64).ravel()
+    check_values(risks, "risks", DataError)
     if risks.size < 2:
         raise DataError("need at least 2 cases to split")
     med = float(np.median(risks))

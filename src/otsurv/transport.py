@@ -21,13 +21,14 @@ log-domain solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import functools
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .bags import write_csv, write_json
-from .errors import ConstraintError, DataError, ParameterError, ShapeError, SolverError
+from .bags import check_fields, check_values, write_csv, write_json
+from .errors import DataError, ParameterError, ShapeError, SolverError
 
 COST_METRICS = ("l2", "squared_l2", "cosine_distance")
 
@@ -41,15 +42,6 @@ _MAX_PIVOTS = 100_000
 _BLAND_AFTER = 50
 
 
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` built from fields known to
-    pass its ``__post_init__`` checks, without running them again."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 @dataclass(frozen=True)
 class CostMatrix:
     """Pairwise ground costs between source and target instances."""
@@ -61,10 +53,7 @@ class CostMatrix:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise ShapeError(f"cost matrix must be 2-D, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise DataError("cost matrix contains non-finite entries")
-        if np.any(vals < 0):
-            raise DataError("cost matrix contains negative entries")
+        check_values(vals, "cost matrix", DataError, least=0)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -82,27 +71,36 @@ class Marginals:
     def __post_init__(self):
         for name in ("source", "target"):
             w = np.asarray(getattr(self, name), dtype=np.float64).ravel()
-            if w.size == 0 or not np.all(np.isfinite(w)) or np.any(w < 0):
-                raise DataError(f"{name} marginal must be nonnegative and finite")
+            check_values(w, f"{name} marginal", DataError, least=0)
             if abs(w.sum() - 1.0) > 1e-12:
                 raise DataError(f"{name} marginal sums to {w.sum()!r}, expected 1")
             object.__setattr__(self, name, w)
 
 
+@functools.cache
 def uniform_marginals(n_source: int, n_target: int) -> Marginals:
     if n_source < 1 or n_target < 1:
         raise DataError(f"uniform marginals need sizes >= 1, got {n_source} and {n_target}")
-    return _unchecked(Marginals, source=np.full(n_source, 1.0 / n_source),
-                      target=np.full(n_target, 1.0 / n_target))
+    source, target = np.full(n_source, 1.0 / n_source), np.full(n_target, 1.0 / n_target)
+    source.flags.writeable = target.flags.writeable = False  # every caller shares them
+    return Marginals(source, target)
 
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """A solve's arguments, checked when built (``bags.check_fields``)."""
+
     epsilon: float | None = None
     tau: float | None = None
     max_iters: int = MAX_ITERS
     tolerance: float = TOLERANCE
     log_domain: bool = False  # recorded: the scaling solve absorbed at least once
+
+    LEAST = {"tau": 0, "max_iters": 1}
+    ABOVE = {"epsilon": 0}
+
+    def __post_init__(self):
+        check_fields(self, ParameterError)
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,7 @@ class TransportPlan:
     dual_target: np.ndarray | None = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.coupling)) or np.any(self.coupling < 0):
-            raise SolverError("coupling has negative or non-finite entries")
+        check_values(self.coupling, "coupling", SolverError, least=0)
 
     @property
     def total_mass(self) -> float:
@@ -199,8 +196,7 @@ def normalize_cost(C: CostMatrix) -> CostMatrix:
     peak = float(C.values.max(initial=0.0))
     if peak <= 0:
         return C
-    # Finite, nonnegative entries over their positive maximum stay so.
-    return _unchecked(CostMatrix, values=C.values / peak, metric=C.metric)
+    return CostMatrix(C.values / peak, C.metric)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +216,6 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals) -> TransportPlan:
     a, b = marg.source, marg.target
     if a.size != n or b.size != m:
         raise ShapeError(f"marginals ({a.size},{b.size}) do not match cost {cost.shape}")
-    if abs(a.sum() - b.sum()) > 1e-9:
-        raise ConstraintError(f"marginal sums differ: {a.sum()} vs {b.sum()}")
     b = b * (a.sum() / b.sum())
 
     # Northwest-corner initial basis: a staircase of n+m-1 cells.
@@ -388,13 +382,7 @@ def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
     as zero coupling with dual -inf.  The plan carries ``C`` and ``marg``
     whole; it computes no diagnostic.
     """
-    # Written so that NaN fails each test.
-    if not 0 < epsilon < np.inf:
-        raise ParameterError(f"epsilon must be finite and > 0, got {epsilon}")
-    if max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
-    if tau is not None and not 0 <= tau < np.inf:
-        raise ParameterError(f"tau must be finite and >= 0, got {tau}")
+    settings = SolverSettings(epsilon=epsilon, tau=tau, max_iters=max_iters, tolerance=tol)
     if marg.source.size != C.shape[0] or marg.target.size != C.shape[1]:
         raise ShapeError(f"marginals ({marg.source.size},{marg.target.size}) "
                          f"do not match cost {C.shape}")
@@ -414,8 +402,8 @@ def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
         P_sub, P = P, np.zeros(C.shape)
         P[np.ix_(sub_a, sub_b)] = P_sub
         log_u, log_v = _embed(log_u, sub_a), _embed(log_v, sub_b)
-    settings = SolverSettings(epsilon=epsilon, tau=tau, max_iters=max_iters,
-                              tolerance=tol, log_domain=absorbed)
+    if absorbed:
+        settings = replace(settings, log_domain=True)
     return TransportPlan(P, iterations, converged, settings, C, marg,
                          dual_source=log_u, dual_target=log_v)
 
@@ -469,7 +457,9 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     a_s, b_s = a, b
     translate = 0.0 < fi < 1.0
     r = (1.0 - fi) / fi if translate else 0.0
-    K = a[:, None] * b[None, :] * np.exp(G + f[:, None] + g[None, :])
+    def kernel(f, g):
+        return a[:, None] * b[None, :] * np.exp(G + f[:, None] + g[None, :])
+    K = kernel(f, g)
     KT = K.T
     # u and v are views into one buffer w, so a single range check and a
     # single log change cover both.  Each iteration overwrites w; log_w holds
@@ -519,7 +509,7 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
                     f += t
                     g -= t
                 stop = max(float(np.abs(f - phi).max()), float(np.abs(g - psi).max()))
-                K = a[:, None] * b[None, :] * np.exp(G + f[:, None] + g[None, :])
+                K = kernel(f, g)
                 KT = K.T
                 a_s = a * np.exp(f * (1.0 - 1.0 / fi))
                 b_s = b * np.exp(g * (1.0 - 1.0 / fi))

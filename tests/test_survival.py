@@ -283,6 +283,19 @@ def test_c_index_no_comparable_pairs():
         c_index([1.0, 2.0], [rec(5, 1), rec(5, 1)])
 
 
+@pytest.mark.parametrize("risks", [[math.nan] * 4, [1.0, math.nan, 3.0, 2.0],
+                                   [1.0, 2.0, math.inf, 4.0]],
+                         ids=["all-nan", "one-nan", "one-inf"])
+def test_c_index_and_median_split_reject_non_finite_risks(risks):
+    # All NaN read 0.0 and one NaN among ordered risks 0.5; median_split
+    # warned of a tie and split by sort order.
+    records = [rec(4, 0), rec(3, 0), rec(2, 0), rec(1, 0)]
+    with pytest.raises(DataError, match="risks"):
+        c_index(risks, records)
+    with pytest.raises(DataError, match="risks"):
+        median_split(risks)
+
+
 # ---------------------------------------------------------------------------
 # Kaplan-Meier
 

@@ -22,6 +22,7 @@ from otsurv.cli import main as otsurv_main
 from otsurv.config import ExperimentConfig
 from otsurv.microbatch import OTSettings, solve_batch
 from otsurv.neural import init_params
+from otsurv.transport import SolverSettings
 from otsurv import train
 from otsurv.train import CaseData, case_forward
 
@@ -107,21 +108,35 @@ TYPE_RULE_ONLY_IN = {"check_fields", "load_checkpoint"}
 MANIFEST_IO = {"save_manifest", "load_manifest", "load_genomic_profile"}
 CELL_PARSES = {"float(val)"}
 
+# The functions that may call np.isfinite: three that test no array input (a
+# risk file's cell, a case's loss, a log-sum-exp's peak).  Every array input
+# goes through bags.check_values, which reads only its min and max.
+FINITE_RULE_ONLY_IN = {"cmd_km", "case_loss_and_grads", "_logsumexp"}
+
 
 def test_each_input_rule_is_applied_in_one_place():
-    # A record checks its fields through bags.check_fields when it is built;
-    # a second loop over a record's types, or a __post_init__ that converts
-    # (int(0.7) is an observed death), is a rule written twice.
+    # A record checks its fields through bags.check_fields, and its arrays
+    # through bags.check_values, when it is built; a second loop over a
+    # record's types, a __post_init__ that converts (int(0.7) is an observed
+    # death), a hand-written finite test or a record built without its
+    # checks (object.__new__) is a rule written twice or skipped.
     found = []
     for path in sorted((REPO / "src" / "otsurv").glob("*.py")):
         for where, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
             name = ast.unparse(call.func)
             if ((name == "json_type_ok" and not TYPE_RULE_ONLY_IN & set(where))
+                    or (name == "np.isfinite" and not FINITE_RULE_ONLY_IN & set(where))
+                    or name == "object.__new__"
                     or (name in ("int", "float") and "__post_init__" in where)
                     or (name in ("int", "float") and MANIFEST_IO & set(where)
                         and ast.unparse(call) not in CELL_PARSES)):
                 found.append((path.name, where, ast.unparse(call)))
     assert found == []
+
+    # The solver's argument rules are SolverSettings' tables; the transport
+    # settings that feed a solve take them as they are.
+    assert OTSettings.ABOVE is SolverSettings.ABOVE
+    assert OTSettings.LEAST is SolverSettings.LEAST
 
     # A bags record with a rule table or a number field (a bool is not a
     # number, NaN is not >= 0) checks itself with check_fields.

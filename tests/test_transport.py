@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from otsurv import transport
-from otsurv.errors import ConstraintError, DataError, ParameterError, ShapeError
+from otsurv.errors import DataError, ParameterError, ShapeError
 from otsurv.microbatch import OTSettings, solve_batch
 from otsurv.transport import (CostMatrix, Marginals, build_cost, normalize_cost,
                               sinkhorn, solve_exact_emd, unbalanced_sinkhorn,
@@ -107,10 +107,10 @@ def test_marginals_must_sum_to_one():
         Marginals(np.array([0.5, 0.4]), np.array([0.5, 0.5]))
 
 
-def test_unchecked_cost_and_marginals_equal_checked_ones():
-    # build_cost checks the features' cost; normalize_cost and
-    # uniform_marginals build values that pass the checks by construction,
-    # so they skip them.  A non-finite feature still fails the solve.
+def test_normalized_cost_and_uniform_marginals_are_checked_records():
+    # Every cost and marginals record is built through its checks, so a
+    # non-finite feature fails the solve.  uniform_marginals builds one
+    # record per shape, and its shared arrays are read-only.
     rng = np.random.default_rng(0)
     x, g = rng.standard_normal((7, 4)), rng.standard_normal((3, 4))
     for bad in (np.nan, np.inf):
@@ -122,9 +122,13 @@ def test_unchecked_cost_and_marginals_equal_checked_ones():
     N = normalize_cost(C)
     assert N.values.tobytes() == CostMatrix(C.values / C.values.max(), "l2").values.tobytes()
     marg = uniform_marginals(7, 3)
+    assert uniform_marginals(7, 3) is marg
     checked = Marginals(np.full(7, 1 / 7), np.full(3, 1 / 3))
     assert marg.source.tobytes() == checked.source.tobytes()
     assert marg.target.tobytes() == checked.target.tobytes()
+    for side in (marg.source, marg.target):
+        with pytest.raises(ValueError):
+            side[0] = 0.5
     with pytest.raises(DataError):
         uniform_marginals(0, 3)
 
@@ -161,15 +165,6 @@ def test_emd_1x1_short_circuit():
         assert plan.dual_source.tolist() == [0.0]
         assert plan.dual_target.tolist() == [c]
         assert plan.duality_gap == 0.0
-
-
-def test_emd_infeasible_marginals():
-    C = CostMatrix(np.ones((2, 2)), "l2")
-    bad = Marginals.__new__(Marginals)  # bypass normalization check
-    object.__setattr__(bad, "source", np.array([0.6, 0.6]))
-    object.__setattr__(bad, "target", np.array([0.5, 0.5]))
-    with pytest.raises(ConstraintError):
-        solve_exact_emd(C, bad)
 
 
 def test_emd_matches_lp_oracle_on_random_instances():
@@ -525,18 +520,22 @@ def test_uot_rejects_negative_tau():
         unbalanced_sinkhorn(C, uniform_marginals(2, 2), epsilon=0.1, tau=-1.0)
 
 
-@pytest.mark.parametrize("epsilon, tau", [(math.nan, 0.5), (0.1, math.nan),
-                                          (0.1, math.inf), (math.inf, 0.5)],
-                         ids=["epsilon-nan", "tau-nan", "tau-inf", "epsilon-inf"])
-def test_scaling_solvers_reject_nan_and_infinite_tau(epsilon, tau):
-    # An infinite epsilon used to return the product coupling as converged.
+@pytest.mark.parametrize("field, epsilon, tau, max_iters", [
+    ("epsilon", math.nan, 0.5, 1000), ("tau", 0.1, math.nan, 1000),
+    ("tau", 0.1, math.inf, 1000), ("epsilon", math.inf, 0.5, 1000),
+    ("epsilon", True, 0.5, 1000), ("tau", 0.1, True, 1000),
+    ("max_iters", 0.1, 0.5, 0), ("max_iters", 0.1, 0.5, True),
+], ids=["epsilon-nan", "tau-nan", "tau-inf", "epsilon-inf", "epsilon-bool", "tau-bool",
+        "max_iters-0", "max_iters-bool"])
+def test_scaling_solvers_reject_nan_and_infinite_tau(field, epsilon, tau, max_iters):
+    # An infinite epsilon used to return the product coupling as converged,
+    # and a bool epsilon or tau solved as 1.
     C, marg = CostMatrix(np.ones((2, 2)), "l2"), uniform_marginals(2, 2)
-    bad_epsilon = not math.isfinite(epsilon)
-    with pytest.raises(ParameterError, match="epsilon" if bad_epsilon else "tau"):
-        unbalanced_sinkhorn(C, marg, epsilon=epsilon, tau=tau)
-    if bad_epsilon:
-        with pytest.raises(ParameterError, match="epsilon"):
-            sinkhorn(C, marg, epsilon=epsilon)
+    with pytest.raises(ParameterError, match=field):
+        unbalanced_sinkhorn(C, marg, epsilon=epsilon, tau=tau, max_iters=max_iters)
+    if field != "tau":
+        with pytest.raises(ParameterError, match=field):
+            sinkhorn(C, marg, epsilon=epsilon, max_iters=max_iters)
 
 
 def test_uot_overflow_switches_to_log_domain():
