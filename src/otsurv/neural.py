@@ -27,6 +27,9 @@ SELU_LAMBDA = 1.0507009873554805
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
+# The attention aggregators' head count; the model width is a multiple of it.
+N_HEADS = 4
+
 
 def param_names(n_encoders: int) -> list[str]:
     """Every parameter name, in the one order that :meth:`ModelParams.tensors`,
@@ -82,7 +85,7 @@ class ModelParams:
 
 
 def init_params(d_in: int, d: int, attr_dims: list[int], n_bins: int,
-                n_heads: int = 4, seed: int = 0) -> ModelParams:
+                n_heads: int = N_HEADS, seed: int = 0) -> ModelParams:
     """Seeded init: weights ~ N(0, 1/sqrt(fan_in)), biases zero."""
     if d % n_heads != 0:
         raise ParameterError(f"model dim {d} must be divisible by n_heads {n_heads}")

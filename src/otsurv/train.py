@@ -34,14 +34,16 @@ from .microbatch import (ATTENTION_MODES, OTSettings, sample_micro_batches,
                          solve_batch)
 from .neural import (AdamState, ModelParams, adam_step, accumulate,
                      attention_pool_t, dense_coattention_t, encode_genomic_t,
-                     extract_grads, hazard_t, init_params, project_t,
+                     extract_grads, hazard_t, init_params, N_HEADS, project_t,
                      save_checkpoint, wrap_params)
 from .survival import (PROB_EPS, c_index, logrank, median_split,
                        survival_from_hazard)
 from .transport import TransportPlan
 
 EVAL_TAG = 0xEA7
-MODEL_WIDTH = 256  # the model's width, or the bags' feature width where that is less
+# The model's width, or the bags' feature width where that is less, rounded
+# up to a multiple of the head count.
+MODEL_WIDTH = 256
 
 log = logging.getLogger(__name__)
 
@@ -212,7 +214,8 @@ def train_fold(cases: list[CaseData], train_idx, val_idx,
 
     d_in = train_cases[0].pathology_raw.shape[1]
     attr_dims = train_cases[0].profile.attr_dims()
-    params = init_params(d_in, min(d_in, MODEL_WIDTH), attr_dims, config.bins,
+    width = -(-min(d_in, MODEL_WIDTH) // N_HEADS) * N_HEADS
+    params = init_params(d_in, width, attr_dims, config.bins,
                          seed=derive_seed(config.seed, fold))
     adam = AdamState.for_params(params)
 
@@ -302,9 +305,9 @@ def ablation_sweep(cases: list[CaseData], config: ExperimentConfig,
                    m_values: list[int], modes: list[str], out_dir=None) -> list[dict]:
     """Cross product of micro-batch sizes and attention modes.
 
-    Emits one row per (mode, m, fold).  An ``OtsurvError`` in a cell is
-    recorded as an ``error:`` row and the sweep continues; any other
-    exception is a bug and propagates.
+    Each cell is one :func:`cross_validate` and emits one row per fold.  A
+    cell that raises an ``OtsurvError`` emits one ``error:`` row instead, and
+    the sweep continues; any other exception is a bug and propagates.
     """
     # Building every cell first rejects a bad mode or size before any training.
     cells = [(mode, m, replace(config, micro_batch=m, attention_mode=mode))
@@ -312,11 +315,8 @@ def ablation_sweep(cases: list[CaseData], config: ExperimentConfig,
     rows = []
     for mode, m, cell in cells:
         try:
-            splits = fold_splits(len(cases), cell.folds, cell.seed)
-            for fold, (train_idx, val_idx) in enumerate(splits):
-                result, _ = train_fold(cases, train_idx, val_idx, cell, fold)
-                rows.append({"mode": mode, "m": m, "fold": fold,
-                             "c_index": result.c_index, "status": "ok"})
+            rows += [{"mode": mode, "m": m, "fold": r["fold"], "c_index": r["c_index"],
+                      "status": "ok"} for r in cross_validate(cases, cell)["per_fold"]]
         except OtsurvError as exc:
             rows.append({"mode": mode, "m": m, "fold": -1,
                          "c_index": float("nan"), "status": f"error: {exc}"})

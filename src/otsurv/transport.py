@@ -88,16 +88,17 @@ def uniform_marginals(n_source: int, n_target: int) -> Marginals:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """A solve's arguments, checked when built (``bags.check_fields``)."""
+    """A scaling solve's arguments, checked when built (``bags.check_fields``);
+    ``tau=None`` is the balanced solve."""
 
-    epsilon: float | None = None
+    epsilon: float
     tau: float | None = None
     max_iters: int = MAX_ITERS
     tolerance: float = TOLERANCE
     log_domain: bool = False  # recorded: the scaling solve absorbed at least once
 
     LEAST = {"tau": 0, "max_iters": 1}
-    ABOVE = {"epsilon": 0}
+    ABOVE = {"epsilon": 0, "tolerance": 0}
 
     def __post_init__(self):
         check_fields(self, ParameterError)
@@ -109,13 +110,14 @@ class TransportPlan:
 
     An exact solve rescales ``marginals.target`` to the source mass.  The
     dual slots hold potentials for an exact solve and log scalings for a
-    scaling solve.  The diagnostics are computed from these fields when read.
+    scaling solve, and ``settings`` is None for an exact solve.  The
+    diagnostics are computed from these fields when read.
     """
 
     coupling: np.ndarray
     iterations: int
     converged: bool
-    settings: SolverSettings
+    settings: SolverSettings | None
     cost: CostMatrix
     marginals: Marginals
     dual_source: np.ndarray | None = None
@@ -144,9 +146,9 @@ class TransportPlan:
     def objective_regularized(self) -> float | None:
         """<P, C> + eps KL(P | a x b), plus tau (KL(P 1 | a) + KL(P' 1 | b))
         when unbalanced; None for an exact solve."""
-        eps, tau = self.settings.epsilon, self.settings.tau
-        if eps is None:
+        if self.settings is None:
             return None
+        eps, tau = self.settings.epsilon, self.settings.tau
         P, a, b = self.coupling, self.marginals.source, self.marginals.target
         reg = self.objective_value + eps * _generalized_kl(P, np.outer(a, b))
         if tau is not None:
@@ -157,7 +159,7 @@ class TransportPlan:
     @property
     def duality_gap(self) -> float | None:
         """<P, C> minus the dual objective; None unless the duals are potentials."""
-        if self.settings.epsilon is not None or self.dual_source is None:
+        if self.settings is not None or self.dual_source is None:
             return None
         a, b = self.marginals.source, self.marginals.target
         return self.objective_value - float(a @ self.dual_source + b @ self.dual_target)
@@ -199,6 +201,13 @@ def normalize_cost(C: CostMatrix) -> CostMatrix:
     return CostMatrix(C.values / peak, C.metric)
 
 
+def _check_shapes(C: CostMatrix, marg: Marginals) -> None:
+    """Every solver's rule: one marginal entry per row and per column of C."""
+    if marg.source.size != C.shape[0] or marg.target.size != C.shape[1]:
+        raise ShapeError(f"marginals ({marg.source.size},{marg.target.size}) "
+                         f"do not match cost {C.shape}")
+
+
 # ---------------------------------------------------------------------------
 # Exact transportation problem
 
@@ -211,12 +220,10 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals) -> TransportPlan:
     cycling.  The returned plan carries the dual potentials, whose duality
     gap is the optimality certificate.
     """
+    _check_shapes(C, marg)
     cost = C.values
     n, m = cost.shape
-    a, b = marg.source, marg.target
-    if a.size != n or b.size != m:
-        raise ShapeError(f"marginals ({a.size},{b.size}) do not match cost {cost.shape}")
-    b = b * (a.sum() / b.sum())
+    a, b = marg.source, marg.target * (marg.source.sum() / marg.target.sum())
 
     # Northwest-corner initial basis: a staircase of n+m-1 cells.
     alloc = np.zeros((n, m))
@@ -272,8 +279,7 @@ def solve_exact_emd(C: CostMatrix, marg: Marginals) -> TransportPlan:
         basis[basis.index(leave)] = (ei, ej)
         pivots += 1
 
-    return TransportPlan(np.maximum(alloc, 0.0), pivots, True,
-                         SolverSettings(max_iters=_MAX_PIVOTS), C, Marginals(a, b),
+    return TransportPlan(np.maximum(alloc, 0.0), pivots, True, None, C, Marginals(a, b),
                          dual_source=u, dual_target=v)
 
 
@@ -351,7 +357,7 @@ def sinkhorn(C: CostMatrix, marg: Marginals, epsilon: float,
     columns exactly); on non-convergence the last iterate is returned with
     ``converged=False``.
     """
-    return _scaling_solve(C, marg, epsilon, None, max_iters, tol)
+    return _scaling_solve(C, marg, SolverSettings(epsilon, None, max_iters, tol))
 
 
 def unbalanced_sinkhorn(C: CostMatrix, marg: Marginals, epsilon: float, tau: float,
@@ -371,21 +377,19 @@ def unbalanced_sinkhorn(C: CostMatrix, marg: Marginals, epsilon: float, tau: flo
     tau = 0 yields the closed form ``P = (a x b) exp(-C/eps)`` on the first
     iteration.
     """
-    return _scaling_solve(C, marg, epsilon, tau, max_iters, tol)
+    if tau is None:
+        raise ParameterError("tau must be float, got None")
+    return _scaling_solve(C, marg, SolverSettings(epsilon, tau, max_iters, tol))
 
 
-def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
-                   tau: float | None, max_iters: int, tol: float) -> TransportPlan:
-    """Shared body of the two scaling solvers; ``tau=None`` is balanced.
+def _scaling_solve(C: CostMatrix, marg: Marginals, settings: SolverSettings) -> TransportPlan:
+    """Shared body of the two scaling solvers.
 
     Zero-mass rows and columns are dropped before the solve and come back
     as zero coupling with dual -inf.  The plan carries ``C`` and ``marg``
     whole; it computes no diagnostic.
     """
-    settings = SolverSettings(epsilon=epsilon, tau=tau, max_iters=max_iters, tolerance=tol)
-    if marg.source.size != C.shape[0] or marg.target.size != C.shape[1]:
-        raise ShapeError(f"marginals ({marg.source.size},{marg.target.size}) "
-                         f"do not match cost {C.shape}")
+    _check_shapes(C, marg)
     sub_a, sub_b = marg.source > 0, marg.target > 0
     # Uniform marginals, as training uses, drop nothing: solve on C as it is.
     dropped = not (sub_a.all() and sub_b.all())
@@ -394,9 +398,7 @@ def _scaling_solve(C: CostMatrix, marg: Marginals, epsilon: float,
         cost = C.values[np.ix_(sub_a, sub_b)]
     else:
         a, b, cost = marg.source, marg.target, C.values
-    fi = 1.0 if tau is None else tau / (tau + epsilon)
-    P, log_u, log_v, iterations, converged, absorbed = _scale(
-        cost, a, b, epsilon, fi, max_iters, tol, row_residual=tau is None)
+    P, log_u, log_v, iterations, converged, absorbed = _scale(cost, a, b, settings)
 
     if dropped:
         P_sub, P = P, np.zeros(C.shape)
@@ -420,8 +422,9 @@ def _logsumexp(x, axis):
     return np.squeeze(peak, axis) + np.log(np.sum(np.exp(x - peak), axis=axis))
 
 
-def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
-    """Scaling iterations ``u = (a / K v)^fi, v = (b / K'u)^fi`` with absorption.
+def _scale(cost, a, b, settings):
+    """Scaling iterations ``u = (a / K v)^fi, v = (b / K'u)^fi`` with absorption,
+    where ``fi = tau / (tau + eps)``, or 1 for the balanced solve (``tau`` None).
 
     ``K = (a x b) exp(-C/eps + f + g)`` carries the absorbed log potentials
     f and g, which start at zero.  When a new scaling leaves the range
@@ -443,11 +446,13 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     - r g)) / (2 r)``, so the rebuilt K starts from translated potentials
     and the next plain step does not leave the range on account of t.
 
-    Stops on the row-marginal residual when ``row_residual``, else on the
-    change in log scaling.  Returns the sub-coupling, the log scalings
-    ``f + log u`` and ``g + log v``, the iteration count, convergence, and
-    whether any absorption happened.
+    Stops below ``settings.tolerance``: a balanced solve on the row-marginal
+    residual, else on the change in log scaling.  Returns the sub-coupling,
+    the log scalings ``f + log u`` and ``g + log v``, the iteration count,
+    convergence, and whether any absorption happened.
     """
+    epsilon, tol, row_residual = settings.epsilon, settings.tolerance, settings.tau is None
+    fi = 1.0 if row_residual else settings.tau / (settings.tau + epsilon)
     n = a.size
     la = np.log(a)
     lb = np.log(b)
@@ -471,7 +476,7 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
     absorbed = False
     stop = np.inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for it in range(1, max_iters + 1):
+        for it in range(1, settings.max_iters + 1):
             np.dot(K, v, out=Kv)
             np.divide(a_s, Kv, out=u)
             np.power(u, fi, out=u)
@@ -531,8 +536,9 @@ def _scale(cost, a, b, epsilon, fi, max_iters, tol, row_residual):
 def write_plan(plan: TransportPlan, out_prefix, solver: str = "") -> tuple[Path, Path]:
     """Dump a coupling as CSV plus a JSON diagnostics sidecar.
 
-    ``settings.log_domain`` in the JSON is true when a scaling solve
-    absorbed at least once (see ``_scale``); it is not an input.
+    ``settings`` in the JSON is null for an exact solve; ``settings.log_domain``
+    is true when a scaling solve absorbed at least once (see ``_scale``); it
+    is not an input.
     """
     prefix = Path(out_prefix)
     coupling_path = write_csv(prefix.with_name(prefix.name + "_coupling.csv"),
@@ -540,6 +546,7 @@ def write_plan(plan: TransportPlan, out_prefix, solver: str = "") -> tuple[Path,
     fields = ("objective_value", "objective_regularized", "marginal_residual",
               "iterations", "converged", "total_mass", "duality_gap")
     doc = {"solver": solver, **{name: getattr(plan, name) for name in fields},
-           "settings": asdict(plan.settings), "shape": list(plan.coupling.shape)}
+           "settings": None if plan.settings is None else asdict(plan.settings),
+           "shape": list(plan.coupling.shape)}
     json_path = write_json(prefix.with_name(prefix.name + "_plan.json"), doc)
     return coupling_path, json_path

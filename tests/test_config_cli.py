@@ -243,6 +243,8 @@ def test_cli_solve_emd_objective_matches_json(tmp_path):
     want = lp_transport(C, np.full(4, 0.25), np.full(3, 1 / 3))
     assert doc["objective_value"] == pytest.approx(want, abs=1e-9)
     assert np.sum(coupling * C) == pytest.approx(want, abs=1e-8)
+    # The simplex uses no epsilon, tau or tolerance, so it records none.
+    assert doc["settings"] is None and doc["objective_regularized"] is None
 
 
 def test_cli_solve_reads_fbag_bags(tmp_path):

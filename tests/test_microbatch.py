@@ -31,7 +31,7 @@ from otsurv.transport import (CostMatrix, SolverSettings, TransportPlan,
 
 def make_plan(coupling):
     coupling = np.asarray(coupling, float)
-    return TransportPlan(coupling, 1, True, SolverSettings(),
+    return TransportPlan(coupling, 1, True, SolverSettings(0.05),
                          CostMatrix(np.zeros(coupling.shape), "l2"),
                          uniform_marginals(*coupling.shape))
 

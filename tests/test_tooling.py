@@ -113,6 +113,10 @@ CELL_PARSES = {"float(val)"}
 # goes through bags.check_values, which reads only its min and max.
 FINITE_RULE_ONLY_IN = {"cmd_km", "case_loss_and_grads", "_logsumexp"}
 
+# The functions that may build a SolverSettings: it is the arguments of a
+# scaling solve and nothing else, so the simplex's plan carries none.
+SETTINGS_ONLY_IN = {"sinkhorn", "unbalanced_sinkhorn"}
+
 
 def test_each_input_rule_is_applied_in_one_place():
     # A record checks its fields through bags.check_fields, and its arrays
@@ -126,6 +130,7 @@ def test_each_input_rule_is_applied_in_one_place():
             name = ast.unparse(call.func)
             if ((name == "json_type_ok" and not TYPE_RULE_ONLY_IN & set(where))
                     or (name == "np.isfinite" and not FINITE_RULE_ONLY_IN & set(where))
+                    or (name == "SolverSettings" and not SETTINGS_ONLY_IN & set(where))
                     or name == "object.__new__"
                     or (name in ("int", "float") and "__post_init__" in where)
                     or (name in ("int", "float") and MANIFEST_IO & set(where)
@@ -137,6 +142,12 @@ def test_each_input_rule_is_applied_in_one_place():
     # settings that feed a solve take them as they are.
     assert OTSettings.ABOVE is SolverSettings.ABOVE
     assert OTSettings.LEAST is SolverSettings.LEAST
+    # Only tau may be None: that is the balanced solve, not a missing value.
+    assert [f.name for f in dataclasses.fields(SolverSettings)
+            if f.type.endswith("| None")] == ["tau"]
+    # Every solver takes its marginals-versus-cost shape rule from one place.
+    assert sum(p.read_text(encoding="utf-8").count("do not match cost")
+               for p in (REPO / "src" / "otsurv").glob("*.py")) == 1
 
     # A bags record with a rule table or a number field (a bool is not a
     # number, NaN is not >= 0) checks itself with check_fields.

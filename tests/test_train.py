@@ -17,10 +17,10 @@ from otsurv.bags import (GenomicProfile, InstanceBag, SurvivalRecord,
                          discretize_times, generate_synthetic_dataset, save_bag)
 from otsurv import train, transport
 from otsurv.config import ExperimentConfig
-from otsurv.errors import DataError
+from otsurv.errors import DataError, NumericError
 from otsurv.microbatch import OTSettings, solve_batch
 from otsurv.neural import (attention_pool_t, encode_genomic_t, extract_grads,
-                           hazard_t, init_params, load_checkpoint, project_t,
+                           hazard_t, init_params, load_checkpoint, N_HEADS, project_t,
                            save_checkpoint, wrap_params)
 from otsurv.survival import PROB_EPS
 from otsurv.train import (CaseData, ablation_sweep, case_forward,
@@ -359,6 +359,19 @@ def test_train_fold_caps_the_model_width(tmp_path):
         [(n, t.tobytes()) for n, t in params.tensors()]
 
 
+def test_train_fold_rounds_the_model_width_up_to_the_head_count(tmp_path):
+    # A feature width of 6 is not a multiple of the 4 heads; the model width
+    # rounds up to 8 rather than failing on a value no user sets.
+    cases = load_cases(generate_synthetic_dataset(
+        n_cases=10, M_p=4, M_g=2, d=6, signal_fraction=0.5, noise_scale=0.25,
+        censor_rate=0.2, seed=5, output_dir=tmp_path))
+    config = ExperimentConfig(seed=0, folds=2, epochs=1, micro_batch=4, bins=2)
+    train_idx, val_idx = fold_splits(len(cases), 2, seed=0)[0]
+    _, params = train_fold(cases, train_idx, val_idx, config, 0)
+    assert params.arrays["proj.w"].shape == (6, 8)
+    assert params.n_heads == N_HEADS == 4
+
+
 def test_train_fold_runs_and_improves_fit(small_dataset):
     cases = small_dataset
     splits = fold_splits(len(cases), 3, seed=0)
@@ -476,6 +489,25 @@ def test_ablation_sweep_records_otsurv_errors_and_propagates_bugs(small_dataset,
     monkeypatch.setattr(train, "train_fold", type_error)
     with pytest.raises(TypeError, match="bug in the training code"):
         ablation_sweep(small_dataset, config, [6], ["umbot"])
+
+
+def test_ablation_cell_failing_after_its_first_fold_gets_only_an_error_row(
+        small_dataset, monkeypatch):
+    # The folds a cell trained before it failed are not reported as ok.
+    config = ExperimentConfig(seed=0, folds=3, epochs=1, micro_batch=6, bins=3,
+                              attention_mode="dense")
+    real, calls = train.train_fold, []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args[4])
+        if len(calls) == 2:
+            raise NumericError("loss is NaN")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train, "train_fold", fail_second)
+    rows = ablation_sweep(small_dataset, config, [6], ["dense"])
+    assert calls == [0, 1]
+    assert [(r["fold"], r["status"]) for r in rows] == [(-1, "error: loss is NaN")]
 
 
 def test_failed_ablation_write_keeps_previous_csv(small_dataset, tmp_path,

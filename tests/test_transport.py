@@ -520,22 +520,41 @@ def test_uot_rejects_negative_tau():
         unbalanced_sinkhorn(C, uniform_marginals(2, 2), epsilon=0.1, tau=-1.0)
 
 
-@pytest.mark.parametrize("field, epsilon, tau, max_iters", [
-    ("epsilon", math.nan, 0.5, 1000), ("tau", 0.1, math.nan, 1000),
-    ("tau", 0.1, math.inf, 1000), ("epsilon", math.inf, 0.5, 1000),
-    ("epsilon", True, 0.5, 1000), ("tau", 0.1, True, 1000),
-    ("max_iters", 0.1, 0.5, 0), ("max_iters", 0.1, 0.5, True),
+@pytest.mark.parametrize("field, epsilon, tau, max_iters, tolerance", [
+    ("epsilon", math.nan, 0.5, 1000, 1e-6), ("tau", 0.1, math.nan, 1000, 1e-6),
+    ("tau", 0.1, math.inf, 1000, 1e-6), ("epsilon", math.inf, 0.5, 1000, 1e-6),
+    ("epsilon", True, 0.5, 1000, 1e-6), ("tau", 0.1, True, 1000, 1e-6),
+    ("max_iters", 0.1, 0.5, 0, 1e-6), ("max_iters", 0.1, 0.5, True, 1e-6),
+    ("epsilon", None, 0.5, 1000, 1e-6), ("tau", 0.1, None, 1000, 1e-6),
+    ("tolerance", 0.1, 0.5, 1000, math.nan), ("tolerance", 0.1, 0.5, 1000, math.inf),
+    ("tolerance", 0.1, 0.5, 1000, 0.0), ("tolerance", 0.1, 0.5, 1000, -1.0),
 ], ids=["epsilon-nan", "tau-nan", "tau-inf", "epsilon-inf", "epsilon-bool", "tau-bool",
-        "max_iters-0", "max_iters-bool"])
-def test_scaling_solvers_reject_nan_and_infinite_tau(field, epsilon, tau, max_iters):
+        "max_iters-0", "max_iters-bool", "epsilon-none", "tau-none", "tolerance-nan",
+        "tolerance-inf", "tolerance-0", "tolerance-negative"])
+def test_scaling_solvers_reject_nan_and_infinite_tau(field, epsilon, tau, max_iters,
+                                                     tolerance):
     # An infinite epsilon used to return the product coupling as converged,
-    # and a bool epsilon or tau solved as 1.
+    # a bool epsilon or tau solved as 1, a None epsilon was a bare TypeError,
+    # a None tau ran the balanced solve, and a NaN, 0 or negative tolerance
+    # ran every iteration to return converged=False.
     C, marg = CostMatrix(np.ones((2, 2)), "l2"), uniform_marginals(2, 2)
     with pytest.raises(ParameterError, match=field):
-        unbalanced_sinkhorn(C, marg, epsilon=epsilon, tau=tau, max_iters=max_iters)
+        unbalanced_sinkhorn(C, marg, epsilon=epsilon, tau=tau, max_iters=max_iters,
+                            tol=tolerance)
     if field != "tau":
         with pytest.raises(ParameterError, match=field):
-            sinkhorn(C, marg, epsilon=epsilon, max_iters=max_iters)
+            sinkhorn(C, marg, epsilon=epsilon, max_iters=max_iters, tol=tolerance)
+
+
+def test_exact_plan_carries_no_solver_settings():
+    # The simplex takes no epsilon, tau or tolerance, so its plan records none;
+    # its dual potentials certify optimality instead.
+    rng = np.random.default_rng(4)
+    C, marg = random_instance(rng, 5, 4)
+    plan = solve_exact_emd(C, marg)
+    assert plan.settings is None
+    assert plan.objective_regularized is None
+    assert abs(plan.duality_gap) < 1e-9
 
 
 def test_uot_overflow_switches_to_log_domain():
