@@ -2,14 +2,16 @@
 micro-batches, k-fold cross-validation, ablation sweeps, and the solver
 benchmark.
 
-Per case the flow is: encode the genomic categories, then, for each stack
-of same-sized micro-batches (the full ones, then a ragged last one),
-project the frozen patch features, solve one transport problem per
-micro-batch on current feature values, and treat the couplings as
-constants while the loss gradient flows through projection, encoders,
-aggregators, and hazard head.  Per-batch loss terms are weighted by
-batch_size / M_p and form one fused NLL node.  At inference the per-batch
-survival curves are averaged before the risk score is taken.
+A case runs in three phases.  The front (:func:`case_front`) encodes the
+genomic categories and projects the frozen patch features, one stack per
+run of same-sized micro-batches (the full ones, then a ragged last one).
+The transport step (in :func:`case_forward`) solves one problem per
+micro-batch on current feature values.  The head (:func:`case_head`)
+treats the couplings as constants while the loss gradient flows through
+projection, encoders, aggregators, and hazard head.  Per-batch loss terms
+are weighted by batch_size / M_p and form one fused NLL node.  At
+inference the per-batch survival curves are averaged before the risk
+score is taken.
 """
 
 from __future__ import annotations
@@ -19,17 +21,17 @@ import math
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass, replace
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, backward
+from .autodiff import Tape, Var, backward
 from .bags import (CaseManifest, GenomicProfile, SurvivalRecord, assign_bin,
                    discretize_times, load_bag, load_genomic_profile,
                    write_csv, write_json)
 from .config import ExperimentConfig
-from .errors import DataError, NumericError, OtsurvError, ParameterError
+from .errors import DataError, NumericError, OtsurvError, ParameterError, ShapeError
 from .microbatch import (ATTENTION_MODES, OTSettings, sample_micro_batches,
                          solve_batch)
 from .neural import (AdamState, ModelParams, adam_step, accumulate,
@@ -92,6 +94,73 @@ def load_cases(manifest: CaseManifest) -> list[CaseData]:
 # Per-case forward
 
 
+@dataclass(frozen=True)
+class CaseFront:
+    """One case's forward up to its transport problems.  The problems are
+    the slices of ``stacks`` in order, one per micro-batch, each against
+    ``b_g``."""
+
+    tape: Tape
+    pv: dict[str, Var]
+    b_g: Var
+    pooled_g: Var
+    batches: list[np.ndarray]  # the micro-batches' row indices, in batch order
+    stacks: list[Var]  # the projected (B, n, d) stack of each run of one size
+
+
+def case_front(params: ModelParams, case: CaseData, m: int, seed: int) -> CaseFront:
+    """Build the case's tape up to co-attention: wrap the parameters, encode
+    and pool the genomic side, sample the micro-batches and project each run
+    of same-sized ones (the full ones, then a ragged last) as one stack.
+
+    Only the rows gathered for a stack are widened to float64, by the tape
+    constant that holds them; float32 to float64 is exact, so a float32 bag
+    and its float64 copy give bit-identical results.
+    """
+    t = case.record.bin
+    if t is None:
+        raise DataError(f"{case.case_id}: record has no bin; discretize first")
+    if not 0 <= t < params.n_bins:
+        raise DataError(f"{case.case_id}: record bin {t} outside [0, {params.n_bins})")
+    tape = Tape()
+    pv = wrap_params(tape, params)
+    b_g = encode_genomic_t(tape, pv, case.profile)
+    pooled_g = attention_pool_t(tape, pv, "attn_g", b_g, params.n_heads)
+    batches = sample_micro_batches(case.pathology_raw.shape[0], m, seed)
+    stacks = [project_t(tape, pv, tape.const(case.pathology_raw[np.array(list(run))]))
+              for _, run in groupby(batches, key=len)]
+    return CaseFront(tape, pv, b_g, pooled_g, batches, stacks)
+
+
+def case_head(params: ModelParams, case: CaseData, front: CaseFront,
+              plans: list[TransportPlan] | None):
+    """Finish ``front``'s tape: co-attention, the pathology pool, the hazard
+    head and the NLL.  Returns the loss Var and the hazard matrix (one
+    float64 row of T bins per micro-batch, in batch order).
+
+    ``plans`` holds one plan per micro-batch, in batch order; each stack
+    attends through its plans' transposed couplings.  None attends densely.
+    Per-batch loss terms are weighted by batch size / M_p.
+    """
+    if plans is not None and len(plans) != len(front.batches):
+        raise ShapeError(f"{len(plans)} couplings for {len(front.batches)} micro-batches")
+    hazard_stacks, remaining = [], iter(plans or ())
+    for projected in front.stacks:
+        if plans is None:
+            selected = dense_coattention_t(front.tape, front.b_g, projected)
+        else:
+            # Each slice of the transposed stack is the transpose of a
+            # C-contiguous coupling, as a per-batch ``coupling.T`` is.
+            stacked = np.stack([p.coupling for p in islice(remaining, len(projected.value))])
+            selected = front.tape.matmul(front.tape.const(stacked.transpose(0, 2, 1)), projected)
+        pooled_p = attention_pool_t(front.tape, front.pv, "attn_p", selected, params.n_heads)
+        hazard_stacks.append(hazard_t(front.tape, front.pv, pooled_p, front.pooled_g))
+    M_p = len(case.pathology_raw)
+    loss = front.tape.discrete_nll(hazard_stacks, [len(idx) / M_p for idx in front.batches],
+                                   case.record.bin, case.record.censor == 1, PROB_EPS)
+    return loss, np.concatenate([stack.value[:, 0] for stack in hazard_stacks])
+
+
 def case_forward(params: ModelParams, case: CaseData, m: int,
                  ot_settings: OTSettings, mode: str, seed: int,
                  fixed_couplings: list[TransportPlan] | None = None):
@@ -99,64 +168,30 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
     hazard matrix (one float64 row of T bins per micro-batch, in batch
     order) and the per-batch couplings.
 
-    The micro-batches of one size run as one ``(B, n, d)`` stack through
-    projection, co-attention, pooling and hazard head; each still gets its
-    own transport solve, and the couplings are returned per micro-batch.
-    Only the rows gathered for a stack are widened to float64, by the tape
-    constant that holds them; float32 to float64 is exact, so a float32 bag
-    and its float64 copy give bit-identical results.
+    The case runs in three phases: :func:`case_front`, one transport solve
+    per micro-batch in batch order, and :func:`case_head`.
     ``fixed_couplings`` bypasses the transport solves (used by the
     finite-difference gradient check, which must differentiate the loss at
-    frozen couplings).  A solve that stops without converging is logged as
-    a warning and its plan is used as is.  ``mode``, a key of
-    :data:`~otsurv.microbatch.ATTENTION_MODES`, names the solver.
+    frozen couplings); it must hold one plan per micro-batch.  A solve that
+    stops without converging is logged as a warning and its plan is used
+    as is.  ``mode``, a key of :data:`~otsurv.microbatch.ATTENTION_MODES`,
+    names the solver.
     """
     if mode not in ATTENTION_MODES:
         raise ParameterError(f"unknown attention mode {mode!r}, "
                              f"choose from {tuple(ATTENTION_MODES)}")
     solver = ATTENTION_MODES[mode]
-    t = case.record.bin
-    if t is None:
-        raise DataError(f"{case.case_id}: record has no bin; discretize first")
-    if not 0 <= t < params.n_bins:
-        raise DataError(f"{case.case_id}: record bin {t} outside [0, {params.n_bins})")
-    M_p = case.pathology_raw.shape[0]
-    tape = Tape()
-    pv = wrap_params(tape, params)
-    b_g = encode_genomic_t(tape, pv, case.profile)
-    pooled_g = attention_pool_t(tape, pv, "attn_g", b_g, params.n_heads)
-    batches = sample_micro_batches(M_p, m, seed)
-
-    hazard_stacks = []
-    couplings: list[TransportPlan] = []
-    # Consecutive micro-batches of one size: the full ones, then a ragged last.
-    for _, run in groupby(batches, key=len):
-        group = list(run)
-        projected = project_t(tape, pv, tape.const(case.pathology_raw[np.array(group)]))
-        if solver is None:
-            selected = dense_coattention_t(tape, b_g, projected)
-        else:
-            for batch in projected.value:
-                k = len(couplings)
-                if fixed_couplings is not None:
-                    tplan = fixed_couplings[k]
-                else:
-                    tplan = solve_batch(batch, b_g.value, ot_settings, solver)
-                    if not tplan.converged:
-                        log.warning("case %s batch %d: solver stopped at %d iterations "
-                                    "without converging", case.case_id, k,
-                                    tplan.iterations)
-                couplings.append(tplan)
-            # Each slice of the transposed stack is the transpose of a
-            # C-contiguous coupling, as a per-batch ``coupling.T`` is.
-            stacked = np.stack([p.coupling for p in couplings[-len(group):]])
-            selected = tape.matmul(tape.const(stacked.transpose(0, 2, 1)), projected)
-        pooled_p = attention_pool_t(tape, pv, "attn_p", selected, params.n_heads)
-        hazard_stacks.append(hazard_t(tape, pv, pooled_p, pooled_g))
-    loss = tape.discrete_nll(hazard_stacks, [len(idx) / M_p for idx in batches],
-                             t, case.record.censor == 1, PROB_EPS)
-    hazards = np.concatenate([stack.value[:, 0] for stack in hazard_stacks])
-    return tape, pv, loss, hazards, couplings
+    front = case_front(params, case, m, seed)
+    plans = None if solver is None else fixed_couplings
+    if solver is not None and fixed_couplings is None:
+        plans = []
+        for k, batch in enumerate(b for stack in front.stacks for b in stack.value):
+            plans.append(solve_batch(batch, front.b_g.value, ot_settings, solver))
+            if not plans[k].converged:
+                log.warning("case %s batch %d: solver stopped at %d iterations "
+                            "without converging", case.case_id, k, plans[k].iterations)
+    loss, hazards = case_head(params, case, front, plans)
+    return front.tape, front.pv, loss, hazards, list(plans or ())
 
 
 def case_loss_and_grads(params, case, m, ot_settings, mode, seed):

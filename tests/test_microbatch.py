@@ -172,6 +172,19 @@ def test_coattend_shape_mismatch():
                      fixed_couplings=[make_plan(np.ones((3, 2)))])
 
 
+@pytest.mark.parametrize("n_plans", [2, 4])
+def test_fixed_couplings_need_one_plan_per_micro_batch(n_plans):
+    # Three micro-batches (5, 5 and 2): two plans used to run out with a bare
+    # IndexError, and a fourth plan was silently ignored.
+    case = make_case(np.random.default_rng(14), M_p=12, M_g=3)
+    params = identity_params(case)
+    *_, plans = case_forward(params, case, 5, OTSettings(), "umbot", 0)
+    assert len(plans) == 3
+    with pytest.raises(ShapeError, match=f"^{n_plans} couplings for 3 micro-batches$"):
+        case_forward(params, case, 5, OTSettings(), "umbot", 0,
+                     fixed_couplings=(plans * 2)[:n_plans])
+
+
 # ---------------------------------------------------------------------------
 # Dense co-attention (the tape block training uses)
 

@@ -1,5 +1,5 @@
-"""Package surface, file access discipline, benchmark hooks and BLAS thread
-independence."""
+"""Package surface, file access discipline, benchmark hooks, BLAS thread
+independence and the A/B tool."""
 
 import ast
 import dataclasses
@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,18 @@ def test_each_input_rule_is_applied_in_one_place():
             for node in ast.walk(top) if isinstance(node, ast.Constant) and node.value in keys] == []
 
 
+def test_one_call_site_solves_a_case_s_transport_problems():
+    # case_front builds a case's problems and case_head takes their plans; the
+    # solves between them have one call site in training, so a window solve
+    # replaces exactly that one.
+    tree = ast.parse((REPO / "src" / "otsurv" / "train.py").read_text(encoding="utf-8"))
+    assert {"case_front", "case_head"} <= {node.name for node in tree.body
+                                           if isinstance(node, ast.FunctionDef)}
+    assert sorted(where[0] for where, call in _calls(tree)
+                  if ast.unparse(call.func) == "solve_batch") == ["bench_solves",
+                                                                 "case_forward"]
+
+
 def test_every_perfbench_hook_resolves(monkeypatch):
     # A traced benchmark reports a renamed hook target only as a "missing"
     # metric; this catches it here.
@@ -268,3 +281,19 @@ def test_train_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     assert sorted(runs["1"]) == ["fold0/checkpoint.json", "fold1/checkpoint.json",
                                  "metrics.json", "risks.csv"]
     assert runs["1"] == runs["2"]
+
+
+def test_ab_tool_finds_two_copies_of_one_tree_bitwise_equal(tmp_path):
+    # tools/ab.py imports each tree's otsurv from its own src; two copies of
+    # this tree must train to the same FoldResult bit for bit.
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        shutil.copytree(REPO / "src", tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    res = subprocess.run([sys.executable, str(REPO / "tools" / "ab.py"), *map(str, trees),
+                          "--workload", "acceptance_dense", "--rounds", "1", "--epochs", "1"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "FoldResults bitwise equal: yes" in res.stdout
+    assert re.search(r"^parent fold_s median \d", res.stdout, re.M)
+    assert re.search(r"^change fold_s median \d", res.stdout, re.M)

@@ -18,7 +18,7 @@ from otsurv.bags import (GenomicProfile, InstanceBag, SurvivalRecord,
 from otsurv import train, transport
 from otsurv.config import ExperimentConfig
 from otsurv.errors import DataError, NumericError
-from otsurv.microbatch import OTSettings, solve_batch
+from otsurv.microbatch import ATTENTION_MODES, OTSettings, solve_batch
 from otsurv.neural import (attention_pool_t, encode_genomic_t, extract_grads,
                            hazard_t, init_params, load_checkpoint, N_HEADS, project_t,
                            save_checkpoint, wrap_params)
@@ -237,13 +237,18 @@ def test_dense_mode_gradient_flows_through_attention():
 # Stacked micro-batches
 
 
-def _forward_bytes(forward, params, case, m, mode, seed):
-    tape, pv, loss, hazards, couplings = forward(
-        params, case, m, OTSettings(epsilon=0.1, tau=0.5), mode, seed)
+def _result_bytes(tape, pv, loss, hazards, couplings):
+    """Run backward; the bytes of the loss, each hazard row, every parameter
+    gradient and each coupling."""
     backward(tape, loss)
     return (loss.value.tobytes(), [h.tobytes() for h in hazards],
             {name: g.tobytes() for name, g in extract_grads(pv).items()},
             [p.coupling.tobytes() for p in couplings])
+
+
+def _forward_bytes(forward, params, case, m, mode, seed):
+    return _result_bytes(*forward(params, case, m, OTSettings(epsilon=0.1, tau=0.5),
+                                  mode, seed))
 
 
 @given(M_p=st.integers(1, 40), m=st.integers(1, 48),
@@ -268,6 +273,38 @@ def test_stacked_case_forward_equals_per_batch_loop_bitwise(M_p, m, mode, bin_, 
     params.arrays["hazard.b"] += hazard_shift
     assert (_forward_bytes(case_forward, params, case, m, mode, seed)
             == _forward_bytes(per_batch_case_forward, params, case, m, mode, seed))
+
+
+@pytest.mark.parametrize("mode", ["umbot", "emd", "dense"])
+def test_window_of_fronts_solves_and_heads_equals_case_forward_bitwise(mode):
+    """A window's order: every case's front, then every transport problem
+    of the window in one list in case order, then each case's head and
+    backward.  Each case must match its own case_forward byte for byte.
+    At m 7, bags of 20 and 12 instances run as stacks of 7+7 and 6, and of
+    7 and 5."""
+    rng = np.random.default_rng(21)
+    cases = [make_case(rng, M_p=20, bin_=1, censor=0), make_case(rng, M_p=12, bin_=2, censor=1)]
+    seeds = [31, 32]
+    params = make_params(seed=22)
+    settings = OTSettings(epsilon=0.1, tau=0.5)
+    solver = ATTENTION_MODES[mode]
+
+    fronts = [train.case_front(params, case, 7, seed) for case, seed in zip(cases, seeds)]
+    assert [[len(stack.value) for stack in front.stacks] for front in fronts] == [[2, 1],
+                                                                                   [1, 1]]
+    problems = [(batch, front.b_g.value) for front in fronts
+                for stack in front.stacks for batch in stack.value]
+    plans = [] if solver is None else [solve_batch(batch, genomic, settings, solver)
+                                       for batch, genomic in problems]
+    windowed = []
+    for case, front in zip(cases, fronts):
+        own = None if solver is None else [plans.pop(0) for _ in front.batches]
+        loss, hazards = train.case_head(params, case, front, own)
+        windowed.append(_result_bytes(front.tape, front.pv, loss, hazards, own or []))
+    assert plans == []
+
+    assert windowed == [_result_bytes(*case_forward(params, case, 7, settings, mode, seed))
+                        for case, seed in zip(cases, seeds)]
 
 
 def _six_category_case(M_p, bin_, censor):
