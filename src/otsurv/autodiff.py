@@ -5,7 +5,7 @@ ops; the tape holds the creation order, which is a valid topological order
 for the backward sweep.  All values are float64 ndarrays (scalars have
 shape ()).  Values are matrices (row vectors are (1, d) arrays) or stacks
 of them, ``(B, n, d)``: the micro-batches of one shape, which ``linear``,
-``matmul``, ``attention``, ``add``, ``mean_rows``, ``concat_cols`` and
+``matmul``, ``attention``, ``add``, ``mean_rows``, ``concat`` and
 ``sigmoid`` process slice by slice.  A stack may meet an unstacked operand
 (a parameter, the pooled genomic row), which then stands for every slice.
 
@@ -32,6 +32,10 @@ from operator import mul
 import numpy as np
 
 from .errors import ShapeError, StateError
+
+# The self-normalizing constants of SELU (Klambauer et al., 2017).
+SELU_ALPHA = 1.6732632423543772
+SELU_LAMBDA = 1.0507009873554805
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -131,12 +135,12 @@ class Tape:
 
     # -- nonlinearities ----------------------------------------------------
 
-    def selu(self, a: Var, alpha: float, lam: float) -> Var:
+    def selu(self, a: Var) -> Var:
         x = a.value
         pos = x > 0
         e = np.exp(np.minimum(x, 0.0))
-        y = lam * np.where(pos, x, alpha * (e - 1.0))
-        deriv = lam * np.where(pos, 1.0, alpha * e)
+        y = SELU_LAMBDA * np.where(pos, x, SELU_ALPHA * (e - 1.0))
+        deriv = SELU_LAMBDA * np.where(pos, 1.0, SELU_ALPHA * e)
         return self._emit(y, (a,), lambda g: (g * deriv,))
 
     def sigmoid(self, a: Var) -> Var:
@@ -159,23 +163,20 @@ class Tape:
         return self._emit(a.value.mean(axis=-2, keepdims=True), (a,),
                           lambda g: (np.broadcast_to(g / n, a.value.shape).copy(),))
 
-    def concat_cols(self, parts: list[Var]) -> Var:
-        """Column-wise concatenation; an unstacked part joins every slice of a stack."""
-        rows = max((p.value.shape[:-1] for p in parts), key=len)
-        offsets = [0]
+    def concat(self, parts: list[Var], axis: int) -> Var:
+        """Join rows (``axis=-2``) or columns (``axis=-1``); an unstacked part
+        joins every slice of a stack."""
+        shape = list(max((p.value.shape for p in parts), key=len))
+        # Each part's index into the output; ``tail`` spans the axes after ``axis``.
+        tail, spans, k = (slice(None),) * (-1 - axis), [], 0
         for p in parts:
-            offsets.append(offsets[-1] + p.value.shape[-1])
-        out = np.empty((*rows, offsets[-1]))
-        spans = list(zip(offsets, offsets[1:]))
-        for p, (k0, k1) in zip(parts, spans):
-            out[..., k0:k1] = p.value
-        return self._emit(out, tuple(parts),
-                          lambda g: tuple(g[..., k0:k1] for k0, k1 in spans))
-
-    def concat_rows(self, parts: list[Var]) -> Var:
-        offsets = np.cumsum([0] + [p.value.shape[0] for p in parts])
-        return self._emit(np.concatenate([p.value for p in parts], axis=0), tuple(parts),
-                          lambda g: tuple(g[k0:k1, :] for k0, k1 in zip(offsets, offsets[1:])))
+            spans.append((..., slice(k, k + p.value.shape[axis])) + tail)
+            k += p.value.shape[axis]
+        shape[axis] = k
+        out = np.empty(shape)
+        for p, span in zip(parts, spans):
+            out[span] = p.value
+        return self._emit(out, tuple(parts), lambda g: tuple(g[span] for span in spans))
 
     def pick(self, a: Var, i: int, j: int) -> Var:
         def vjp(g):

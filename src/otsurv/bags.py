@@ -78,7 +78,8 @@ class InstanceBag:
 
 @dataclass(frozen=True)
 class GenomicProfile:
-    """Raw per-category genomic attributes; lengths may differ per category."""
+    """Raw per-category genomic attributes of one case; lengths may differ
+    per category.  An error names the case, as :class:`InstanceBag`'s does."""
 
     categories: list[tuple[str, np.ndarray]]
     case_id: str = ""
@@ -86,13 +87,14 @@ class GenomicProfile:
     def __post_init__(self):
         names = [name for name, _ in self.categories]
         if len(set(names)) != len(names):
-            raise DataError("category names must be unique")
+            raise DataError(f"profile {self.case_id!r}: category names must be unique")
         cats = []
         for name, attrs in self.categories:
             attrs = np.asarray(attrs, dtype=np.float64).ravel()
+            where = f"profile {self.case_id!r}: category {name!r}"
             if attrs.size < 1:
-                raise DataError(f"category {name!r} has no attributes")
-            check_values(attrs, f"category {name!r}", DataError)
+                raise DataError(f"{where} has no attributes")
+            check_values(attrs, where, DataError)
             cats.append((name, attrs))
         object.__setattr__(self, "categories", cats)
 
@@ -446,7 +448,10 @@ def load_genomic_profile(path, category_spec: list[CategoryEntry] | None = None,
         except ValueError as exc:
             raise FormatError(f"{path}:{line}: {exc}") from exc
     cats = [(name, np.asarray(attrs)) for name, attrs in values.items()]
-    profile = GenomicProfile(cats, case_id=case_id or path.stem)
+    try:
+        profile = GenomicProfile(cats, case_id=case_id or path.stem)
+    except DataError as exc:
+        raise DataError(f"genomic profile {path}: {exc}") from exc
     if category_spec is not None:
         got = [(n, a.size) for n, a in profile.categories]
         if got != [(c.name, c.dim) for c in category_spec]:
@@ -459,9 +464,7 @@ def load_genomic_profile(path, category_spec: list[CategoryEntry] | None = None,
 
 
 def save_manifest(manifest: CaseManifest, path) -> Path:
-    return write_json(path, {"feature_dim": manifest.feature_dim,
-                             "category_spec": [asdict(c) for c in manifest.category_spec],
-                             "cases": [asdict(c) for c in manifest.cases]})
+    return write_json(path, {k: v for k, v in asdict(manifest).items() if k != "root"})
 
 
 def load_manifest(path) -> CaseManifest:

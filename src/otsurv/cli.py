@@ -38,7 +38,7 @@ def _out_path(raw: str) -> Path:
 def _flag_values(args, cls) -> dict:
     """The given flags among those :func:`_add_field_flags` made for ``cls``."""
     return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
-            if getattr(args, f.name) is not None}
+            if getattr(args, f.name, None) is not None}
 
 
 def _load_effective_config(args) -> ExperimentConfig:
@@ -57,11 +57,11 @@ def _comma_list(item_type):
     return parse
 
 
-def _add_field_flags(p: argparse.ArgumentParser, cls):
-    """One flag per field of the dataclass ``cls``: ``--micro-batch`` for
-    ``micro_batch``, typed by its annotation; a bool is ``--x/--no-x``.  A
-    flag not given is None, which leaves the field as it was."""
-    for f in dataclasses.fields(cls):
+def _add_field_flags(p: argparse.ArgumentParser, cls, skip=()):
+    """One flag per field of the dataclass ``cls`` not named in ``skip``:
+    ``--micro-batch`` for ``micro_batch``, typed by its annotation; a bool is
+    ``--x/--no-x``.  A flag not given is None, which leaves the field as it was."""
+    for f in (f for f in dataclasses.fields(cls) if f.name not in skip):
         flag = "--" + f.name.replace("_", "-")
         if f.type == "bool":
             p.add_argument(flag, action=argparse.BooleanOptionalAction)
@@ -70,9 +70,9 @@ def _add_field_flags(p: argparse.ArgumentParser, cls):
                            choices=cls.CHOICES.get(f.name))
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+def _add_config_flags(p: argparse.ArgumentParser, skip=()):
     p.add_argument("--config", help="JSON config file; flags override its values")
-    _add_field_flags(p, ExperimentConfig)
+    _add_field_flags(p, ExperimentConfig, skip)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated micro-batch sizes")
     p.add_argument("--modes", type=_comma_list(str), default="umbot",
                    help="comma-separated attention modes")
-    _add_config_flags(p)
+    # Each cell sets these two from --m-values and --modes; a config file may
+    # still hold them, for it may serve train too.
+    _add_config_flags(p, skip=("micro_batch", "attention_mode"))
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("km", help="Kaplan-Meier curves + log-rank from risk scores")

@@ -19,10 +19,6 @@ from .autodiff import Tape, Var
 from .bags import GenomicProfile, check_fields, json_type_ok, read_json, read_record, write_json
 from .errors import FormatError, ParameterError
 
-# Standard self-normalizing-network constants.
-SELU_ALPHA = 1.6732632423543772
-SELU_LAMBDA = 1.0507009873554805
-
 # Adam's moment decay rates and denominator floor.
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -122,10 +118,9 @@ def encode_genomic_t(tape: Tape, pv: dict[str, Var], profile: GenomicProfile) ->
     rows = []
     for j, (_, attrs) in enumerate(profile.categories):
         x = tape.const(attrs[None, :])
-        h = tape.selu(tape.linear(x, pv[f"enc.{j}.w1"], pv[f"enc.{j}.b1"]),
-                      SELU_ALPHA, SELU_LAMBDA)
+        h = tape.selu(tape.linear(x, pv[f"enc.{j}.w1"], pv[f"enc.{j}.b1"]))
         rows.append(tape.linear(h, pv[f"enc.{j}.w2"], pv[f"enc.{j}.b2"]))
-    return tape.concat_rows(rows)
+    return tape.concat(rows, -2)
 
 
 def attention_pool_t(tape: Tape, pv: dict[str, Var], side: str, tokens: Var,
@@ -148,7 +143,7 @@ def dense_coattention_t(tape: Tape, queries: Var, tokens: Var) -> Var:
 def hazard_t(tape: Tape, pv: dict[str, Var], pooled_p: Var, pooled_g: Var) -> Var:
     """sigmoid(linear(concat)) over the discrete time bins; shape (1, T), or
     (B, 1, T) for a stack of pooled rows."""
-    joint = tape.concat_cols([pooled_p, pooled_g])
+    joint = tape.concat([pooled_p, pooled_g], -1)
     return tape.sigmoid(tape.linear(joint, pv["hazard.w"], pv["hazard.b"]))
 
 

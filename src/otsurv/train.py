@@ -172,7 +172,8 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
     per micro-batch in batch order, and :func:`case_head`.
     ``fixed_couplings`` bypasses the transport solves (used by the
     finite-difference gradient check, which must differentiate the loss at
-    frozen couplings); it must hold one plan per micro-batch.  A solve that
+    frozen couplings); it must hold one plan per micro-batch, and a mode
+    that solves nothing (``dense``) takes none.  A solve that
     stops without converging is logged as a warning and its plan is used
     as is.  ``mode``, a key of :data:`~otsurv.microbatch.ATTENTION_MODES`,
     names the solver.
@@ -181,9 +182,12 @@ def case_forward(params: ModelParams, case: CaseData, m: int,
         raise ParameterError(f"unknown attention mode {mode!r}, "
                              f"choose from {tuple(ATTENTION_MODES)}")
     solver = ATTENTION_MODES[mode]
+    if solver is None and fixed_couplings is not None:
+        raise ParameterError(f"attention mode {mode!r} solves no transport problems, "
+                             f"so it takes no fixed_couplings")
     front = case_front(params, case, m, seed)
-    plans = None if solver is None else fixed_couplings
-    if solver is not None and fixed_couplings is None:
+    plans = fixed_couplings
+    if solver is not None and plans is None:
         plans = []
         for k, batch in enumerate(b for stack in front.stacks for b in stack.value):
             plans.append(solve_batch(batch, front.b_g.value, ot_settings, solver))
@@ -302,11 +306,8 @@ def cross_validate(cases: list[CaseData], config: ExperimentConfig,
     cis = np.array([r.c_index for r in fold_results])
     report = {
         "config": asdict(config),
-        "per_fold": [
-            {"fold": r.fold, "c_index": r.c_index, "best_epoch": r.best_epoch,
-             "train_loss": r.train_loss}
-            for r in fold_results
-        ],
+        "per_fold": [{k: v for k, v in asdict(r).items() if k != "risks"}
+                     for r in fold_results],
         "c_index_mean": float(cis.mean()),
         "c_index_std": float(cis.std()),
     }

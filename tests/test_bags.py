@@ -157,6 +157,27 @@ def test_genomic_profile_duplicate_names_rejected():
         GenomicProfile([("a", np.ones(2)), ("a", np.ones(3))])
 
 
+@pytest.mark.parametrize("categories, rule", [
+    ([("a", np.ones(2)), ("a", np.ones(3))], "category names must be unique"),
+    ([("a", np.ones(0))], "category 'a' has no attributes"),
+    ([("a", np.ones(2)), ("b", np.array([1.0, np.inf]))],
+     "category 'b' contains non-finite entries"),
+], ids=["duplicate", "empty", "non-finite"])
+def test_genomic_profile_error_names_the_case(categories, rule):
+    with pytest.raises(DataError, match=f"^profile 'case_3': {rule}$"):
+        GenomicProfile(categories, "case_3")
+
+
+def test_genomic_profile_file_error_names_the_file_and_the_case(tmp_path):
+    # It read "category 'a' contains non-finite entries", naming neither.
+    path = tmp_path / "g.csv"
+    path.write_text("category,value\na,1.0\na,nan\nb,2.0\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_genomic_profile(path, case_id="case_0007")
+    assert str(err.value) == (f"genomic profile {path}: profile 'case_0007': "
+                              f"category 'a' contains non-finite entries")
+
+
 def test_survival_record_validation():
     with pytest.raises(DataError):
         SurvivalRecord(-1.0, 0)
@@ -399,6 +420,19 @@ def test_manifest_row_list_that_is_not_a_list_is_format_error(tmp_path, key, val
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=f"manifest.json: {key} must be a JSON list, "
                                           f"got {type(value).__name__}$"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("key, record", [("cases", "CaseEntry"),
+                                         ("category_spec", "CategoryEntry")])
+def test_manifest_row_that_is_not_an_object_is_format_error(tmp_path, key, record):
+    path = save_manifest(CaseManifest([CaseEntry("c0", "p.fbag", "g.csv", 12.5, 1)], 4,
+                                      [CategoryEntry("a", 2)]), tmp_path / "manifest.json")
+    doc = json.loads(path.read_text())
+    doc[key] = [5]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"manifest.json: {record} must be a JSON "
+                                          f"object, got int$"):
         load_manifest(path)
 
 

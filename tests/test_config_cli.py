@@ -386,6 +386,11 @@ def _flag_value(field):
     return [str(value)], value
 
 
+# The fields each ablation cell sets from --m-values and --modes; ablate has
+# no flag for them.
+ABLATE_SWEEPS = ("micro_batch", "attention_mode")
+
+
 @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
                          ids=lambda f: f.name)
 def test_config_flag_for_every_field(field):
@@ -394,10 +399,26 @@ def test_config_flag_for_every_field(field):
     if field.type == "bool":
         flag = flag if value else "--no-" + flag[2:]
     for command in ("train", "ablate"):
-        args = cli.build_parser().parse_args([command, "--manifest", "m", "--out", "o",
-                                              flag, *words])
+        argv = [command, "--manifest", "m", "--out", "o", flag, *words]
+        if command == "ablate" and field.name in ABLATE_SWEEPS:
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            continue
+        args = cli.build_parser().parse_args(argv)
         assert cli._load_effective_config(args) == \
             dataclasses.replace(ExperimentConfig(), **{field.name: value})
+
+
+def test_ablate_config_file_may_set_the_swept_fields(tmp_path):
+    # One config file may serve train and ablate; ablate's cells then set
+    # both fields from --m-values and --modes.
+    path = write_config(ExperimentConfig(micro_batch=7, attention_mode="dense"),
+                        tmp_path / "c.json")
+    args = cli.build_parser().parse_args(["ablate", "--manifest", "m", "--out", "o",
+                                          "--config", str(path)])
+    config = cli._load_effective_config(args)
+    assert (config.micro_batch, config.attention_mode) == (7, "dense")
 
 
 def test_config_flags_keep_their_types_and_choices():

@@ -185,6 +185,16 @@ def test_fixed_couplings_need_one_plan_per_micro_batch(n_plans):
                      fixed_couplings=(plans * 2)[:n_plans])
 
 
+@pytest.mark.parametrize("fixed", [["junk"], []], ids=["junk", "empty"])
+def test_dense_mode_takes_no_fixed_couplings(fixed):
+    # Dense mode solves nothing, so a plan list for it is a caller's mistake;
+    # it used to be ignored whatever it held.
+    case = make_case(np.random.default_rng(15), M_p=12, M_g=3)
+    with pytest.raises(ParameterError, match="attention mode 'dense'"):
+        case_forward(identity_params(case), case, 5, OTSettings(), "dense", 0,
+                     fixed_couplings=fixed)
+
+
 # ---------------------------------------------------------------------------
 # Dense co-attention (the tape block training uses)
 

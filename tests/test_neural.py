@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 
 from failing_writes import FailingWrites
 from oracles import central_difference_grad, per_head_attention
-from otsurv.autodiff import Tape, backward
+from otsurv.autodiff import SELU_ALPHA, SELU_LAMBDA, Tape, backward
 from otsurv.bags import GenomicProfile, SurvivalRecord
 from otsurv import neural
 from otsurv.errors import FormatError, ParameterError, ShapeError, StateError
 from otsurv.microbatch import OTSettings
-from otsurv.neural import (SELU_ALPHA, SELU_LAMBDA, AdamState, adam_step,
-                           attention_pool_t, dense_coattention_t,
-                           encode_genomic_t, hazard_t, init_params,
-                           load_checkpoint, project_t, save_checkpoint,
-                           wrap_params)
+from otsurv.neural import (AdamState, adam_step, attention_pool_t,
+                           dense_coattention_t, encode_genomic_t, hazard_t,
+                           init_params, load_checkpoint, project_t,
+                           save_checkpoint, wrap_params)
 from otsurv.train import CaseData, case_forward
 
 
@@ -411,7 +410,10 @@ STACKED_OPS = {
                                   [(4, 8), (3, 5, 8), (3, 5, 8)]),
     "add": (Tape.add, [(3, 4, 5), (3, 4, 5)]),
     "mean_rows": (Tape.mean_rows, [(3, 4, 5)]),
-    "concat_cols": (lambda tape, a, b: tape.concat_cols([a, b]), [(3, 1, 4), (1, 3)]),
+    "concat_cols": (lambda tape, a, b: tape.concat([a, b], -1), [(3, 1, 4), (1, 3)]),
+    "concat_rows": (lambda tape, a, b: tape.concat([a, b], -2), [(3, 2, 4), (3, 1, 4)]),
+    "concat_rows_unstacked": (lambda tape, a, b: tape.concat([a, b], -2),
+                              [(3, 2, 4), (1, 4)]),
     "sigmoid": (Tape.sigmoid, [(3, 2, 5)]),
 }
 
@@ -422,6 +424,27 @@ def test_gradcheck_stacked_op(name):
     rng = np.random.default_rng(18)
     arrays = {f"x{i}": rng.standard_normal(shape) for i, shape in enumerate(shapes)}
     assert _gradcheck_stacked(op, arrays) <= 1e-6
+
+
+@pytest.mark.parametrize("axis, shapes, joined", [
+    (-2, [(2, 1, 3), (2, 1, 3)], (2, 2, 3)),
+    (-2, [(2, 1, 3), (1, 3)], (2, 2, 3)),
+    (-2, [(1, 3), (2, 3)], (3, 3)),
+    (-1, [(2, 1, 3), (1, 2)], (2, 1, 5)),
+], ids=["rows-of-stacks", "row-joins-stack", "rows", "cols-joins-stack"])
+def test_concat_joins_each_slice_of_a_stack(axis, shapes, joined):
+    # Stacks join slice by slice: the stack axis is never the joined one.
+    rng = np.random.default_rng(19)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    tape = Tape()
+    out = tape.concat([tape.const(v) for v in values], axis)
+    assert out.shape == joined
+    k = 0
+    for v in values:
+        width = v.shape[axis]
+        got = out.value[..., k:k + width, :] if axis == -2 else out.value[..., k:k + width]
+        assert np.array_equal(got, np.broadcast_to(v, got.shape))
+        k += width
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +738,11 @@ def test_checkpoint_shape_not_matching_blob_is_format_error(tmp_path):
     (lambda doc: doc["tensors"]["proj.w"].update(dtype="float16"), "'proj.w': .*'dtype'"),
     (lambda doc: doc["tensors"]["proj.w"].update(shapes=[8, 8]), "'proj.w': .*'shapes'"),
     (lambda doc: doc["tensors"]["proj.w"].pop("data"), "'proj.w': .*'data'"),
+    (lambda doc: doc["tensors"].update({"proj.b": 5}),
+     "'proj.b': TensorEntry must be a JSON object, got int"),
 ], ids=["step", "n_heads", "seed", "n_heads 0", "n_heads 3", "n_encoders -1",
         "proj.w 1-D", "tensors", "shape", "negative shape", "zero shape", "data",
-        "short data", "dtype", "shapes", "no data"])
+        "short data", "dtype", "shapes", "no data", "entry not an object"])
 def test_checkpoint_malformed_manifest_is_format_error(tmp_path, edit, names):
     save_checkpoint(tiny_params(seed=44), tmp_path)
     _edit_manifest(tmp_path, edit)

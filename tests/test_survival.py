@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from otsurv.autodiff import Tape, backward
 from otsurv.bags import GenomicProfile, SurvivalRecord
-from otsurv.errors import DataError, MetricUndefinedError
+from otsurv.errors import DataError, MetricUndefinedError, ShapeError
 from otsurv.microbatch import OTSettings
 from otsurv.neural import init_params
 from otsurv.survival import (PROB_EPS, c_index, chi2_sf_1df, km_estimate,
@@ -205,6 +205,17 @@ def test_nll_invalid_bin():
         case_forward(params, one_case(bin_=None), 3, OTSettings(), "umbot", 0)
 
 
+@pytest.mark.parametrize("weights, t", [([1.0], 1), ([1.0] * 3, 1), ([1.0] * 2, 3),
+                                        ([1.0] * 2, -1)],
+                         ids=["fewer weights", "more weights", "bin past T", "bin -1"])
+def test_discrete_nll_needs_one_weight_per_row_and_a_bin_in_range(weights, t):
+    tape = Tape()
+    hazards = tape.const(np.full((2, 1, 3), 0.2))
+    with pytest.raises(ShapeError, match=f"^discrete_nll: 2 hazard rows of 3 bins, "
+                                         f"{len(weights)} weights, bin {t}$"):
+        tape.discrete_nll([hazards], weights, t, False, PROB_EPS)
+
+
 # ---------------------------------------------------------------------------
 # Risk score
 
@@ -227,6 +238,13 @@ def test_c_index_perfect_and_inverted():
     records = [rec(3, 0), rec(2, 0), rec(1, 0)]
     assert c_index([1, 2, 3], records) == 1.0
     assert c_index([3, 2, 1], records) == 0.0
+
+
+@pytest.mark.parametrize("n_risks", [2, 4])
+def test_c_index_needs_one_risk_per_record(n_risks):
+    records = [rec(3, 0), rec(2, 0), rec(1, 0)]
+    with pytest.raises(DataError, match=f"^{n_risks} risks vs 3 records$"):
+        c_index(np.arange(n_risks, dtype=float), records)
 
 
 def test_c_index_matches_exhaustive_oracle():

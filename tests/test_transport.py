@@ -88,6 +88,19 @@ def test_cost_dimension_mismatch():
         build_cost(np.ones((2, 3)), np.ones((2, 4)), "l2")
 
 
+@pytest.mark.parametrize("solve", [
+    lambda C, marg: transport.sinkhorn(C, marg, 0.1),
+    lambda C, marg: transport.unbalanced_sinkhorn(C, marg, 0.1, 0.5),
+    transport.solve_exact_emd,
+], ids=["sinkhorn", "unbalanced_sinkhorn", "emd"])
+@pytest.mark.parametrize("sizes", [(4, 3), (3, 4)], ids=["source", "target"])
+def test_marginals_not_matching_the_cost_are_a_shape_error(solve, sizes):
+    C = CostMatrix(np.ones((3, 3)), "l2")
+    with pytest.raises(ShapeError, match=rf"^marginals \({sizes[0]},{sizes[1]}\) "
+                                         rf"do not match cost \(3, 3\)$"):
+        solve(C, transport.uniform_marginals(*sizes))
+
+
 def test_cost_rejects_negative_and_nan():
     with pytest.raises(DataError):
         CostMatrix(np.array([[-1.0]]), "l2")
